@@ -1,0 +1,5 @@
+"""Benchmark for lucene_solr_ray: build and serve workloads.
+
+Entry point: ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root. See README.md.
+"""
