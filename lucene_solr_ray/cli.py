@@ -391,10 +391,8 @@ def main(argv=None) -> int:
             if sort or filter_range or getattr(args, "federate", None):
                 raise SystemExit("--bf/--boost cannot combine with "
                                  "--sort/--filter/--federate")
-            from .search.features import boosted_search
-
-            hits = boosted_search(
-                searcher, query, args.bf or args.boost, k=args.k,
+            hits = searcher.boosted_search(
+                query, args.bf or args.boost, k=args.k,
                 mode="add" if args.bf else "multiply")
         else:
             hits = searcher.search(query, k=args.k, sort=sort,

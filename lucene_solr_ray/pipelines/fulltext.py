@@ -211,13 +211,13 @@ def docfreq_boost_docs(sf_dir: str, term: str = "data") -> pa.Table:
     from ..functions import parse_func
     from ..functions.valuesource import bind_index_stats, eval_expr, \
         stats_terms
-    from ..search.features import _all_hits, index_stats
+    from ..search.features import index_stats
 
     idx = docs_index(sf_dir)
     searcher = IndexSearcher(idx)
     ast = parse_func(f"ln(sum(1,div(numdocs(),docfreq({term}))))")
     ast = bind_index_stats(ast, index_stats(searcher, stats_terms(ast)))
-    docs, _ = _all_hits(searcher, term)
+    docs, _ = searcher.all_hits(term)
     boost = eval_expr(ast, pa.table({"__d": pa.array([0.0])}))
     val = round(float(boost.as_py() if isinstance(boost, pa.Scalar)
                       else boost[0].as_py()), 6)

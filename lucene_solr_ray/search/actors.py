@@ -1,15 +1,34 @@
-"""Distributed query serving: shard searchers held by a Ray actor pool.
+"""Query serving: one coordinator over shard groups.
 
-The serving analog of SolrCloud's scatter/gather (SURVEY.md §3.3,
-QueryComponent.distributedProcess): each actor pins a subset of shards in
-memory (postings + norms, loaded once in ``__init__``); a query does
-(1) a stats round — per-shard docFreq for the query's terms, summed to
-global stats (PURPOSE_GET_TOP_IDS scatter analog) — and (2) a scoring
-round returning per-shard top-k, k-way merged on the driver by
-(score desc, doc_id asc) (TopDocs.merge, TopDocs.java:199-215).
+A *shard group* (``ShardGroup``) is a list of ``ShardSearcher``s over one
+index plus a doc base. It answers the shard side of every query method:
+term statistics (``local_df``), per-group top-k (``search_batch``),
+``explain``, and the ``*_partial`` aggregates behind facets, stats, block
+join, collapse/expand, rerank, function boosts, terms and suggestions.
+Doc ids cross the group boundary as coordinator ids (doc base + the
+index's own doc id). The same class runs in-process, or as the Ray actor
+``SearchActor`` that pins its shards (postings + norms) in memory.
 
-Queries are batched through both rounds: one actor round-trip per phase
-regardless of the number of queries.
+``SearchCoordinator`` implements every query method once, in SolrCloud's
+scatter/gather shape (SURVEY.md §3.3, QueryComponent.distributedProcess):
+parse; a stats round summing per-group docFreq into global statistics
+(which the CommonTermsQuery rewrite also needs); a scatter to the groups;
+a driver-side merge by (score desc, doc_id asc) (TopDocs.merge,
+TopDocs.java:199-215); the searchAfter cursor. A batch of queries costs
+one stats round trip and one scoring round trip. Every group call goes
+through ``SearchCoordinator._scatter``.
+
+Three constructors choose the groups and nothing else:
+
+- ``IndexSearcher(dir)``: one in-process group holding every shard;
+- ``MultiIndexSearcher(dirs)``: one in-process group per sub-index, each
+  at its doc base and scoring with the combined statistics (MultiReader);
+- ``DistributedSearcher(dir, num_actors)``: one actor per shard subset;
+  per-shard term blooms skip actors that cannot match a query batch.
+
+Group methods are read-only, so the actors are created with restarts and
+task retries: a killed actor is restarted and its calls are re-run, and a
+call that still fails raises rather than returning a partial merge.
 """
 
 from __future__ import annotations
@@ -21,220 +40,194 @@ import numpy as np
 
 import ray
 
-from .query import Query, parse_query
-from .searcher import ShardSearcher, collect_terms
+from .query import CommonTermsQuery, Query, parse_query, rewrite_common_terms
+from .searcher import DocValues, ShardSearcher, _merge_sort_key, collect_terms
+
+# actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
+# call that was in flight on it
+ACTOR_MAX_RESTARTS = 3
+ACTOR_MAX_TASK_RETRIES = 3
 
 
-@ray.remote
-class SearchActor:
+def _read_manifest(index_dir) -> dict:
+    return json.loads((Path(index_dir) / "manifest.json").read_text())
+
+
+def _shard_ids(manifest: dict) -> list[int]:
+    return sorted(s["shard_id"] for s in manifest["shards"])
+
+
+def _top(hits: list[tuple], k: int, sort=None) -> list[tuple]:
+    """The first ``k`` hits by (score desc, doc_id asc), or by the
+    field-sort key (TopDocs.merge / TopFieldCollector merge)."""
+    hits.sort(key=(lambda h: _merge_sort_key(h, sort)) if sort
+              else (lambda h: (-h[1], h[0])))
+    return hits[:k]
+
+
+def _add_counts(partials) -> dict:
+    """Sum per-group {key: count} partials."""
+    out: dict = {}
+    for p in partials:
+        for key, n in p.items():
+            out[key] = out.get(key, 0) + n
+    return out
+
+
+class ShardGroup:
+    """Shards of one index at a doc base: the unit of scatter."""
+
     def __init__(self, index_dir: str, shard_ids: list[int], manifest: dict,
-                 similarity="bm25"):
+                 similarity="bm25", base: int = 0):
+        self.base = int(base)
+        self.num_docs = int(manifest["stats"]["num_docs"])
+        self.docvalues = DocValues(index_dir, self.num_docs, shard_ids)
         self.searchers = [
-            ShardSearcher(index_dir, sid, manifest, similarity=similarity)
+            ShardSearcher(index_dir, sid, manifest, similarity=similarity,
+                          docvalues=self.docvalues)
             for sid in shard_ids
         ]
 
+    # --- helpers ---
+    def _hits(self, query: Query, df_map: dict[str, int]):
+        """(shard, docs, scores) of every shard with a match; docs are
+        index doc ids."""
+        for sh in self.searchers:
+            docs, scores = sh._score_clause(query, df_map)
+            if len(docs):
+                yield sh, docs, scores
+
+    def _shard_of(self, doc_id: int):
+        """(shard, index doc id) owning a coordinator doc id, or None."""
+        local = int(doc_id) - self.base
+        if 0 <= local < self.num_docs:
+            for sh in self.searchers:
+                if sh.base <= local < sh.base + sh.docs_per_shard:
+                    return sh, local
+        return None
+
+    def _require(self, field: str) -> None:
+        if self.docvalues.column(field) is None:
+            raise KeyError(f"field {field!r} was not indexed as a doc value")
+
+    # --- term statistics ---
     def local_df(self, terms: list[str]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            for t, d in sh.local_df(terms).items():
-                out[t] = out.get(t, 0) + d
-        return out
-
-    def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
-        """Per-actor distinct non-null doc values — partials the driver
-        merges into the global ordinal table for ord()/rord()."""
-        import numpy as np
-
-        out: dict[str, set] = {f: set() for f in fields}
-        for sh in self.searchers:
-            all_docs = np.arange(sh.base, sh.base + sh.docs_per_shard)
-            for f in fields:
-                vals = sh.docvalues_local(f, all_docs)
-                out[f].update(x for x in vals if x is not None)
-        return {f: sorted(v) for f, v in out.items()}
+        return _add_counts(sh.local_df(terms) for sh in self.searchers)
 
     def local_term_stats(self, terms: list[str]
                          ) -> tuple[dict[str, int], dict[str, int]]:
         """(df, ttf) partials for the index-statistics ValueSources
         (DocFreqValueSource / TotalTermFreqValueSource) in one trip."""
-        df: dict[str, int] = {}
-        ttf: dict[str, int] = {}
-        for sh in self.searchers:
-            for t, d in sh.local_df(terms).items():
-                df[t] = df.get(t, 0) + d
-            for t, d in sh.local_ttf(terms).items():
-                ttf[t] = ttf.get(t, 0) + d
-        return df, ttf
+        return (self.local_df(terms),
+                _add_counts(sh.local_ttf(terms) for sh in self.searchers))
 
+    def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
+        """Distinct non-null values per field — partials the coordinator
+        merges into the global ordinal table for ord()/rord()."""
+        out = {}
+        for f in fields:
+            col = self.docvalues.column(f)
+            out[f] = [] if col is None else sorted(
+                {x for x in col if x is not None})
+        return out
+
+    # --- top-k, explain, per-doc scores ---
+    def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
+                     k: int, sort=None, filter_range=None, after=None
+                     ) -> list[list[tuple]]:
+        if after is not None:
+            after = (after[0], int(after[1]) - self.base)
+        results = []
+        for q, df_map in zip(queries, df_maps):
+            hits: list[tuple] = []
+            for sh in self.searchers:
+                for h in sh.search(q, df_map, k, sort=sort,
+                                   filter_range=filter_range, after=after):
+                    hits.append((h[0] + self.base, float(h[1])) + h[2:])
+            results.append(_top(hits, k, sort))
+        return results
+
+    def explain(self, query: Query, doc_id: int, df_map: dict[str, int]):
+        """Explanation of a doc this group owns; None otherwise."""
+        owner = self._shard_of(doc_id)
+        return None if owner is None else \
+            owner[0].explain(query, owner[1], df_map)
+
+    def term_vectors(self, doc_ids: list[int]) -> dict[int, list]:
+        out = {}
+        for d in doc_ids:
+            owner = self._shard_of(d)
+            if owner is not None:
+                out[int(d)] = owner[0].term_vector(owner[1])
+        return out
+
+    def hits_partial(self, query: Query, df_map: dict[str, int]):
+        """(docs, scores) of every matching doc."""
+        docs, scores = [np.empty(0, dtype=np.int64)], \
+            [np.empty(0, dtype=np.float32)]
+        for _, d, s in self._hits(query, df_map):
+            docs.append(d + self.base)
+            scores.append(s)
+        return np.concatenate(docs), np.concatenate(scores)
+
+    def scores_for_docs(self, query: Query, df_map: dict[str, int],
+                        doc_ids: list[int]) -> dict[int, float]:
+        """Scores of the given docs that match ``query``: only the
+        requested docs ship (rerank second pass, elevation)."""
+        wanted = np.asarray(doc_ids, dtype=np.int64) - self.base
+        out: dict[int, float] = {}
+        for _, docs, scores in self._hits(query, df_map):
+            mask = np.isin(docs, wanted)
+            for d, s in zip(docs[mask], scores[mask]):
+                out[int(d) + self.base] = float(s)
+        return out
+
+    # --- counts ---
     def count_partial(self, query: Query, df_map: dict[str, int]) -> int:
-        """Hit count over this actor's shards (collation verification)."""
-        n = 0
-        for sh in self.searchers:
-            docs, _ = sh._score_clause(query, df_map)
-            n += int(len(docs))
-        return n
+        return sum(len(d) for _, d, _ in self._hits(query, df_map))
 
+    def query_counts(self, queries: list[Query],
+                     df_maps: list[dict[str, int]]) -> list[int]:
+        """facet.query partials: hit count per sub-query."""
+        return [self.count_partial(q, df) for q, df in zip(queries, df_maps)]
+
+    # --- facets and stats over the full hit set ---
     def facet_partial(self, query: Query, df_map: dict[str, int],
                       field: str):
-        """Per-actor facet counts over the query's full result set.
-        Returns (uniq:str-array, counts:int64-array) — all merging is
-        np.unique over concatenated per-shard arrays (same discipline as
-        ``_conv_agg_local``), never a per-value Python dict loop, so a
-        high-cardinality facet field stays vectorized end to end."""
-        import numpy as np
-
-        vals_parts = []
-        for sh in self.searchers:
-            docs, _ = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
+        """(uniq:str-array, counts:int64-array) of ``field`` over the
+        group's hits. Merging is np.unique over concatenated arrays,
+        never a per-value dict loop, so a high-cardinality field stays
+        vectorized end to end."""
+        self._require(field)
+        parts = []
+        for sh, docs, _ in self._hits(query, df_map):
             vals = sh.docvalues_local(field, docs)
             vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
             if len(vals):
-                vals_parts.append(vals.astype(str))
-        if not vals_parts:
-            return (np.empty(0, dtype=object),
-                    np.empty(0, dtype=np.int64))
-        uniq, counts = np.unique(np.concatenate(vals_parts),
-                                 return_counts=True)
+                parts.append(vals.astype(str))
+        if not parts:
+            return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
+        uniq, counts = np.unique(np.concatenate(parts), return_counts=True)
         return uniq, counts.astype(np.int64)
 
-    def _conv_agg_local(self, query: Query, df_map: dict[str, int],
-                        score_mode: str):
-        """Vectorized per-conversation aggregate over this actor's shards:
-        returns (conv_ids:str-array, agg:float64-array). All merging is
-        numpy (np.unique + ufunc.at) — no per-entry Python dict loops."""
-        keys, vals = [], []
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            keys.append(sh.docvalues_local("conv_id", docs).astype(str))
-            vals.append(scores.astype(np.float32).astype(np.float64))
-        if not keys:
-            return (np.empty(0, dtype=object), np.empty(0, dtype=np.float64))
-        convs = np.concatenate(keys)
-        scores = np.concatenate(vals)
-        uniq, inv = np.unique(convs, return_inverse=True)
-        if score_mode == "max":
-            agg = np.full(len(uniq), -np.inf)
-            np.maximum.at(agg, inv, scores)
-        elif score_mode == "total":
-            agg = np.zeros(len(uniq))
-            np.add.at(agg, inv, scores)
-        else:
-            raise ValueError(score_mode)
-        return uniq, agg
-
-    def _boundary_convs(self) -> np.ndarray:
-        """First/last conversation of every shard this actor holds — the
-        only conversations whose local aggregate can differ from the
-        global one (conversations are doc-contiguous)."""
-        out: set[str] = set()
-        for sh in self.searchers:
-            out.update(sh.boundary_convs())
-        return np.asarray(sorted(out), dtype=object)
-
-    def conv_partial(self, query: Query, df_map: dict[str, int],
-                     score_mode: str, limit: int | None = None
-                     ) -> dict[str, float]:
-        """Per-conversation aggregated turn scores over this actor's
-        shards' FULL hit sets. With ``limit`` the partial shipped to the
-        driver is bounded: the local top-``limit`` conversations
-        (tie-inclusive at the cut score) plus every shard-boundary
-        conversation. This is exact for the global top-k merge: BM25
-        scores are positive, so global agg >= any local agg; a
-        non-boundary conversation lives entirely in one actor (local agg
-        == global agg), and if it belongs to the global top-k then fewer
-        than k conversations in its own actor can locally outrank it —
-        so it is inside the local top-k cut. Split (boundary)
-        conversations ship unconditionally and merge exactly.
-        Mirrors QueryComponent.java:746-766's bounded scatter/gather."""
-        uniq, agg = self._conv_agg_local(query, df_map, score_mode)
-        if limit is not None and len(uniq) > limit:
-            kth = np.partition(agg, -limit)[-limit]
-            keep = agg >= kth  # tie-inclusive at the cut
-            boundary = self._boundary_convs()
-            if len(boundary):
-                keep |= np.isin(uniq, boundary)
-            uniq, agg = uniq[keep], agg[keep]
-        return dict(zip(uniq.tolist(), agg.tolist()))
-
-    def collapse_partial(self, query: Query, df_map: dict[str, int],
-                         limit: int | None = None
-                         ) -> dict[str, tuple[float, int]]:
-        """Per-conversation best (score, doc) head, lower doc on ties.
-        With ``limit``: local top-``limit`` heads by (score desc, doc
-        asc), score-tie-inclusive at the cut, plus shard-boundary
-        conversations — exact for the global top-k merge by the same
-        argument as conv_partial (head merge is a max)."""
-        keys, dvals, svals = [], [], []
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            keys.append(sh.docvalues_local("conv_id", docs).astype(str))
-            dvals.append(docs)
-            svals.append(scores.astype(np.float32))
-        if not keys:
-            return {}
-        convs = np.concatenate(keys)
-        docs = np.concatenate(dvals)
-        scores = np.concatenate(svals)
-        order = np.lexsort((docs, -scores, convs))
-        convs_s = convs[order]
-        head = np.concatenate(([True], convs_s[1:] != convs_s[:-1]))
-        hidx = order[head]  # one best (score desc, doc asc) row per conv
-        h_conv, h_doc, h_score = convs[hidx], docs[hidx], scores[hidx]
-        if limit is not None and len(hidx) > limit:
-            kth = np.partition(h_score, -limit)[-limit]
-            keep = h_score >= kth
-            boundary = self._boundary_convs()
-            if len(boundary):
-                keep |= np.isin(h_conv, boundary)
-            h_conv, h_doc, h_score = h_conv[keep], h_doc[keep], h_score[keep]
-        return {c: (float(s), int(d))
-                for c, s, d in zip(h_conv, h_score, h_doc)}
-
-    def expand_partial(self, query: Query, df_map: dict[str, int],
-                       conv_ids: list[str], exclude_docs: list[int],
-                       per_group: int) -> dict[str, list]:
-        """ExpandComponent partial: per requested conversation, this
-        actor's top ``per_group`` other matching docs — bounded by
-        |convs| * per_group, never the hit set."""
-        wanted = set(conv_ids)
-        excl = set(exclude_docs)
-        out: dict[str, list] = {}
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            convs = sh.docvalues_local("conv_id", docs).astype(str)
-            for conv in wanted:
-                mask = convs == conv
-                if not mask.any():
-                    continue
-                g_docs, g_scores = docs[mask], scores[mask]
-                order = np.lexsort((g_docs, -g_scores.astype(np.float32)))
-                rows = [(int(g_docs[i]), float(np.float32(g_scores[i])))
-                        for i in order if int(g_docs[i]) not in excl]
-                out.setdefault(conv, []).extend(rows[:per_group])
-        return out
+    def _numeric_hits(self, query: Query, df_map: dict[str, int],
+                      field: str):
+        """Per shard with a match: (values present as float64, number of
+        hits missing the field)."""
+        self._require(field)
+        for sh, docs, _ in self._hits(query, df_map):
+            vals = sh.docvalues_local(field, docs)
+            v = np.asarray([x for x in vals if x is not None],
+                           dtype=np.float64)
+            yield v, len(vals) - len(v)
 
     def stats_partial(self, query: Query, df_map: dict[str, int],
                       field: str) -> tuple:
         """(count, min, max, sum, sumsq, missing) of a docvalue over the
         full hit set (StatsValuesFactory accumulator shape)."""
         count, sum_, sumsq, missing, mn, mx = 0, 0.0, 0.0, 0, None, None
-        for sh in self.searchers:
-            docs, _ = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            vals = sh.docvalues_local(field, docs)
-            v = np.asarray([x for x in vals if x is not None],
-                           dtype=np.float64)
-            missing += len(vals) - len(v)
+        for v, miss in self._numeric_hits(query, df_map, field):
+            missing += miss
             if len(v) == 0:
                 continue
             count += len(v)
@@ -244,212 +237,16 @@ class SearchActor:
             mx = float(v.max()) if mx is None else max(mx, float(v.max()))
         return count, mn, mx, sum_, sumsq, missing
 
-    def query_counts(self, queries: list[Query],
-                     df_maps: list[dict[str, int]]) -> list[int]:
-        """facet.query partials: hit count per sub-query."""
-        out = []
-        for q, df_map in zip(queries, df_maps):
-            n = 0
-            for sh in self.searchers:
-                docs, _ = sh._score_clause(q, df_map)
-                n += len(docs)
-            out.append(n)
-        return out
-
-    def scores_for_docs(self, query: Query, df_map: dict[str, int],
-                        doc_ids: list[int]) -> dict[int, float]:
-        """Scores of the given docs under `query` (rerank second pass):
-        only the requested top-N intersection ships to the driver."""
-        wanted = np.asarray(doc_ids, dtype=np.int64)
-        out: dict[int, float] = {}
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            mask = np.isin(docs, wanted)
-            for d, s in zip(docs[mask], scores[mask]):
-                out[int(d)] = float(s)
-        return out
-
-    def boosted_partial(self, query: Query, df_map: dict[str, int],
-                        boost_expr: str, k: int,
-                        stats: dict | None = None
-                        ) -> list[tuple[int, float]]:
-        """Per-actor top-k of BM25 * f(docvalues). The boost is per-doc,
-        so per-actor pruning to k is exact under the global merge.
-        ``stats`` (driver-computed global index statistics) binds the
-        docfreq/numdocs/maxdoc/norm accessors; norm() resolves
-        shard-locally from the pinned norm bytes."""
-        import pyarrow as pa
-
-        from ..functions import parse_func
-        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
-                                             NORM_PSEUDO_FIELD,
-                                             ORD_PSEUDO_PREFIX,
-                                             RORD_PSEUDO_PREFIX,
-                                             TF_PSEUDO_PREFIX, Field,
-                                             Func, bind_index_stats,
-                                             eval_expr)
-
-        ast = parse_func(boost_expr)
-        if stats is not None:
-            ast = bind_index_stats(ast, stats)
-
-        def fields_of(node) -> set[str]:
-            if isinstance(node, Field):
-                return {node.name}
-            if isinstance(node, Func):
-                out: set[str] = set()
-                for a in node.args:
-                    out |= fields_of(a)
-                return out
-            return set()
-
-        hits: list[tuple[int, float]] = []
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            cols = {}
-            for f in sorted(fields_of(ast)):
-                if f == NORM_PSEUDO_FIELD:
-                    from ..util.smallfloat import NORM_TABLE
-
-                    cols[f] = pa.array(
-                        NORM_TABLE[sh.norms[docs - sh.base]]
-                        .astype(np.float64), type=pa.float64())
-                    continue
-                if f.startswith(TF_PSEUDO_PREFIX):
-                    # termfreq(t): per-hit tf, resolved shard-locally
-                    cols[f] = pa.array(
-                        sh.local_termfreq(f[len(TF_PSEUDO_PREFIX):], docs),
-                        type=pa.float64())
-                    continue
-                if f.startswith(EXISTS_PSEUDO_PREFIX):
-                    vals = sh.docvalues_local(
-                        f[len(EXISTS_PSEUDO_PREFIX):], docs)
-                    cols[f] = pa.array(np.asarray(
-                        [0.0 if x is None else 1.0 for x in vals]),
-                        type=pa.float64())
-                    continue
-                if f.startswith(ORD_PSEUDO_PREFIX) or \
-                        f.startswith(RORD_PSEUDO_PREFIX):
-                    from .features import picked_ordinals
-
-                    rev = f.startswith(RORD_PSEUDO_PREFIX)
-                    pref = (RORD_PSEUDO_PREFIX if rev
-                            else ORD_PSEUDO_PREFIX)
-                    fname = f[len(pref):]
-                    uniq = (stats or {}).get("ord_uniques", {}) \
-                        .get(fname, [])
-                    vals = sh.docvalues_local(fname, docs)
-                    cols[f] = pa.array(picked_ordinals(vals, uniq, rev),
-                                       type=pa.float64())
-                    continue
-                vals = sh.docvalues_local(f, docs)
-                # missing doc values evaluate as 0 (FunctionScoreQuery)
-                vals = np.asarray(
-                    [0.0 if x is None else x for x in vals], dtype=np.float64)
-                cols[f] = pa.array(vals, type=pa.float64())
-            boost = eval_expr(ast, pa.table(
-                cols or {"__d": pa.array(np.zeros(len(docs)))}))
-            if isinstance(boost, pa.Scalar):
-                boost_np = np.full(len(docs), boost.as_py())
-            else:
-                boost_np = boost.to_numpy(zero_copy_only=False)
-            final = scores.astype(np.float64) * boost_np
-            order = np.lexsort((docs, -final))[:k]
-            hits.extend((int(docs[i]), float(final[i])) for i in order)
-        hits.sort(key=lambda h: (-h[1], h[0]))
-        return hits[:k]
-
-    def terms_partial(self, prefix: str, regex: str | None,
-                      limit: int | None = None, sort: str = "count"
-                      ) -> dict[str, int]:
-        """Matching terms with local docFreq (TermsComponent shard
-        response). The prefix slice is a bisect range over the sorted
-        term dict (vectorized take, no per-term Python loop); an
-        unfiltered enumeration ships at most ``limit`` terms per shard
-        — lexicographic first-N for sort=index (exact: a term in the
-        global first-N precedes fewer than N terms, so it is inside
-        every holding shard's first-N), local top-N-by-df for
-        sort=count (the driver refines candidate counts to exact with a
-        local_df round; like Solr's distributed TermsComponent, a term
-        below every shard's overfetched cut can be missed)."""
-        import re as _re
-        from bisect import bisect_left
-
-        rx = _re.compile(regex) if regex else None
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            arr = sh._terms._arr
-            dfs = sh._df
-            if prefix:
-                seq = sh._terms.seq()
-                lo = bisect_left(seq, prefix)
-                hi = bisect_left(seq, prefix + chr(0x10FFFF))
-                terms = arr.slice(lo, hi - lo).to_pylist()
-                local = dfs[lo:hi]
-            elif rx is None and limit is not None and len(arr) > limit:
-                if sort == "index":
-                    sel = np.arange(limit)
-                else:
-                    sel = np.argpartition(-dfs, limit - 1)[:limit]
-                terms = arr.take(sel).to_pylist()
-                local = dfs[sel]
-            else:
-                terms = arr.to_pylist()
-                local = dfs
-            for t, d in zip(terms, local):
-                if rx is not None and not rx.fullmatch(t):
-                    continue
-                out[t] = out.get(t, 0) + int(d)
-        return out
-
-    def spellcheck_partial(self, term: str, max_edits: int
-                           ) -> dict[str, int]:
-        """Fuzzy-expanded candidates with local docFreq (the distributed
-        SpellCheckComponent shard response)."""
-        from .query import FuzzyQuery, expand_multi_term
-
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            for t in expand_multi_term(
-                    FuzzyQuery(term=term, max_edits=max_edits),
-                    sh._terms.seq()):
-                if t == term:
-                    continue
-                out[t] = out.get(t, 0) + int(sh._df[sh._terms[t]])
-        return out
-
-    def suggest_partial(self, prefix: str) -> dict[str, int]:
-        from .query import PrefixQuery, expand_multi_term
-
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            for t in expand_multi_term(PrefixQuery(prefix=prefix),
-                                       sh._terms.seq()):
-                out[t] = out.get(t, 0) + int(sh._df[sh._terms[t]])
-        return out
-
     def range_facet_partial(self, query: Query, df_map: dict[str, int],
                             field: str, start: float, end: float,
                             gap: float, hardend: bool) -> list[int]:
-        """Range-facet bucket counts over this actor's full hit set
-        (one bincount per shard; layout matches pipelines.relational.
-        range_facet: n buckets then before/after/between)."""
+        """Range-facet bucket counts over the group's hits (one bincount
+        per shard; layout matches pipelines.relational.range_facet: n
+        buckets then before/after/between)."""
         n_buckets = int(np.ceil((end - start) / gap))
         actual_end = end if hardend else start + n_buckets * gap
         counts = np.zeros(n_buckets + 3, dtype=np.int64)
-        for sh in self.searchers:
-            docs, _ = sh._score_clause(query, df_map)
-            if len(docs) == 0:
-                continue
-            vals = sh.docvalues_local(field, docs)
-            v = np.asarray([x for x in vals if x is not None],
-                           dtype=np.float64)
-            if len(v) == 0:
-                continue
+        for v, _ in self._numeric_hits(query, df_map, field):
             below = v < start
             above = v >= actual_end
             mid = ~(below | above)
@@ -461,29 +258,253 @@ class SearchActor:
             counts[n_buckets + 2] += int(mid.sum())
         return [int(c) for c in counts]
 
-    def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
-                     k: int, sort=None, filter_range=None, after=None
-                     ) -> list[list[tuple]]:
-        results = []
-        for q, df_map in zip(queries, df_maps):
-            hits: list[tuple] = []
-            for sh in self.searchers:
-                shard_hits = sh.search(q, df_map, k, sort=sort,
-                                       filter_range=filter_range,
-                                       after=after)
-                if sort:
-                    hits.extend((d, float(s), keys)
-                                for d, s, keys in shard_hits)
-                else:
-                    hits.extend((d, float(s)) for d, s in shard_hits)
-            if sort:
-                from .searcher import _merge_sort_key
+    # --- block join, collapse, expand ---
+    def _boundary_convs(self) -> np.ndarray:
+        """First/last conversation of every shard — the only
+        conversations whose group-local aggregate can differ from the
+        global one (conversations are doc-contiguous)."""
+        out: set[str] = set()
+        for sh in self.searchers:
+            out.update(sh.boundary_convs())
+        return np.asarray(sorted(out), dtype=object)
 
-                hits.sort(key=lambda h: _merge_sort_key(h, sort))
-            else:
-                hits.sort(key=lambda h: (-h[1], h[0]))
-            results.append(hits[:k])
-        return results
+    def _conv_hits(self, query: Query, df_map: dict[str, int]):
+        """(conv_ids:str, docs, float32 scores) over the group's hits."""
+        convs, docs, scores = [], [], []
+        for sh, d, s in self._hits(query, df_map):
+            convs.append(sh.docvalues_local("conv_id", d).astype(str))
+            docs.append(d + self.base)
+            scores.append(s.astype(np.float32))
+        if not convs:
+            return (np.empty(0, dtype=str), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.float32))
+        return (np.concatenate(convs), np.concatenate(docs),
+                np.concatenate(scores))
+
+    def _bounded(self, convs: np.ndarray, scores: np.ndarray,
+                 limit: int | None) -> np.ndarray:
+        """Keep-mask: the top-``limit`` entries by score, tie-inclusive at
+        the cut, plus every shard-boundary conversation."""
+        keep = np.ones(len(convs), dtype=bool)
+        if limit is not None and len(convs) > limit:
+            keep = scores >= np.partition(scores, -limit)[-limit]
+            boundary = self._boundary_convs()
+            if len(boundary):
+                keep |= np.isin(convs, boundary)
+        return keep
+
+    def conv_partial(self, query: Query, df_map: dict[str, int],
+                     score_mode: str, limit: int | None = None
+                     ) -> dict[str, float]:
+        """Per-conversation aggregated turn scores over the group's FULL
+        hit set (numpy np.unique + ufunc.at, float64). With ``limit`` the
+        partial is bounded: the local top-``limit`` conversations plus
+        every shard-boundary conversation. This is exact for the global
+        top-k merge: BM25 scores are positive, so global agg >= any local
+        agg; a non-boundary conversation lives entirely in one group
+        (local agg == global agg), and if it belongs to the global top-k
+        then fewer than k conversations in its own group can locally
+        outrank it — so it is inside the local top-k cut. Split
+        (boundary) conversations ship unconditionally and merge exactly.
+        Mirrors QueryComponent.java:746-766's bounded scatter/gather."""
+        if score_mode not in ("max", "total"):
+            raise ValueError(score_mode)
+        convs, _, scores = self._conv_hits(query, df_map)
+        uniq, inv = np.unique(convs, return_inverse=True)
+        if score_mode == "max":
+            agg = np.full(len(uniq), -np.inf)
+            np.maximum.at(agg, inv, scores.astype(np.float64))
+        else:
+            agg = np.zeros(len(uniq))
+            np.add.at(agg, inv, scores.astype(np.float64))
+        keep = self._bounded(uniq, agg, limit)
+        return dict(zip(uniq[keep].tolist(), agg[keep].tolist()))
+
+    def collapse_partial(self, query: Query, df_map: dict[str, int],
+                         limit: int | None = None
+                         ) -> dict[str, tuple[float, int]]:
+        """Per-conversation best (score, doc) head, lower doc on ties
+        (CollapsingQParserPlugin). With ``limit``: the local top-``limit``
+        heads, score-tie-inclusive at the cut, plus shard-boundary
+        conversations — exact for the global top-k merge by the same
+        argument as conv_partial (the head merge is a max)."""
+        convs, docs, scores = self._conv_hits(query, df_map)
+        order = np.lexsort((docs, -scores, convs))
+        convs_s = convs[order]
+        head = np.concatenate(([True], convs_s[1:] != convs_s[:-1])) \
+            if len(order) else np.empty(0, dtype=bool)
+        hidx = order[head]  # one best (score desc, doc asc) row per conv
+        h_conv, h_doc, h_score = convs[hidx], docs[hidx], scores[hidx]
+        keep = self._bounded(h_conv, h_score, limit)
+        return {c: (float(s), int(d)) for c, s, d in
+                zip(h_conv[keep], h_score[keep], h_doc[keep])}
+
+    def expand_partial(self, query: Query, df_map: dict[str, int],
+                       conv_ids: list[str], exclude_docs: list[int],
+                       per_group: int) -> dict[str, list]:
+        """ExpandComponent partial: per requested conversation, the
+        group's top ``per_group`` other matching docs — bounded by
+        |convs| * per_group, never the hit set."""
+        convs, docs, scores = self._conv_hits(query, df_map)
+        keep = np.isin(convs, conv_ids) & ~np.isin(docs, exclude_docs)
+        convs, docs, scores = convs[keep], docs[keep], scores[keep]
+        order = np.lexsort((docs, -scores, convs))
+        out: dict[str, list] = {}
+        for i in order:
+            rows = out.setdefault(str(convs[i]), [])
+            if len(rows) < per_group:
+                rows.append((int(docs[i]), float(scores[i])))
+        return out
+
+    # --- function boosts ---
+    def _boost_column(self, sh, f: str, docs: np.ndarray,
+                      ord_uniques: dict) -> np.ndarray:
+        """One per-hit float64 input column of a bound boost AST."""
+        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
+                                             NORM_PSEUDO_FIELD,
+                                             ORD_PSEUDO_PREFIX,
+                                             RORD_PSEUDO_PREFIX,
+                                             TF_PSEUDO_PREFIX)
+        from ..util.smallfloat import NORM_TABLE
+
+        if f == NORM_PSEUDO_FIELD:
+            return NORM_TABLE[sh.norms[docs - sh.base]].astype(np.float64)
+        if f.startswith(TF_PSEUDO_PREFIX):
+            return sh.local_termfreq(f[len(TF_PSEUDO_PREFIX):], docs)
+        if f.startswith(EXISTS_PSEUDO_PREFIX):
+            vals = sh.docvalues_local(f[len(EXISTS_PSEUDO_PREFIX):], docs)
+            return (vals != None).astype(np.float64)  # noqa: E711
+        for pref, rev in ((ORD_PSEUDO_PREFIX, False),
+                          (RORD_PSEUDO_PREFIX, True)):
+            if f.startswith(pref):
+                from .features import picked_ordinals
+
+                name = f[len(pref):]
+                return picked_ordinals(sh.docvalues_local(name, docs),
+                                       ord_uniques.get(name, []), rev)
+        # missing doc values evaluate as 0 (FunctionScoreQuery)
+        return np.asarray([0.0 if x is None else x
+                           for x in sh.docvalues_local(f, docs)],
+                          dtype=np.float64)
+
+    def boosted_partial(self, query: Query, df_map: dict[str, int], ast,
+                        k: int, mode: str = "multiply",
+                        ord_uniques: dict | None = None
+                        ) -> list[tuple[int, float]]:
+        """Group top-k of BM25 * f(doc) (``mode="add"``: BM25 + f(doc)),
+        with ``ast`` a boost expression already bound to the global index
+        statistics. The boost is per-doc, so a group top-k is exact under
+        the global merge."""
+        import pyarrow as pa
+
+        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX, Field,
+                                             Func, eval_expr)
+
+        def fields_of(node) -> set[str]:
+            if isinstance(node, Field):
+                return {node.name}
+            if isinstance(node, Func):
+                return set().union(*map(fields_of, node.args))
+            return set()
+
+        fields = sorted(fields_of(ast))
+        for f in fields:
+            # def(f, d) lowers to if(exists(f), f, d): an unindexed f
+            # evaluates as 0 under exists()=0, not an error
+            if not f.startswith("__") and EXISTS_PSEUDO_PREFIX + f \
+                    not in fields:
+                self._require(f)
+        hits: list[tuple[int, float]] = []
+        for sh, docs, scores in self._hits(query, df_map):
+            cols = {f: pa.array(self._boost_column(sh, f, docs,
+                                                   ord_uniques or {}),
+                                type=pa.float64()) for f in fields}
+            boost = eval_expr(ast, pa.table(
+                cols or {"__d": pa.array(np.zeros(len(docs)))}))
+            boost_np = (np.full(len(docs), boost.as_py())
+                        if isinstance(boost, pa.Scalar)
+                        else boost.to_numpy(zero_copy_only=False))
+            final = (scores.astype(np.float64) + boost_np if mode == "add"
+                     else scores.astype(np.float64) * boost_np)
+            order = np.lexsort((docs, -final))[:k]
+            hits.extend((int(docs[i]) + self.base, float(final[i]))
+                        for i in order)
+        return _top(hits, k)
+
+    # --- term dictionary ---
+    def terms_partial(self, prefix: str, regex: str | None,
+                      limit: int | None = None, sort: str = "count"
+                      ) -> dict[str, int]:
+        """Matching terms with the group's docFreq (TermsComponent shard
+        response). The prefix slice is a bisect range over each shard's
+        sorted term dict. An unfiltered enumeration ships at most
+        ``limit`` terms: the lexicographic first-N for sort=index (exact:
+        a term in the global first-N precedes fewer than N terms, so it
+        is inside every holding shard's first-N), the group's top-N by df
+        for sort=count (the coordinator refines candidate counts to exact
+        with a local_df round; like Solr's distributed TermsComponent, a
+        term below every group's overfetched cut can be missed)."""
+        import re
+        from bisect import bisect_left
+
+        import pyarrow as pa
+
+        bounded = limit is not None and not prefix and regex is None
+        if bounded and sort == "count":
+            t = pa.table({
+                "term": pa.concat_arrays([sh._terms._arr
+                                          for sh in self.searchers]),
+                "df": pa.array(np.concatenate([sh._df for sh in
+                                               self.searchers]),
+                               type=pa.int64())})
+            top = t.group_by("term").aggregate([("df", "sum")]).sort_by(
+                [("df_sum", "descending"), ("term", "ascending")])[:limit]
+            return dict(zip(top.column("term").to_pylist(),
+                            top.column("df_sum").to_pylist()))
+        rx = re.compile(regex) if regex else None
+        out: dict[str, int] = {}
+        for sh in self.searchers:
+            seq = sh._terms.seq()
+            lo = bisect_left(seq, prefix) if prefix else 0
+            hi = bisect_left(seq, prefix + chr(0x10FFFF)) if prefix \
+                else len(seq)
+            if bounded:  # sort=index: the shard's first-N
+                hi = min(hi, limit)
+            terms = sh._terms._arr.slice(lo, hi - lo).to_pylist()
+            for t, d in zip(terms, sh._df[lo:hi]):
+                if rx is None or rx.fullmatch(t):
+                    out[t] = out.get(t, 0) + int(d)
+        return dict(sorted(out.items())[:limit]) if bounded else out
+
+    def _expanded_df(self, mtq, skip: str | None = None) -> dict[str, int]:
+        from .query import expand_multi_term
+
+        out: dict[str, int] = {}
+        for sh in self.searchers:
+            for t in expand_multi_term(mtq, sh._terms.seq()):
+                if t != skip:
+                    out[t] = out.get(t, 0) + int(sh._df[sh._terms[t]])
+        return out
+
+    def spellcheck_partial(self, term: str, max_edits: int
+                           ) -> dict[str, int]:
+        """Fuzzy-expanded candidates with the group's docFreq (the
+        SpellCheckComponent shard response)."""
+        from .query import FuzzyQuery
+
+        return self._expanded_df(FuzzyQuery(term=term, max_edits=max_edits),
+                                 skip=term)
+
+    def suggest_partial(self, prefix: str) -> dict[str, int]:
+        from .query import PrefixQuery
+
+        return self._expanded_df(PrefixQuery(prefix=prefix))
+
+
+#: ``ShardGroup`` as a Ray actor; every method is read-only, so a call
+#: interrupted by the actor's death is safely re-run on the restarted actor
+SearchActor = ray.remote(max_restarts=ACTOR_MAX_RESTARTS,
+                         max_task_retries=ACTOR_MAX_TASK_RETRIES)(ShardGroup)
 
 
 def _bloom_prunable(q: Query) -> bool:
@@ -495,7 +516,6 @@ def _bloom_prunable(q: Query) -> bool:
     unknown node disable pruning."""
     from .query import (
         BooleanQuery,
-        CommonTermsQuery,
         DisMaxQuery,
         MultiPhraseQuery,
         PhraseQuery,
@@ -517,101 +537,123 @@ def _bloom_prunable(q: Query) -> bool:
     return False
 
 
-class DistributedSearcher:
-    """Driver-side coordinator over a SearchActor pool."""
+class SearchCoordinator:
+    """The query methods, over a list of shard groups (in-process
+    ``ShardGroup``s or ``SearchActor`` handles).
 
-    def __init__(self, index_dir: str, num_actors: int = 4,
-                 similarity="bm25", use_blooms: bool = True):
-        self.index_dir = str(index_dir)
-        self.manifest = json.loads(
-            (Path(index_dir) / "manifest.json").read_text())
-        self.analyzer_name = self.manifest["params"]["analyzer"]
-        shard_ids = sorted(s["shard_id"] for s in self.manifest["shards"])
-        num_actors = max(1, min(num_actors, len(shard_ids)))
-        assignment: list[list[int]] = [[] for _ in range(num_actors)]
-        for i, sid in enumerate(shard_ids):
-            assignment[i % num_actors].append(sid)
-        # similarity ships to the actors (a name string, or a cloudpickled
-        # factory callable for parameterized similarities)
-        self.actor_shards = [sids for sids in assignment if sids]
-        self.actors = [
-            SearchActor.remote(self.index_dir, sids, self.manifest,
-                               similarity)
-            for sids in self.actor_shards
-        ]
-        # per-shard term blooms (BloomFilteringPostingsFormat analog,
-        # index/bloom.py): when the sidecar exists, term-only queries
-        # scatter only to actors owning candidate shards
-        self.blooms = None
-        if use_blooms:
-            from ..index.bloom import TermBloomSet
+    ``indexes`` lists (index_dir, doc base, DocValues) per index, in doc
+    base order; ``group_shards`` the shard ids each group holds (bloom
+    candidate selection)."""
 
-            self.blooms = TermBloomSet.load(self.index_dir)
+    #: per-shard term blooms (BloomFilteringPostingsFormat analog,
+    #: index/bloom.py); when set, term-only query batches scatter only to
+    #: the groups owning candidate shards
+    blooms = None
+
+    def __init__(self, manifest: dict, indexes: list[tuple], groups: list,
+                 group_shards: list[list[int]]):
+        self.manifest = manifest
+        self.analyzer_name = manifest["params"]["analyzer"]
+        self.indexes = indexes
+        self.groups = groups
+        self.group_shards = group_shards
+        self._remote = bool(groups) and isinstance(groups[0],
+                                                   ray.actor.ActorHandle)
+        self._offsets_files: dict = {}  # parquet handle cache (metadata)
         self.last_fanout: int | None = None
 
-    def _candidate_actors(self, parsed: list[Query],
-                          all_terms: list[str]) -> list:
-        """Bloom-pruned actor subset for a query batch. Exactness: a
-        pruned actor's shards contain NONE of the batch's terms (bloom
+    # --- scatter / stats ---
+    def _scatter(self, method: str, *args, groups=None) -> list:
+        """Call ``method(*args)`` on every group (or on ``groups``) and
+        return the per-group results in group order: one round trip for
+        actor groups. Raises if a call fails after the actor retries."""
+        groups = self.groups if groups is None else groups
+        if self._remote:
+            return ray.get([getattr(g, method).remote(*args)
+                            for g in groups])
+        return [getattr(g, method)(*args) for g in groups]
+
+    def _prepare(self, queries: list, groups=None):
+        """Parse, one stats round for the whole batch, and the
+        CommonTermsQuery rewrite (its df split needs GLOBAL stats):
+        (parsed queries, per-query df maps)."""
+        parsed = [self.parse(q) if isinstance(q, str) else q
+                  for q in queries]
+        terms = sorted(set().union(*map(collect_terms, parsed)))
+        global_df = _add_counts(self._scatter("local_df", terms,
+                                              groups=groups))
+        max_doc = self.manifest["stats"]["num_docs"]
+        parsed = [rewrite_common_terms(q, global_df, max_doc)
+                  if isinstance(q, CommonTermsQuery) else q for q in parsed]
+        df_maps = [{t: global_df.get(t, 0) for t in collect_terms(q)}
+                   for q in parsed]
+        return parsed, df_maps
+
+    def _prepare_one(self, query):
+        parsed, df_maps = self._prepare([query])
+        return parsed[0], df_maps[0]
+
+    def _candidate_groups(self, parsed: list[Query]) -> list:
+        """Bloom-pruned group subset for a query batch. Exactness: a
+        pruned group's shards contain NONE of the batch's terms (bloom
         false negatives are impossible), so its df partials are all 0
         and no whitelisted query can match a doc there."""
-        self.last_fanout = len(self.actors)
-        if (self.blooms is None or not parsed or not all_terms
-                or not all(_bloom_prunable(q) for q in parsed)):
-            return self.actors
-        cand = self.blooms.shards_maybe(all_terms)
-        picked = [a for a, sids in zip(self.actors, self.actor_shards)
-                  if any(s in cand for s in sids)]
-        self.last_fanout = len(picked)
-        return picked
+        groups = self.groups
+        terms = sorted(set().union(*map(collect_terms, parsed)))
+        if (self.blooms is not None and terms
+                and all(_bloom_prunable(q) for q in parsed)):
+            cand = self.blooms.shards_maybe(terms)
+            groups = [g for g, sids in zip(self.groups, self.group_shards)
+                      if any(s in cand for s in sids)]
+        self.last_fanout = len(groups)
+        return groups
 
+    def global_df(self, query: Query) -> dict[str, int]:
+        """Global docFreq of the query's terms."""
+        return _add_counts(self._scatter("local_df",
+                                         sorted(collect_terms(query))))
+
+    def global_term_stats(self, terms: list[str]
+                          ) -> tuple[dict[str, int], dict[str, int]]:
+        """Global (df, ttf) for the index-statistics ValueSources."""
+        partials = self._scatter("local_term_stats", terms)
+        return (_add_counts(df for df, _ in partials),
+                _add_counts(ttf for _, ttf in partials))
+
+    # --- parsing ---
     def parse(self, text: str) -> Query:
         from ..analysis import get_analyzer
 
         return parse_query(text, get_analyzer(self.analyzer_name))
 
+    def parse_complex(self, text: str) -> Query:
+        """ComplexPhraseQueryParser surface: phrases may embed
+        wildcards / fuzzy / ranges / OR groups / negation."""
+        from ..analysis import get_analyzer
+        from .query import parse_complex_phrase
+
+        return parse_complex_phrase(text, get_analyzer(self.analyzer_name))
+
+    # --- top-k ---
     def search_batch(self, queries: list[Query | str], k: int = 10,
                      sort=None, filter_range=None, after=None
                      ) -> list[list[tuple[int, float]]]:
+        """Top-k per query: (doc_id, float32 score) pairs ranked by score
+        desc, doc asc. ``sort``: [(docvalue_field, descending)] replaces
+        score ranking (TopFieldCollector / Sort); ``filter_range``:
+        {field: (lo, hi)} inclusive docvalue ranges composed with the
+        query; ``after``: (score, doc_id) cursor (IndexSearcher.
+        searchAfter)."""
         parsed = [self.parse(q) if isinstance(q, str) else q for q in queries]
-        all_terms = sorted(set().union(*[collect_terms(q) for q in parsed])
-                           if parsed else set())
-        actors = self._candidate_actors(parsed, all_terms)
-        if not actors:
+        groups = self._candidate_groups(parsed)
+        if not groups:
             return [[] for _ in parsed]
-        # phase 1: global stats (one round trip for the whole batch)
-        partials = ray.get([a.local_df.remote(all_terms) for a in actors])
-        global_df: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                global_df[t] = global_df.get(t, 0) + d
-        from .query import CommonTermsQuery, rewrite_common_terms
-
-        max_doc = self.manifest["stats"]["num_docs"]
-        parsed = [rewrite_common_terms(q, global_df, max_doc)
-                  if isinstance(q, CommonTermsQuery) else q
-                  for q in parsed]
-        df_maps = [
-            {t: global_df.get(t, 0) for t in collect_terms(q)} for q in parsed
-        ]
-        # phase 2: scatter scoring, gather + merge (bloom-pruned set)
-        futures = [a.search_batch.remote(parsed, df_maps, k, sort,
-                                         filter_range, after)
-                   for a in actors]
-        per_actor = ray.get(futures)
-        results = []
-        for qi in range(len(parsed)):
-            hits = [h for actor_hits in per_actor for h in actor_hits[qi]]
-            if sort:
-                from .searcher import _merge_sort_key
-
-                hits.sort(key=lambda h: _merge_sort_key(h, sort))
-                results.append([(d, np.float32(s))
-                                for d, s, _ in hits[:k]])
-            else:
-                hits.sort(key=lambda h: (-h[1], h[0]))
-                results.append([(d, np.float32(s)) for d, s in hits[:k]])
-        return results
+        parsed, df_maps = self._prepare(parsed, groups)
+        per_group = self._scatter("search_batch", parsed, df_maps, k, sort,
+                                  filter_range, after, groups=groups)
+        return [[(d, np.float32(s)) for d, s, *_ in
+                 _top([h for g in per_group for h in g[qi]], k, sort)]
+                for qi in range(len(parsed))]
 
     def search(self, query: Query | str, k: int = 10, sort=None,
                filter_range=None, after=None):
@@ -619,8 +661,9 @@ class DistributedSearcher:
                                  filter_range=filter_range, after=after)[0]
 
     def search_after(self, query: Query | str, k: int = 10, cursor=None):
-        """cursorMark page fetch: (hits, next_cursor); each page is one
-        scatter/gather with the cursor pruned on the shards."""
+        """cursorMark page fetch: (hits, next_cursor); next_cursor is None
+        when the result set is exhausted. Each page is one pruned
+        scatter/gather — no re-collection of the skipped prefix."""
         hits = self.search(query, k=k, after=cursor)
         if not hits:
             return [], None
@@ -628,131 +671,122 @@ class DistributedSearcher:
         nxt = (float(last[1]), int(last[0])) if len(hits) == k else None
         return hits, nxt
 
-    def global_df(self, query: Query) -> dict[str, int]:
-        """IndexSearcher-compatible global docFreq (lets the feature
-        helpers — e.g. more_like_this — run against either searcher)."""
-        return self._stats_phase(query)
+    def explain(self, query: Query | str, doc_id: int) -> dict | None:
+        """Explanation tree for one document's score (IndexSearcher.
+        explain / Solr debugQuery), answered by the group owning the doc
+        with the same GLOBAL stats the search path uses, so the explained
+        value equals the served score bit-for-bit. None if the doc
+        doesn't match."""
+        q, df_map = self._prepare_one(query)
+        return next((e for e in self._scatter("explain", q, int(doc_id),
+                                              df_map) if e is not None),
+                    None)
+
+    def all_hits(self, query: Query | str):
+        """(doc_ids, scores) of every matching doc, in doc_id order."""
+        q, df_map = self._prepare_one(query)
+        parts = self._scatter("hits_partial", q, df_map)
+        docs = np.concatenate([d for d, _ in parts])
+        scores = np.concatenate([s for _, s in parts])
+        order = np.argsort(docs, kind="stable")
+        return docs[order], scores[order]
 
     def hit_count(self, query: Query | str) -> int:
-        """Total matching docs: per-actor count partials, one scatter."""
-        q = self.parse(query) if isinstance(query, str) else query
-        df_map = self._stats_phase(q)
-        return sum(ray.get([a.count_partial.remote(q, df_map)
-                            for a in self.actors]))
+        """Total matching docs: per-group counts, one scatter."""
+        q, df_map = self._prepare_one(query)
+        return sum(self._scatter("count_partial", q, df_map))
 
-    def spellcheck_collate(self, query_text: str, max_tries: int = 5,
-                           k_sugg: int = 3) -> dict | None:
-        """Distributed SpellCheckCollator.java:69: the same collation
-        walk as IndexSearcher.spellcheck_collate, with df / suggestions
-        / hit verification each one scatter round (counts are ints per
-        actor — no hit sets ship to the driver)."""
-        from .searcher import collate_walk
-
-        return collate_walk(self, query_text, max_tries, k_sugg,
-                            self.hit_count)
-
-    def global_term_stats(self, terms: list[str]
-                          ) -> tuple[dict[str, int], dict[str, int]]:
-        """Global (df, ttf) for the index-statistics ValueSources —
-        one scatter round over all actors for the whole term set."""
-        partials = ray.get([a.local_term_stats.remote(terms)
-                            for a in self.actors])
-        df: dict[str, int] = {}
-        ttf: dict[str, int] = {}
-        for pdf, pttf in partials:
-            for t, d in pdf.items():
-                df[t] = df.get(t, 0) + d
-            for t, d in pttf.items():
-                ttf[t] = ttf.get(t, 0) + d
-        return df, ttf
-
-    def _stats_phase(self, parsed: Query) -> dict[str, int]:
-        """Phase-1 global docFreq for one query (one actor round trip)."""
-        all_terms = sorted(collect_terms(parsed))
-        partials = ray.get([a.local_df.remote(all_terms) for a in self.actors])
-        df: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                df[t] = df.get(t, 0) + d
-        return df
-
-    def search_conversations(self, query: Query | str, k: int = 10,
-                             score_mode: str = "max"):
-        """Distributed block join (parent/child): per-actor per-conv
-        aggregates over the full hit sets, merged by max/sum on the
-        driver — the driver never sees per-turn hits, and each actor ships
-        at most its top-k conversations plus shard-boundary ones."""
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
-        partials = ray.get([a.conv_partial.remote(parsed, df, score_mode, k)
-                            for a in self.actors])
-        agg: dict[str, float] = {}
-        for p in partials:
-            for c, s in p.items():
-                if score_mode == "max":
-                    agg[c] = max(agg.get(c, -np.inf), s)
-                else:
-                    agg[c] = agg.get(c, 0.0) + s
-        out = sorted(agg.items(), key=lambda kv: (-np.float32(kv[1]), kv[0]))
-        return [(c, np.float32(s)) for c, s in out[:k]]
-
-    def collapse(self, query: Query | str, k: int = 10):
-        """Distributed field collapse on conversation: per-actor heads
-        merged by (score desc, doc asc) per conversation; each actor ships
-        at most its top-k heads plus shard-boundary conversations."""
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
-        partials = ray.get([a.collapse_partial.remote(parsed, df, k)
-                            for a in self.actors])
-        best: dict[str, tuple[float, int]] = {}
-        for p in partials:
-            for c, cand in p.items():
-                cur = best.get(c)
-                if cur is None or (-cand[0], cand[1]) < (-cur[0], cur[1]):
-                    best[c] = cand
-        heads = [(doc, np.float32(score), conv)
-                 for conv, (score, doc) in best.items()]
-        heads.sort(key=lambda h: (-h[1], h[0]))
-        return heads[:k]
-
-    def expand(self, query: Query | str, heads: list, per_group: int = 5):
-        """Distributed ExpandComponent: per-actor per-conv top lists for
-        the collapsed heads' conversations, merged (score desc, doc asc)
-        and trimmed on the driver."""
-        if not heads:
-            return {}
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
-        conv_ids = [str(c) for _, _, c in heads]
-        excl = [int(d) for d, _, _ in heads]
-        partials = ray.get([
-            a.expand_partial.remote(parsed, df, conv_ids, excl, per_group)
-            for a in self.actors])
-        out: dict[str, list] = {c: [] for c in conv_ids}
-        for p in partials:
-            for c, rows in p.items():
-                out[c].extend(rows)
-        for c in out:
-            out[c].sort(key=lambda h: (-h[1], h[0]))
-            out[c] = out[c][:per_group]
+    def scores_for_docs(self, query: Query | str, doc_ids: list[int]
+                        ) -> dict[int, float]:
+        """Scores of the given docs under ``query``; docs that do not
+        match are absent."""
+        q, df_map = self._prepare_one(query)
+        out: dict[int, float] = {}
+        for p in self._scatter("scores_for_docs", q, df_map,
+                               [int(d) for d in doc_ids]):
+            out.update(p)
         return out
 
-    def field_stats(self, query: Query | str, field: str):
-        """Distributed StatsComponent over the full hit set: per-actor
-        (count, min, max, sum) partials, merged on the driver."""
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
-        partials = ray.get([a.stats_partial.remote(parsed, df, field)
-                            for a in self.actors])
+    def rerank(self, query: Query | str, rerank_query: Query | str,
+               k: int = 10, top_n: int = 50, weight: float = 2.0):
+        """QueryRescorer / ReRankQParserPlugin (QueryRescorer.java):
+        rescore the first-pass top-N, final = first + weight * second for
+        docs matching the rerank query. The second pass fetches only the
+        top-N docs' scores, never the rerank query's hit set."""
+        first = self.search(query, k=top_n)
+        if not first:
+            return []
+        rmap = self.scores_for_docs(rerank_query, [d for d, _ in first])
+        return _top([(int(d), np.float32(s + np.float32(weight)
+                                         * np.float32(rmap.get(int(d), 0.0))))
+                     for d, s in first], k)
+
+    # --- facets and stats ---
+    def facet(self, query: Query | str, field: str, limit: int | None = None,
+              prefix: str = "") -> list[tuple[str, int]]:
+        """Field facet counts over the query's FULL result set
+        (SimpleFacets.java:102-417: count desc, then value asc; docs
+        without the field are omitted; ``prefix`` = facet.prefix). Group
+        partials merge exactly, with no refinement phase."""
+        q, df_map = self._prepare_one(query)
+        parts = [(u, c) for u, c in self._scatter("facet_partial", q, df_map,
+                                                  field) if len(u)]
+        if not parts:
+            return []
+        uniq, inv = np.unique(np.concatenate([u for u, _ in parts]),
+                              return_inverse=True)
+        counts = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(counts, inv, np.concatenate([c for _, c in parts]))
+        if prefix:
+            keep = np.char.startswith(uniq.astype(str), prefix)
+            uniq, counts = uniq[keep], counts[keep]
+        order = np.lexsort((uniq, -counts))
+        out = [(str(uniq[i]), int(counts[i])) for i in order]
+        return out[:limit] if limit else out
+
+    def facet_query(self, queries: list[Query | str]) -> dict[str, int]:
+        """facet.query: hit count per arbitrary sub-query — one stats
+        round trip over all sub-queries' terms, then one counting trip."""
+        parsed, df_maps = self._prepare(queries)
+        totals = np.sum(np.asarray(self._scatter("query_counts", parsed,
+                                                 df_maps), dtype=np.int64),
+                        axis=0)
+        return {str(q): int(n) for q, n in zip(queries, totals)}
+
+    def range_facet(self, query: Query | str, field: str, start: float,
+                    end: float, gap: float, hardend: bool = False
+                    ) -> list[tuple[str, int]]:
+        """facet.range over the query's full hit set (bucket labels
+        match pipelines.relational.range_facet)."""
+        q, df_map = self._prepare_one(query)
+        total = np.sum(np.asarray(self._scatter(
+            "range_facet_partial", q, df_map, field, start, end, gap,
+            hardend), dtype=np.int64), axis=0)
+        n_buckets = len(total) - 3
+        out = []
+        for i in range(n_buckets):
+            lo = start + i * gap
+            label = str(int(lo)) if float(lo).is_integer() else str(float(lo))
+            out.append((label, int(total[i])))
+        return out + [("before", int(total[n_buckets])),
+                      ("after", int(total[n_buckets + 1])),
+                      ("between", int(total[n_buckets + 2]))]
+
+    def field_stats(self, query: Query | str, field: str) -> dict:
+        """StatsComponent over the query's FULL hit set
+        (StatsComponent.java): count/min/max/sum/mean/sumOfSquares/
+        stddev/missing of a numeric docvalue. KeyError if the index does
+        not carry the field."""
+        q, df_map = self._prepare_one(query)
         count, sum_, sumsq, missing, mn, mx = 0, 0.0, 0.0, 0, None, None
-        for c, pmn, pmx, ps, psq, pmiss in partials:
+        for c, pmn, pmx, ps, psq, pmiss in self._scatter(
+                "stats_partial", q, df_map, field):
             count += c
             sum_ += ps
             sumsq += psq
             missing += pmiss
             if pmn is not None:
                 mn = pmn if mn is None else min(mn, pmn)
-            if pmx is not None:
                 mx = pmx if mx is None else max(mx, pmx)
         if count == 0:
             return {"count": 0, "min": None, "max": None, "sum": 0.0,
@@ -764,208 +798,352 @@ class DistributedSearcher:
             else 0.0
         return {"count": count, "min": mn, "max": mx, "sum": sum_,
                 "mean": mean, "sumOfSquares": sumsq,
-                "stddev": float(np.sqrt(max(var, 0.0))),
-                "missing": missing}
+                "stddev": float(np.sqrt(max(var, 0.0))), "missing": missing}
 
-    def facet_query(self, queries: list[Query | str]) -> dict[str, int]:
-        """facet.query: hit count per arbitrary sub-query — ONE stats
-        round trip over the union of all sub-queries' terms (the
-        search_batch batching pattern), then one counting round trip."""
-        parsed = [self.parse(q) if isinstance(q, str) else q
-                  for q in queries]
-        all_terms = sorted(set().union(*[collect_terms(q) for q in parsed])
-                           if parsed else set())
-        dfs = ray.get([a.local_df.remote(all_terms) for a in self.actors])
-        global_df: dict[str, int] = {}
-        for p in dfs:
-            for t, d in p.items():
-                global_df[t] = global_df.get(t, 0) + d
-        df_maps = [{t: global_df.get(t, 0) for t in collect_terms(q)}
-                   for q in parsed]
-        partials = ray.get([a.query_counts.remote(parsed, df_maps)
-                            for a in self.actors])
-        totals = np.sum(np.asarray(partials, dtype=np.int64), axis=0)
-        return {str(q): int(n) for q, n in zip(queries, totals)}
+    # --- block join, collapse, expand ---
+    def search_conversations(self, query: Query | str, k: int = 10,
+                             score_mode: str = "max"):
+        """Top-k conversations by aggregated turn scores: parent/child
+        block join (ToParentBlockJoinQuery, ScoreMode.Max / Total; turns
+        are doc-contiguous within a conversation). Groups ship at most
+        their top-k conversations plus shard-boundary ones."""
+        agg: dict[str, float] = {}
+        q, df_map = self._prepare_one(query)
+        for p in self._scatter("conv_partial", q, df_map, score_mode, k):
+            for c, s in p.items():
+                agg[c] = (max(agg.get(c, -np.inf), s) if score_mode == "max"
+                          else agg.get(c, 0.0) + s)
+        out = sorted(agg.items(), key=lambda kv: (-np.float32(kv[1]), kv[0]))
+        return [(c, np.float32(s)) for c, s in out[:k]]
 
-    def rerank(self, query: Query | str, rerank_query: Query | str,
-               k: int = 10, top_n: int = 50, weight: float = 2.0):
-        """Distributed QueryRescorer: first-pass top-N via the normal
-        scatter/gather, second pass fetches ONLY the top-N docs' rerank
-        scores (never the rerank query's full hit set)."""
-        first = self.search(query, k=top_n)
-        if not first:
-            return []
-        parsed_r = (self.parse(rerank_query)
-                    if isinstance(rerank_query, str) else rerank_query)
-        df = self._stats_phase(parsed_r)
-        doc_ids = [int(d) for d, _ in first]
-        partials = ray.get([a.scores_for_docs.remote(parsed_r, df, doc_ids)
-                            for a in self.actors])
-        rmap: dict[int, float] = {}
-        for p in partials:
-            rmap.update(p)
-        out = []
-        for doc_id, score in first:
-            extra = rmap.get(int(doc_id), 0.0)
-            combined = np.float32(
-                score + np.float32(weight) * np.float32(extra))
-            out.append((int(doc_id), combined))
-        out.sort(key=lambda h: (-float(h[1]), h[0]))
-        return out[:k]
+    def collapse(self, query: Query | str, k: int = 10):
+        """Field collapse on conversation (CollapsingQParserPlugin): the
+        best turn per conversation (max score, tie -> lower doc_id), top-k
+        conversations as (doc_id, score, conv_id)."""
+        q, df_map = self._prepare_one(query)
+        best: dict[str, tuple[float, int]] = {}
+        for p in self._scatter("collapse_partial", q, df_map, k):
+            for c, cand in p.items():
+                cur = best.get(c)
+                if cur is None or (-cand[0], cand[1]) < (-cur[0], cur[1]):
+                    best[c] = cand
+        return _top([(doc, np.float32(score), conv)
+                     for conv, (score, doc) in best.items()], k)
 
-    def terms(self, prefix: str = "", regex: str | None = None,
-              limit: int = 10, sort: str = "count") -> list[tuple[str, int]]:
-        """Distributed TermsComponent. Filtered (prefix/regex) slices
-        ship whole, so counts are exact. Unfiltered enumeration is
-        bounded: each actor ships per-shard first-N (sort=index — exact,
-        see terms_partial) or overfetched top-N-by-df candidates
-        (sort=count), whose counts the driver refines to exact global
-        docFreq with a local_df round before ranking — the driver never
-        receives an actor's entire vocabulary."""
-        bounded = not prefix and regex is None
-        shard_limit = (limit if sort == "index" else limit * 4 + 16) \
-            if bounded else None
-        partials = ray.get([
-            a.terms_partial.remote(prefix, regex, shard_limit, sort)
-            for a in self.actors])
-        agg: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                agg[t] = agg.get(t, 0) + d
-        if bounded and sort == "count" and agg:
-            # refinement round: exact df for every candidate (a shard's
-            # cut may have excluded a candidate another shard surfaced)
-            cands = sorted(agg)
-            dfs = ray.get([a.local_df.remote(cands) for a in self.actors])
-            agg = {}
-            for p in dfs:
-                for t, d in p.items():
-                    agg[t] = agg.get(t, 0) + d
-        if sort == "index":
-            ranked = sorted(agg.items())
-        else:
-            ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit]
+    def expand(self, query: Query | str, heads: list, per_group: int = 5):
+        """ExpandComponent: for each collapsed head (collapse output), the
+        other matching docs of its conversation, ranked (score desc, doc
+        asc), ``per_group`` each: {conv_id: [(doc_id, score)]}."""
+        if not heads:
+            return {}
+        q, df_map = self._prepare_one(query)
+        conv_ids = [str(c) for _, _, c in heads]
+        out: dict[str, list] = {c: [] for c in conv_ids}
+        for p in self._scatter("expand_partial", q, df_map, conv_ids,
+                               [int(d) for d, _, _ in heads], per_group):
+            for c, rows in p.items():
+                out[c].extend(rows)
+        return {c: _top(rows, per_group) for c, rows in out.items()}
 
-    def spellcheck(self, term: str, k: int = 5,
-                   max_edits: int = 2) -> list[tuple[str, int]]:
-        """Distributed SpellCheckComponent: per-actor fuzzy expansion,
-        global (distance asc, df desc, term asc) rank on the driver."""
-        from .query import levenshtein_within
-
-        partials = ray.get([a.spellcheck_partial.remote(term, max_edits)
-                            for a in self.actors])
-        agg: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                agg[t] = agg.get(t, 0) + d
-
-        def dist(t: str) -> int:
-            for d in range(1, max_edits + 1):
-                if levenshtein_within(term, t, d):
-                    return d
-            return max_edits
-
-        ranked = sorted(agg.items(), key=lambda kv: (dist(kv[0]), -kv[1],
-                                                     kv[0]))
-        return ranked[:k]
-
-    def suggest(self, prefix: str, k: int = 5) -> list[tuple[str, int]]:
-        partials = ray.get([a.suggest_partial.remote(prefix)
-                            for a in self.actors])
-        agg: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                agg[t] = agg.get(t, 0) + d
-        return sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
-    def range_facet(self, query: Query | str, field: str, start: float,
-                    end: float, gap: float, hardend: bool = False
-                    ) -> list[tuple[str, int]]:
-        """Distributed facet.range over the query's full hit set:
-        per-actor bincount partials summed on the driver (bucket labels
-        match pipelines.relational.range_facet)."""
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
-        partials = ray.get([
-            a.range_facet_partial.remote(parsed, df, field, start, end,
-                                         gap, hardend)
-            for a in self.actors])
-        total = np.sum(np.asarray(partials, dtype=np.int64), axis=0)
-        n_buckets = len(total) - 3
-        out = []
-        for i in range(n_buckets):
-            lo = start + i * gap
-            label = str(int(lo)) if float(lo).is_integer() else str(float(lo))
-            out.append((label, int(total[i])))
-        out.append(("before", int(total[n_buckets])))
-        out.append(("after", int(total[n_buckets + 1])))
-        out.append(("between", int(total[n_buckets + 2])))
-        return out
-
+    # --- function boosts ---
     def boosted_search(self, query: Query | str, boost_expr: str,
-                       k: int = 10):
-        """Distributed FunctionScoreQuery: the boost is per-doc, so
-        per-actor top-k partials merge exactly. Index-statistics
-        accessors in the boost are bound driver-side (global df) and
-        shipped as constants; norm() resolves on the shards."""
+                       k: int = 10, mode: str = "multiply"):
+        """FunctionScoreQuery / Solr ``{!boost b=f(...)}``: final score =
+        BM25 * f(doc), with f a function-registry expression
+        (``functions.valuesource``) over docvalue fields — e.g.
+        ``recip(turn_idx,1,10,10)``. ``mode="add"`` is the dismax ``bf``
+        semantics (DisMaxQParser addBoostFunctions: the function value
+        ADDS to the score). Index-statistics accessors are bound once on
+        the coordinator (global df) and ship as constants; ord()/rord()
+        rank against one global ordinal table; norm() and termfreq()
+        resolve on the shards."""
         from ..functions import parse_func
-        from ..functions.valuesource import ord_fields, stats_terms
+        from ..functions.valuesource import (bind_index_stats, ord_fields,
+                                             stats_terms)
         from .features import index_stats
 
-        parsed = self.parse(query) if isinstance(query, str) else query
-        df = self._stats_phase(parsed)
+        q, df_map = self._prepare_one(query)
         ast = parse_func(boost_expr)
         stats = index_stats(self, stats_terms(ast))
         ofields = sorted(ord_fields(ast))
+        uniques = {}
         if ofields:
-            # ord()/rord(): merge per-actor distinct-value partials into
-            # one global ordinal table, shipped with the stats
-            per = ray.get([a.local_unique_docvalues.remote(ofields)
-                           for a in self.actors])
-            stats["ord_uniques"] = {
-                f: sorted(set().union(*[set(p[f]) for p in per]))
-                for f in ofields}
-        partials = ray.get([a.boosted_partial.remote(parsed, df, boost_expr,
-                                                     k, stats)
-                            for a in self.actors])
-        hits = [h for p in partials for h in p]
-        hits.sort(key=lambda h: (-h[1], h[0]))
-        return [(d, float(s)) for d, s in hits[:k]]
+            per = self._scatter("local_unique_docvalues", ofields)
+            uniques = {f: sorted(set().union(*[p[f] for p in per]))
+                       for f in ofields}
+        return _top([h for p in self._scatter(
+            "boosted_partial", q, df_map, bind_index_stats(ast, stats), k,
+            mode, uniques) for h in p], k)
 
-    def facet(self, query: Query | str, field: str,
-              limit: int | None = None,
-              prefix: str = "") -> list[tuple[str, int]]:
-        """Distributed field facet: per-actor partial counts, merged on the
-        driver (FacetComponent distributed merge — exact by construction,
-        no refinement phase needed)."""
-        parsed = self.parse(query) if isinstance(query, str) else query
-        all_terms = sorted(collect_terms(parsed))
-        partials = ray.get([a.local_df.remote(all_terms) for a in self.actors])
-        df: dict[str, int] = {}
-        for p in partials:
-            for t, d in p.items():
-                df[t] = df.get(t, 0) + d
-        partial_arrays = ray.get([a.facet_partial.remote(parsed, df, field)
-                                  for a in self.actors])
-        nonempty = [(u, c) for u, c in partial_arrays if len(u)]
-        if not nonempty:
-            return []
-        # vectorized merge: concat per-actor (uniq, counts), re-unique,
-        # sum counts per label via np.add.at — label-scale, no dict loop
-        allu = np.concatenate([u for u, _ in nonempty])
-        allc = np.concatenate([c for _, c in nonempty])
-        uniq, inv = np.unique(allu, return_inverse=True)
-        summed = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(summed, inv, allc)
-        if prefix:
-            keep = np.char.startswith(uniq.astype(str), prefix)
-            uniq, summed = uniq[keep], summed[keep]
-        order = np.lexsort((uniq, -summed))
-        out = [(str(uniq[i]), int(summed[i])) for i in order]
-        return out[:limit] if limit else out
+    # --- term dictionary: terms, spellcheck, suggest, collation ---
+    def terms(self, prefix: str = "", regex: str | None = None,
+              limit: int = 10, sort: str = "count") -> list[tuple[str, int]]:
+        """TermsComponent: index terms with global docFreq, filtered by
+        prefix and/or regex, sorted by count desc (value asc ties) or by
+        value (sort="index"). Filtered slices ship whole, so counts are
+        exact. An unfiltered enumeration is bounded: each group ships its
+        first-N (sort=index) or overfetched top-N-by-df candidates
+        (sort=count), whose counts a local_df round refines to exact
+        global docFreq — no group ever ships its whole vocabulary."""
+        bounded = not prefix and regex is None
+        group_limit = (limit if sort == "index" else limit * 4 + 16) \
+            if bounded else None
+        agg = _add_counts(self._scatter("terms_partial", prefix, regex,
+                                        group_limit, sort))
+        if bounded and sort == "count" and agg:
+            # a group's cut may have excluded a candidate another surfaced
+            agg = _add_counts(self._scatter("local_df", sorted(agg)))
+        key = None if sort == "index" else (lambda kv: (-kv[1], kv[0]))
+        return sorted(agg.items(), key=key)[:limit]
+
+    def spellcheck(self, term: str, k: int = 5,
+                   max_edits: int = 2) -> list[tuple[str, int]]:
+        """Did-you-mean suggestions (SpellCheckComponent /
+        DirectSpellChecker): index terms within Damerau-OSA edit distance
+        <= max_edits of the input, ranked by (distance asc, global
+        docFreq desc, term asc). The input term itself is excluded."""
+        from .query import levenshtein_within
+
+        agg = _add_counts(self._scatter("spellcheck_partial", term,
+                                        max_edits))
+
+        def dist(t: str) -> int:
+            return next((d for d in range(1, max_edits + 1)
+                         if levenshtein_within(term, t, d)), max_edits)
+
+        return sorted(agg.items(),
+                      key=lambda kv: (dist(kv[0]), -kv[1], kv[0]))[:k]
+
+    def suggest(self, prefix: str, k: int = 5) -> list[tuple[str, int]]:
+        """Prefix suggestions ranked by global docFreq (TermsComponent /
+        suggester analog over the term dictionary)."""
+        agg = _add_counts(self._scatter("suggest_partial", prefix))
+        return sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+    def spellcheck_collate(self, query_text: str, max_tries: int = 5,
+                           k_sugg: int = 3) -> dict | None:
+        """Collation (SpellCheckCollator.java:69, ``collate=true``):
+        substitute ranked suggestions for the query's zero-docFreq words
+        (best everywhere first, then one word at a time moves to its
+        next-ranked alternative), re-count each rewrite, and return the
+        first with hits — ``{"collation", "hits", "tries"}`` — or None
+        after ``max_tries`` rewrites."""
+        from ..analysis import get_analyzer
+        from .query import TermQuery
+
+        analyzer = get_analyzer(self.analyzer_name)
+        chunks = query_text.split()
+        misspelled: list[tuple[int, list[str]]] = []
+        for i, ch in enumerate(chunks):
+            if ch.upper() in ("AND", "OR", "NOT") or not ch.isalnum():
+                continue
+            terms, _ = analyzer.analyze(ch)
+            if len(terms) != 1:
+                continue
+            if self.global_df(TermQuery(terms[0])).get(terms[0], 0) == 0:
+                sugg = [t for t, _ in self.spellcheck(terms[0], k=k_sugg)]
+                if not sugg:
+                    return None  # unfixable word: no collation possible
+                misspelled.append((i, sugg))
+        if not misspelled:
+            return None  # nothing to collate (SpellCheckCollator no-op)
+        picks = [[0] * len(misspelled)]
+        for depth in range(1, k_sugg):
+            for which, (_, sugg) in enumerate(misspelled):
+                if depth < len(sugg):
+                    pick = [0] * len(misspelled)
+                    pick[which] = depth
+                    picks.append(pick)
+        for tries, pick in enumerate(picks[:max_tries], 1):
+            new_chunks = list(chunks)
+            for (i, sugg), j in zip(misspelled, pick):
+                new_chunks[i] = sugg[j]
+            collation = " ".join(new_chunks)
+            hits = self.hit_count(collation)
+            if hits > 0:
+                return {"collation": collation, "hits": int(hits),
+                        "tries": tries}
+        return None
+
+    # --- per-doc data read on the coordinator ---
+    def docvalues(self, field: str) -> np.ndarray | None:
+        """Per-doc column of a docvalue field indexed by doc_id; None if
+        no index carries the field."""
+        cols = [dv.column(field) for _, _, dv in self.indexes]
+        if len(cols) == 1 or all(c is None for c in cols):
+            return cols[0]
+        return np.concatenate([
+            np.full(dv.num_docs, None, dtype=object) if c is None else c
+            for c, (_, _, dv) in zip(cols, self.indexes)])
+
+    def docmap(self) -> np.ndarray:
+        """conv_id per doc_id (block-join identity / result display)."""
+        return self.docvalues("conv_id")
+
+    def resolve_hits(self, hits):
+        """(doc_id, score) list -> rows with the identity columns (the
+        stored-fields fetch phase, PURPOSE_GET_FIELDS analog —
+        QueryComponent.java:748,766; full stored fields live in the
+        source Parquet, addressable by (conv_id, turn_idx))."""
+        import pyarrow.dataset as pads
+
+        keys = {}
+        for index_dir, base, dv in self.indexes:
+            ids = [d - base for d, _ in hits if base <= d < base + dv.num_docs]
+            if not ids:
+                continue
+            t = pads.dataset(str(Path(index_dir) / "norms"), format="parquet",
+                             partitioning="hive").to_table(
+                columns=["doc_id", "conv_id", "turn_idx"],
+                filter=pads.field("doc_id").isin(ids))
+            for r in t.to_pylist():
+                keys[r["doc_id"] + base] = (r["conv_id"], r["turn_idx"])
+        return [{"doc_id": d, "score": float(s),
+                 "conv_id": keys[d][0], "turn_idx": keys[d][1]}
+                for d, s in hits]
+
+    def term_vectors(self, doc_ids: list[int]
+                     ) -> dict[int, list[tuple[str, int, list[int]]]]:
+        """TermVectorComponent: (term, freq, positions) per requested doc
+        (typically the current page of hits)."""
+        out: dict[int, list] = {int(d): [] for d in doc_ids}
+        for p in self._scatter("term_vectors", [int(d) for d in doc_ids]):
+            out.update(p)
+        return out
+
+    def term_offsets(self, doc_ids: list[int]
+                     ) -> dict[int, tuple[list[int], list[int]]]:
+        """Per-doc raw-token char spans from the build-time offsets
+        sidecar (``store_offsets=True`` builds; PostingsHighlighter's
+        stored-offsets analog, doc-major). Pushdown read — only row
+        groups containing the requested page of hits decompress."""
+        import pyarrow.parquet as pq
+
+        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        dps = int(self.manifest["params"]["docs_per_shard"])
+        for index_dir, base, dv in self.indexes:
+            p = Path(index_dir) / "offsets"
+            want = sorted({int(d) - base for d in doc_ids
+                           if 0 <= int(d) - base < dv.num_docs})
+            if not want or not p.exists():
+                continue
+            # prune at the directory level first (doc ranges map to shard
+            # dirs), then by doc_id row-group stats inside the files:
+            # offsets files are written with 32-row groups so each hit
+            # costs one small row-group decode
+            dirs = sorted({p / f"shard={d // dps:05d}" for d in want})
+            files = sorted(str(f) for d in dirs if d.exists()
+                           for f in d.glob("*.parquet"))
+            want_arr = np.asarray(want, dtype=np.int64)
+            for f in files:
+                pf = self._offsets_files.get(f)
+                if pf is None:
+                    pf = self._offsets_files[f] = pq.ParquetFile(f)
+                md = pf.metadata
+                idx_col = pf.schema_arrow.get_field_index("doc_id")
+                for rg in range(md.num_row_groups):
+                    st = md.row_group(rg).column(idx_col).statistics
+                    if st is not None and not (
+                            (want_arr >= st.min) & (want_arr <= st.max)).any():
+                        continue
+                    t = pf.read_row_group(rg)
+                    ids = t.column("doc_id").to_numpy()
+                    for i in np.nonzero(np.isin(ids, want_arr))[0]:
+                        spans = np.frombuffer(
+                            t.column("spans")[i].as_buffer(), dtype="<i4")
+                        half = len(spans) // 2
+                        out[int(ids[i]) + base] = (spans[:half],
+                                                   spans[half:])
+        return out
 
     def close(self):
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        """Kill the actor groups (in-process groups need no cleanup)."""
+        if self._remote:
+            for g in self.groups:
+                ray.kill(g)
+            self.groups.clear()
+
+
+class IndexSearcher(SearchCoordinator):
+    """In-process searcher: one group holding every shard."""
+
+    def __init__(self, index_dir: str, similarity="bm25"):
+        manifest = _read_manifest(index_dir)
+        shard_ids = _shard_ids(manifest)
+        group = ShardGroup(str(index_dir), shard_ids, manifest, similarity)
+        super().__init__(manifest, [(str(index_dir), 0, group.docvalues)],
+                         [group], [shard_ids])
+        self.index_dir = str(index_dir)
+        self.shards = group.searchers
+        self._docvalue_cache = group.docvalues.cache
+
+
+class MultiIndexSearcher(SearchCoordinator):
+    """MultiReader analog (``lucene/core/src/java/org/apache/lucene/index/
+    MultiReader.java:43`` + BaseCompositeReader's docBase arithmetic):
+    several standalone indexes searched as ONE logical index without
+    merging, one in-process group per sub-index. Sub-index i's documents
+    appear at ``[base_i, base_i + num_docs_i)`` where ``base_i`` is the
+    sum of the preceding indexes' maxDocs. Query-time statistics
+    (docFreq, docCount, sumTotalTermFreq → avgdl) are the COMBINED
+    values, so scores are bit-equal to an ``add_indexes``-merged index;
+    each sub-index keeps its own ``num_docs`` for layout (MatchAllDocs
+    clamping). Analyzers must match — the same compatible-schema rule
+    ``add_indexes`` enforces. The federation is the query side of
+    ``split_index``: split a hot index, keep serving both halves as one.
+    """
+
+    def __init__(self, index_dirs, similarity="bm25"):
+        from . import bm25
+
+        if not index_dirs:
+            raise ValueError("MultiIndexSearcher needs >= 1 index")
+        manifests = [_read_manifest(d) for d in index_dirs]
+        analyzers = {m["params"]["analyzer"] for m in manifests}
+        if len(analyzers) != 1:
+            raise ValueError(
+                f"sub-index analyzers must match, got {sorted(analyzers)}")
+        num = sum(m["stats"]["num_docs"] for m in manifests)
+        dc = sum(m["stats"]["doc_count"] for m in manifests)
+        ttf = sum(m["stats"]["sum_total_term_freq"] for m in manifests)
+        combined = {"doc_count": dc, "sum_total_term_freq": ttf,
+                    "avgdl": float(bm25.avg_field_length(ttf, max(dc, 1)))}
+        indexes, groups, group_shards, base = [], [], [], 0
+        for d, m in zip(index_dirs, manifests):
+            sids = _shard_ids(m)
+            g = ShardGroup(str(d), sids,
+                           {**m, "stats": {**m["stats"], **combined}},
+                           similarity, base)
+            indexes.append((str(d), base, g.docvalues))
+            groups.append(g)
+            group_shards.append(sids)
+            base += int(m["stats"]["num_docs"])
+        super().__init__({"params": manifests[0]["params"],
+                          "stats": {"num_docs": num, **combined}},
+                         indexes, groups, group_shards)
+
+
+class DistributedSearcher(SearchCoordinator):
+    """Coordinator over a SearchActor pool: one actor per shard subset
+    (shards dealt round-robin), with bloom candidate selection."""
+
+    def __init__(self, index_dir: str, num_actors: int = 4,
+                 similarity="bm25"):
+        from ..index.bloom import TermBloomSet
+
+        self.index_dir = str(index_dir)
+        manifest = _read_manifest(index_dir)
+        shard_ids = _shard_ids(manifest)
+        num_actors = max(1, min(num_actors, len(shard_ids)))
+        self.actor_shards = [shard_ids[i::num_actors]
+                             for i in range(num_actors)]
+        # similarity ships to the actors (a name string, or a cloudpickled
+        # factory callable for parameterized similarities)
+        self.actors = [SearchActor.remote(self.index_dir, sids, manifest,
+                                          similarity)
+                       for sids in self.actor_shards]
+        super().__init__(
+            manifest, [(self.index_dir, 0, DocValues(
+                self.index_dir, manifest["stats"]["num_docs"]))],
+            self.actors, self.actor_shards)
+        self.blooms = TermBloomSet.load(self.index_dir)

@@ -11,17 +11,18 @@ Reference semantics re-expressed:
 - elevated docs come first IN CONFIG ORDER (``BOOSTED_PRIORITY``), ahead
   of every organic hit, then organic hits in score order with elevated
   and excluded ids removed;
-- ``forceElevation``: include elevated docs even when the organic search
-  did not match them at all (the reference injects them into the result
-  set regardless of the query);
+- an elevated doc that matches the query is pinned with its real score,
+  however deep it ranks; ``forceElevation`` also pins elevated docs that
+  do not match at all, at score 0 (the reference injects them into the
+  result set regardless of the query);
 - ``exclusive=true``: ONLY the elevated documents come back;
 - ``markExcludes=true``: excluded docs stay in the list, flagged
   ``[excluded]``, instead of being removed.
 
 Ray-native mapping: elevation is a driver-side rewrite of the top-k
-merge output — the config is request-scale, never shipped to actors;
-``forceElevation`` resolves missing docs' keys with one pushdown norms
-read (hit-page-scale)."""
+merge output — the config is request-scale, never shipped to actors; the
+elevated ids' scores come from one per-doc score scatter
+(``scores_for_docs``), so only those ids travel."""
 
 from __future__ import annotations
 
@@ -58,12 +59,11 @@ def elevate_hits(searcher, query_text: str, hits: list[tuple],
         return [{"doc_id": int(d), "score": float(s), "elevated": False}
                 for d, s in hits[:k]]
     elev_ids, excl_ids = entry
-    by_id = {int(d): float(s) for d, s in hits}
+    scores = searcher.scores_for_docs(query_text, elev_ids)
     out: list[dict] = []
     for d in elev_ids:
-        if d in by_id or force_elevation:
-            out.append({"doc_id": int(d),
-                        "score": by_id.get(d, 0.0),
+        if d in scores or force_elevation:
+            out.append({"doc_id": int(d), "score": scores.get(d, 0.0),
                         "elevated": True})
     if not exclusive:
         elev_set = set(elev_ids)
@@ -84,7 +84,8 @@ def elevate_hits(searcher, query_text: str, hits: list[tuple],
 def elevated_search(searcher, query_text: str, config: ElevationConfig,
                     k: int = 10, **kw) -> list[dict]:
     """search + elevation in one call. The organic search over-fetches
-    by the elevation depth so removals cannot leave the page short."""
+    by the elevation depth so removals cannot leave the page short; the
+    elevated docs are scored directly, whatever their organic rank."""
     entry = config.lookup(query_text)
     extra = len(entry[0]) + len(entry[1]) if entry else 0
     hits = searcher.search(query_text, k=k + extra)

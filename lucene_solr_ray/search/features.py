@@ -1,19 +1,15 @@
-"""Higher-level search features over the core engine.
+"""Higher-level search features over the query coordinator.
 
-- ``search_conversations``: parent/child block join (SURVEY.md §2.5,
-  ``lucene/join/`` ToParentBlockJoinQuery): turn-level hits aggregate to
-  conversation-level scores (ScoreMode.Max / Total); children are
-  doc_id-contiguous within a conversation by construction (the
-  addDocuments block invariant, IndexWriter.java:1327).
-- ``rerank``: QueryRescorer / ReRankQParserPlugin semantics
-  (``search/QueryRescorer.java``): rescore the first-pass top-N with a
-  second query, combined score = first + weight * second (only for docs
-  matching the rerank query).
+The query-time features (block join, collapse/expand, rerank, function
+boosts, field stats) are coordinator methods (``search/actors.py``); this
+module keeps what composes on top of them:
+
 - ``more_like_this``: MoreLikeThis term selection (``lucene/queries/.../
   mlt/MoreLikeThis.java``): top tf*idf terms of the seed text become an
   OR query.
-- ``highlight``: simple unified-highlighter analog using the analyzer's
-  token offsets.
+- ``highlight`` / ``best_fragments``: unified-highlighter analogs using
+  the analyzer's token offsets, and the offsets-sidecar variant.
+- ``index_stats``: the index statistics the ValueSource accessors bind.
 """
 
 from __future__ import annotations
@@ -24,108 +20,6 @@ from ..analysis import get_analyzer
 from . import bm25
 from .query import BooleanQuery, Query, TermQuery
 from .searcher import IndexSearcher, collect_terms
-
-
-def _all_hits(searcher: IndexSearcher, query: Query | str):
-    """(doc_ids, scores) over every matching doc, all shards."""
-    if isinstance(query, str):
-        query = searcher.parse(query)
-    df_map = searcher.global_df(query)
-    docs_all, scores_all = [], []
-    for sh in searcher.shards:
-        d, s = sh._score_clause(query, df_map)
-        docs_all.append(d)
-        scores_all.append(s)
-    return np.concatenate(docs_all), np.concatenate(scores_all)
-
-
-def search_conversations(searcher: IndexSearcher, query: Query | str,
-                         k: int = 10, score_mode: str = "max"):
-    """Top-k conversations by aggregated turn scores (block join)."""
-    docs, scores = _all_hits(searcher, query)
-    if len(docs) == 0:
-        return []
-    docmap = searcher.docmap()
-    convs = docmap[docs]  # conv_id per hit doc
-    order = np.argsort(convs, kind="stable")
-    convs_s, scores_s = convs[order], scores[order]
-    starts = np.concatenate(([True], convs_s[1:] != convs_s[:-1]))
-    idx = np.nonzero(starts)[0]
-    groups = convs_s[idx]
-    if score_mode == "max":
-        agg = np.maximum.reduceat(scores_s, idx)
-    elif score_mode == "total":
-        agg = np.add.reduceat(scores_s.astype(np.float32), idx)
-    else:
-        raise ValueError(score_mode)
-    top = np.lexsort((groups, -agg.astype(np.float32)))[:k]
-    return [(str(groups[i]), np.float32(agg[i])) for i in top]
-
-
-def collapse_search(searcher: IndexSearcher, query: Query | str,
-                    k: int = 10):
-    """Field collapse on conversation: the single best-scoring turn per
-    conversation, top-k conversations (CollapsingQParserPlugin semantics:
-    group head = max score, tie -> lower doc_id)."""
-    docs, scores = _all_hits(searcher, query)
-    if len(docs) == 0:
-        return []
-    dm = searcher.docmap()
-    convs = dm[docs]
-    # per conversation: argmax score with lower-doc tie-break
-    order = np.lexsort((docs, -scores.astype(np.float32), convs))
-    convs_s = convs[order]
-    heads = np.concatenate(([True], convs_s[1:] != convs_s[:-1]))
-    head_idx = order[heads]
-    hd, hs = docs[head_idx], scores[head_idx]
-    top = np.lexsort((hd, -hs.astype(np.float32)))[:k]
-    return [(int(hd[i]), np.float32(hs[i]), str(dm[hd[i]])) for i in top]
-
-
-def expand_groups(searcher: IndexSearcher, query: Query | str,
-                  heads: list, per_group: int = 5):
-    """ExpandComponent (``solr/core/src/java/org/apache/solr/handler/
-    component/ExpandComponent.java``): for each collapsed head, the other
-    matching docs of its conversation, ranked (score desc, doc asc),
-    ``per_group`` each. ``heads``: collapse_search output
-    [(doc_id, score, conv_id)]. Returns {conv_id: [(doc_id, score)]}."""
-    if not heads:
-        return {}
-    docs, scores = _all_hits(searcher, query)
-    if len(docs) == 0:
-        return {c: [] for _, _, c in heads}
-    dm = searcher.docmap()
-    convs = dm[docs]
-    head_docs = {int(d) for d, _, _ in heads}
-    out: dict[str, list] = {}
-    for _, _, conv in heads:
-        mask = convs == conv
-        g_docs, g_scores = docs[mask], scores[mask]
-        order = np.lexsort((g_docs, -g_scores.astype(np.float32)))
-        rows = [(int(g_docs[i]), float(np.float32(g_scores[i])))
-                for i in order if int(g_docs[i]) not in head_docs]
-        out[str(conv)] = rows[:per_group]
-    return out
-
-
-def rerank(searcher: IndexSearcher, query: Query | str,
-           rerank_query: Query | str, k: int = 10, top_n: int = 50,
-           weight: float = 2.0):
-    """First-pass top-N, rescored: final = first + weight * rerank_score."""
-    first = searcher.search(query, k=top_n)
-    if not first:
-        return []
-    if isinstance(rerank_query, str):
-        rerank_query = searcher.parse(rerank_query)
-    r_docs, r_scores = _all_hits(searcher, rerank_query)
-    rmap = dict(zip(r_docs.tolist(), r_scores.tolist()))
-    out = []
-    for doc_id, score in first:
-        extra = rmap.get(doc_id, 0.0)
-        combined = np.float32(score + np.float32(weight) * np.float32(extra))
-        out.append((doc_id, combined))
-    out.sort(key=lambda h: (-float(h[1]), h[0]))
-    return out[:k]
 
 
 def _mlt_scored_terms(searcher: IndexSearcher, text: str,
@@ -346,18 +240,8 @@ def index_stats(searcher, terms: set[str]) -> dict:
     from ..index.update import read_deletes
 
     stats = searcher.manifest["stats"]
-    n_del = len(read_deletes(searcher.index_dir))
-    df: dict[str, int] = {}
-    ttf: dict[str, int] = {}
-    if terms:
-        if hasattr(searcher, "shards"):  # in-process IndexSearcher
-            for sh in searcher.shards:
-                for t, d in sh.local_df(sorted(terms)).items():
-                    df[t] = df.get(t, 0) + d
-                for t, d in sh.local_ttf(sorted(terms)).items():
-                    ttf[t] = ttf.get(t, 0) + d
-        else:  # DistributedSearcher: one term-stats scatter round
-            df, ttf = searcher.global_term_stats(sorted(terms))
+    n_del = sum(len(read_deletes(d)) for d, _, _ in searcher.indexes)
+    df, ttf = searcher.global_term_stats(sorted(terms)) if terms else ({}, {})
     import time
 
     return {"docfreq": df, "ttf": ttf,
@@ -396,15 +280,6 @@ def picked_ordinals(picked, uniq: list, reverse: bool) -> "np.ndarray":
     return out
 
 
-def ordinal_column(vals, docs, uniq: list, reverse: bool) -> "np.ndarray":
-    """Per-hit ord()/rord() over a full doc-value column."""
-    import numpy as np
-
-    if vals is None:
-        return np.zeros(len(docs), dtype=np.float64)
-    return picked_ordinals(vals[docs], uniq, reverse)
-
-
 def decoded_norms(searcher, docs):
     """Per-hit decoded field length (NORM_TABLE[norm_byte]) — the
     NormValueSource column for norm(field)."""
@@ -415,151 +290,6 @@ def decoded_norms(searcher, docs):
     all_norms = np.concatenate([sh.norms for sh in searcher.shards])
     return NORM_TABLE[all_norms[np.asarray(docs, dtype=np.int64)]] \
         .astype(np.float64)
-
-
-def boosted_search(searcher: IndexSearcher, query: Query | str,
-                   boost_expr: str, k: int = 10,
-                   mode: str = "multiply"):
-    """FunctionScoreQuery / Solr ``{!boost b=f(...)}``
-    (``lucene/queries/.../function/FunctionScoreQuery.java``): final
-    score = BM25 score * f(docvalues), with f a function-registry
-    expression (``functions.valuesource``) over docvalue fields —
-    e.g. ``recip(turn_idx,1,10,10)`` for a recency-style boost.
-    ``mode="add"`` is the dismax ``bf`` boost-function semantics
-    (``solr/core/.../search/DisMaxQParser.java`` addBoostFunctions:
-    each bf clause joins the main query as SHOULD, so its function
-    value ADDS to the score)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ..functions import parse_func
-    from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
-                                         NORM_PSEUDO_FIELD,
-                                         ORD_PSEUDO_PREFIX,
-                                         RORD_PSEUDO_PREFIX,
-                                         TF_PSEUDO_PREFIX, Field, Func,
-                                         bind_index_stats, eval_expr,
-                                         stats_terms, uses_norm)
-
-    ast = parse_func(boost_expr)
-    # bind index-statistics accessors (docfreq/numdocs/maxdoc/norm) to
-    # this searcher before the per-doc evaluation
-    ast = bind_index_stats(ast, index_stats(searcher, stats_terms(ast)))
-
-    def fields_of(node) -> set[str]:
-        if isinstance(node, Field):
-            return {node.name}
-        if isinstance(node, Func):
-            out: set[str] = set()
-            for a in node.args:
-                out |= fields_of(a)
-            return out
-        return set()
-
-    docs, scores = _all_hits(searcher, query)
-    if len(docs) == 0:
-        return []
-    fields = fields_of(ast)
-    cols = {}
-    for f in sorted(fields):
-        if f == NORM_PSEUDO_FIELD:
-            cols[f] = pa.array(decoded_norms(searcher, docs),
-                               type=pa.float64())
-            continue
-        if f.startswith(TF_PSEUDO_PREFIX):
-            # termfreq(t): per-hit tf, each shard fills its doc range
-            term = f[len(TF_PSEUDO_PREFIX):]
-            tf = np.zeros(len(docs), dtype=np.float64)
-            for sh in searcher.shards:
-                m = (docs >= sh.base) & (docs < sh.base + sh.docs_per_shard)
-                if m.any():
-                    tf[m] = sh.local_termfreq(term, docs[m])
-            cols[f] = pa.array(tf, type=pa.float64())
-            continue
-        if f.startswith(EXISTS_PSEUDO_PREFIX):
-            fname = f[len(EXISTS_PSEUDO_PREFIX):]
-            vals = searcher.docvalues(fname)
-            ex = (np.zeros(len(docs)) if vals is None else np.asarray(
-                [0.0 if x is None else 1.0 for x in vals[docs]]))
-            cols[f] = pa.array(ex, type=pa.float64())
-            continue
-        if f.startswith(ORD_PSEUDO_PREFIX) or \
-                f.startswith(RORD_PSEUDO_PREFIX):
-            rev = f.startswith(RORD_PSEUDO_PREFIX)
-            pref = RORD_PSEUDO_PREFIX if rev else ORD_PSEUDO_PREFIX
-            fname = f[len(pref):]
-            vals = searcher.docvalues(fname)
-            cols[f] = pa.array(
-                ordinal_column(vals, docs, global_uniques(vals), rev),
-                type=pa.float64())
-            continue
-        vals = searcher.docvalues(f)
-        if vals is None:
-            # def(f, d) lowers to if(exists(f), f, d): an unindexed f
-            # evaluates as 0 under exists()=0, not an error
-            if EXISTS_PSEUDO_PREFIX + f in fields:
-                cols[f] = pa.array(np.zeros(len(docs)), type=pa.float64())
-                continue
-            raise KeyError(f"field {f!r} was not indexed as a doc value")
-        # missing doc values evaluate as 0 (FunctionScoreQuery semantics),
-        # not TypeError from a None in the float64 cast
-        picked = np.asarray(
-            [0.0 if x is None else x for x in vals[docs]], dtype=np.float64)
-        cols[f] = pa.array(picked, type=pa.float64())
-    boost = eval_expr(ast, pa.table(cols or {"__d": pa.array(
-        np.zeros(len(docs)))}))
-    if isinstance(boost, pa.Scalar):
-        boost_np = np.full(len(docs), boost.as_py())
-    else:
-        boost_np = boost.to_numpy(zero_copy_only=False)
-    if mode == "add":
-        final = scores.astype(np.float64) + boost_np
-    else:
-        final = scores.astype(np.float64) * boost_np
-    order = np.lexsort((docs, -final))[:k]
-    return [(int(docs[i]), float(final[i])) for i in order]
-
-
-def field_stats(searcher: IndexSearcher, query: Query | str, field: str):
-    """StatsComponent over the query's FULL hit set
-    (``solr/core/.../handler/component/StatsComponent.java``):
-    count/min/max/sum/mean of a numeric docvalue."""
-    import numpy as np
-
-    docs, _ = _all_hits(searcher, query)
-    vals = searcher.docvalues(field)
-    if vals is None:
-        raise KeyError(f"field {field!r} was not indexed as a doc value")
-    v = np.asarray([x for x in vals[docs] if x is not None],
-                   dtype=np.float64)
-    if len(v) == 0:
-        return {"count": 0, "min": None, "max": None, "sum": 0.0,
-                "mean": None}
-    return {"count": int(len(v)), "min": float(v.min()),
-            "max": float(v.max()), "sum": float(v.sum()),
-            "mean": float(v.mean())}
-
-
-def elevate(searcher: IndexSearcher, query: Query | str,
-            elevated_ids: list[int], k: int = 10,
-            exclude_ids: list[int] | None = None):
-    """QueryElevationComponent (``solr/core/.../handler/component/
-    QueryElevationComponent.java``): pin the configured doc_ids to the top
-    (in the given order) regardless of score, optionally exclude others;
-    the rest rank by BM25 below the elevated set."""
-    excl = set(exclude_ids or [])
-    elev = [d for d in elevated_ids if d not in excl]
-    hits = searcher.search(query, k=k + len(elev) + len(excl))
-    scores = {d: s for d, s in hits}
-    out = [(d, float(scores.get(d, 0.0))) for d in elev]
-    seen = set(elev) | excl
-    for d, s in hits:
-        if d in seen:
-            continue
-        out.append((d, float(s)))
-        if len(out) >= k:
-            break
-    return out[:k]
 
 
 # --- offsets-based highlighting (PostingsHighlighter.java:100) ----------

@@ -24,9 +24,7 @@ def conjunctive_judge(searcher: IndexSearcher, query) -> set[int]:
     if not terms:
         return set()
     must = BooleanQuery(must=[TermQuery(t) for t in terms])
-    from .features import _all_hits
-
-    docs, _ = _all_hits(searcher, must)
+    docs, _ = searcher.all_hits(must)
     return set(int(d) for d in docs)
 
 

@@ -1,4 +1,4 @@
-"""Query engine over the sharded segment layout.
+"""Shard-level query engine over the sharded segment layout.
 
 - ``ShardSearcher``: in-process search over one doc-shard (terms table +
   norms loaded once, term -> row dict — the stand-in for the FST term
@@ -6,12 +6,11 @@
   float32 BM25 (SURVEY.md §3.2) using *global* term statistics supplied by
   the coordinator (Solr ExactStatsCache analog — required for
   rank-identity with a single-node index).
-- ``IndexSearcher``: drives N shards (in-process or via a Ray actor pool,
-  see actors.py), two-phase: (1) gather per-shard docFreq for the query's
-  terms, sum to global stats; (2) scatter scoring, k-way merge of per-shard
-  top-k by (score desc, doc_id asc) — equivalent to TopDocs.merge's
-  (score, shardIndex, hit index) tie-break because shards own ascending
-  disjoint doc_id ranges (TopDocs.java:199-215).
+- ``DocValues``: the per-field doc-value columns of one index, loaded on
+  first use and shared by the shard searchers that read them.
+- ``IndexSearcher`` / ``MultiIndexSearcher``: the in-process constructors
+  of the one query coordinator, defined in ``actors.py`` beside
+  ``DistributedSearcher`` and importable from here.
 
 Boolean semantics: BooleanWeight sum-of-clause scores, MUST intersection
 (ConjunctionDISI leapfrog -> vectorized sorted-array intersection), SHOULD
@@ -39,7 +38,6 @@ from .query import (
     Query,
     TermQuery,
     expand_multi_term,
-    parse_query,
 )
 
 
@@ -252,11 +250,46 @@ class _TermSeq:
         return self._arr[i].as_py()
 
 
+class DocValues:
+    """Doc-value columns of one index, indexed by doc_id and read on
+    first use (the doc-values analog; values live in the norms
+    partitions). ``shard_ids`` limits the read to those shards' partitions
+    (other docs read as missing). A field the index does not carry has
+    column ``None``."""
+
+    def __init__(self, index_dir: str, num_docs: int,
+                 shard_ids: list[int] | None = None):
+        self.index_dir = str(index_dir)
+        self.num_docs = int(num_docs)
+        self.shard_ids = shard_ids
+        self.cache: dict[str, np.ndarray | None] = {}
+
+    def column(self, field: str) -> np.ndarray | None:
+        if field not in self.cache:
+            import pyarrow.dataset as pads
+
+            norms = Path(self.index_dir) / "norms"
+            col = None
+            if norms.exists():
+                dset = pads.dataset(str(norms), format="parquet",
+                                    partitioning="hive")
+                if field in dset.schema.names:
+                    flt = (None if self.shard_ids is None else
+                           pads.field("doc_shard").isin(self.shard_ids))
+                    t = dset.to_table(columns=["doc_id", field], filter=flt)
+                    col = np.empty(self.num_docs, dtype=object)
+                    col[t.column("doc_id").to_numpy(zero_copy_only=False)] \
+                        = np.asarray(t.column(field).to_pylist(), dtype=object)
+            self.cache[field] = col
+        return self.cache[field]
+
+
 class ShardSearcher:
     """Search over one shard; all postings/norms held in memory."""
 
     def __init__(self, index_dir: str, shard_id: int,
-                 manifest: dict | None = None, similarity: str = "bm25"):
+                 manifest: dict | None = None, similarity: str = "bm25",
+                 docvalues: DocValues | None = None):
         index_path = Path(index_dir)
         if manifest is None:
             manifest = json.loads((index_path / "manifest.json").read_text())
@@ -269,6 +302,8 @@ class ShardSearcher:
         self.base = shard_id * self.docs_per_shard
         self.doc_count = stats["doc_count"]
         self.num_docs_total = stats["num_docs"]
+        self.docvalues = docvalues or DocValues(
+            index_dir, self.num_docs_total, [shard_id])
         self.avgdl = np.float32(stats["avgdl"])
         self.cache = bm25.norm_cache(self.avgdl)
         # query-time pluggable scoring (Similarity SPI: IndexSearcher.
@@ -406,22 +441,12 @@ class ShardSearcher:
                 "details": []}
 
     def docvalues_local(self, field: str, docs: np.ndarray) -> np.ndarray:
-        """Shard-local doc-value lookup for the given doc_ids."""
-        if not hasattr(self, "_dv_cols"):
-            self._dv_cols: dict[str, np.ndarray] = {}
-        if field not in self._dv_cols:
-            part = Path(self.index_dir) / "norms" / f"doc_shard={self.shard_id}"
-            arr = np.empty(self.docs_per_shard, dtype=object)
-            first = next(part.glob("*.parquet"), None) \
-                if part.exists() else None
-            if first is not None and field in pq.read_schema(first).names:
-                t = pq.read_table(part, columns=["doc_id", field])
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                arr[ids - self.base] = np.asarray(
-                    t.column(field).to_pylist(), dtype=object)
-            # unknown field: all-None column (exists()=0 semantics)
-            self._dv_cols[field] = arr
-        return self._dv_cols[field][docs - self.base]
+        """Doc values of ``field`` for the given doc_ids (all None when the
+        index does not carry the field: exists()=0 semantics)."""
+        col = self.docvalues.column(field)
+        if col is None:
+            return np.full(len(docs), None, dtype=object)
+        return col[docs]
 
     def boundary_convs(self) -> list[str]:
         """conv_id of this shard's first and last doc — the only
@@ -431,8 +456,9 @@ class ShardSearcher:
         these two can have turns in a neighbouring shard. Used by the
         bounded conv/collapse partials (actors.py) to ship split
         conversations unconditionally."""
-        arr = self.docvalues_local(
-            "conv_id", np.arange(self.base, self.base + self.docs_per_shard))
+        arr = self.docvalues_local("conv_id", np.arange(
+            self.base, min(self.base + self.docs_per_shard,
+                           self.num_docs_total)))
         present = np.flatnonzero(arr != None)  # noqa: E711
         if len(present) == 0:
             return []
@@ -1180,520 +1206,10 @@ class ShardSearcher:
         return [(int(docs[i]), np.float32(scores[i])) for i in order]
 
 
-class IndexSearcher:
-    """Single-process searcher over all shards (tests / small indexes)."""
+def __getattr__(name):
+    # the in-process coordinators live with the one coordinator class
+    if name in ("IndexSearcher", "MultiIndexSearcher"):
+        from . import actors
 
-    def __init__(self, index_dir: str, similarity: str = "bm25"):
-        self.index_dir = str(index_dir)
-        self._offsets_files: dict = {}  # parquet handle cache (metadata)
-        self.manifest = json.loads(
-            (Path(index_dir) / "manifest.json").read_text())
-        shard_ids = [s["shard_id"] for s in self.manifest["shards"]]
-        self.similarity = similarity
-        self.shards = [
-            ShardSearcher(self.index_dir, sid, self.manifest,
-                          similarity=similarity)
-            for sid in sorted(shard_ids)
-        ]
-        self.analyzer_name = self.manifest["params"]["analyzer"]
-
-    def parse(self, text: str) -> Query:
-        from ..analysis import get_analyzer
-
-        return parse_query(text, get_analyzer(self.analyzer_name))
-
-    def parse_complex(self, text: str) -> Query:
-        """ComplexPhraseQueryParser surface: phrases may embed
-        wildcards / fuzzy / ranges / OR groups / negation."""
-        from ..analysis import get_analyzer
-        from .query import parse_complex_phrase
-
-        return parse_complex_phrase(text, get_analyzer(self.analyzer_name))
-
-    _docmap_cache: np.ndarray | None = None
-    _docvalue_cache: dict | None = None
-
-    def docvalues(self, field: str) -> np.ndarray | None:
-        """Per-doc metadata column indexed by doc_id (doc-values analog);
-        None if the field was not present at index time."""
-        if self._docvalue_cache is None:
-            self._docvalue_cache = {}
-        if field not in self._docvalue_cache:
-            import pyarrow.dataset as pads
-
-            dset = pads.dataset(str(Path(self.index_dir) / "norms"),
-                                format="parquet", partitioning="hive")
-            if field not in dset.schema.names:
-                self._docvalue_cache[field] = None
-            else:
-                t = dset.to_table(columns=["doc_id", field])
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                arr = np.empty(self.manifest["stats"]["num_docs"], dtype=object)
-                arr[ids] = np.asarray(t.column(field).to_pylist(), dtype=object)
-                self._docvalue_cache[field] = arr
-        return self._docvalue_cache[field]
-
-    def facet(self, query: Query | str, field: str,
-              limit: int | None = None,
-              prefix: str = "") -> list[tuple[str, int]]:
-        """Field facet counts over the query's FULL result set
-        (SimpleFacets.java:102-417 semantics: count desc, then value asc,
-        optional limit; ``prefix`` = facet.prefix value filtering)."""
-        from .features import _all_hits
-
-        values = self.docvalues(field)
-        if values is None:
-            raise KeyError(f"field {field!r} was not indexed as a doc value")
-        docs, _ = _all_hits(self, query)
-        if len(docs) == 0:
-            return []
-        vals = values[docs]
-        # docs without the field are omitted, not counted as a 'None'
-        # bucket (SimpleFacets missing-value semantics)
-        vals = vals[vals != None]  # noqa: E711 — elementwise object compare
-        if len(vals) == 0:
-            return []
-        uniq, counts = np.unique(vals.astype(str), return_counts=True)
-        if prefix:
-            keep = np.char.startswith(uniq.astype(str), prefix)
-            uniq, counts = uniq[keep], counts[keep]
-            if len(uniq) == 0:
-                return []
-        order = np.lexsort((uniq, -counts))
-        out = [(str(uniq[i]), int(counts[i])) for i in order]
-        return out[:limit] if limit else out
-
-    def term_offsets(self, doc_ids: list[int]
-                     ) -> dict[int, tuple[list[int], list[int]]]:
-        """Per-doc raw-token char spans from the build-time offsets
-        sidecar (``store_offsets=True`` builds; PostingsHighlighter's
-        stored-offsets analog, doc-major). Pushdown read — only row
-        groups containing the requested page of hits decompress."""
-        import pyarrow.dataset as pads
-
-        p = Path(self.index_dir) / "offsets"
-        if not p.exists():
-            return {}
-        # prune at the directory level first (doc ranges map to shard
-        # dirs), then let doc_id row-group stats prune inside the files
-        dps = int(self.manifest["params"]["docs_per_shard"])
-        want = sorted({int(d) for d in doc_ids})
-        dirs = sorted({p / f"shard={d // dps:05d}" for d in want})
-        files = sorted(str(f) for d in dirs if d.exists()
-                       for f in d.glob("*.parquet"))
-        if not files:
-            return {}
-        # manual row-group pruning (doc_id min/max stats): the generic
-        # dataset filter path decodes far more than the hit page needs
-        # on wide list columns; offsets files are written with 32-row
-        # groups so each hit costs one small row-group decode
-        want_arr = np.asarray(want, dtype=np.int64)
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        import pyarrow.parquet as _pq
-
-        for f in files:
-            pf = self._offsets_files.get(f)
-            if pf is None:
-                pf = self._offsets_files[f] = _pq.ParquetFile(f)
-            md = pf.metadata
-            idx_col = pf.schema_arrow.get_field_index("doc_id")
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(idx_col).statistics
-                if st is not None and not (
-                        (want_arr >= st.min) & (want_arr <= st.max)).any():
-                    continue
-                t = pf.read_row_group(rg)
-                ids = t.column("doc_id").to_numpy()
-                sel = np.nonzero(np.isin(ids, want_arr))[0]
-                for i in sel:
-                    spans = np.frombuffer(
-                        t.column("spans")[i].as_buffer(), dtype="<i4")
-                    half = len(spans) // 2
-                    out[int(ids[i])] = (spans[:half], spans[half:])
-        return out
-
-    def term_vectors(self, doc_ids: list[int]
-                     ) -> dict[int, list[tuple[str, int, list[int]]]]:
-        """TermVectorComponent: (term, freq, positions) per requested doc
-        (typically the current page of hits)."""
-        by_id = {sh.shard_id: sh for sh in self.shards}
-        out: dict[int, list] = {}
-        for d in doc_ids:
-            sh = by_id.get(int(d) // self.shards[0].docs_per_shard)
-            out[int(d)] = sh.term_vector(int(d)) if sh is not None else []
-        return out
-
-    def spellcheck(self, term: str, k: int = 5,
-                   max_edits: int = 2) -> list[tuple[str, int]]:
-        """Did-you-mean suggestions (SpellCheckComponent /
-        DirectSpellChecker analog, ``solr/core/.../handler/component/
-        SpellCheckComponent.java``, ``lucene/suggest/.../DirectSpellChecker``):
-        index terms within Damerau-OSA edit distance <= max_edits of the
-        input, ranked by (distance asc, global docFreq desc, term asc).
-        The input term itself is excluded."""
-        from .query import FuzzyQuery, expand_multi_term, levenshtein_within
-
-        agg: dict[str, int] = {}
-        for sh in self.shards:
-            for t in expand_multi_term(
-                    FuzzyQuery(term=term, max_edits=max_edits),
-                    sh._terms.seq()):
-                if t == term:
-                    continue
-                agg[t] = agg.get(t, 0) + int(sh._df[sh._terms[t]])
-
-        def dist(t: str) -> int:
-            for d in range(1, max_edits + 1):
-                if levenshtein_within(term, t, d):
-                    return d
-            return max_edits
-
-        ranked = sorted(agg.items(), key=lambda kv: (dist(kv[0]), -kv[1],
-                                                     kv[0]))
-        return ranked[:k]
-
-    def spellcheck_collate(self, query_text: str, max_tries: int = 5,
-                           k_sugg: int = 3) -> dict | None:
-        """Collation (``solr/core/src/java/org/apache/solr/spelling/
-        SpellCheckCollator.java:69`` collate(), the ``collate=true``
-        response): substitute suggestions for the query's zero-docFreq
-        words, re-run the rewritten query, and return the first
-        collation that yields hits — ``{"collation", "hits", "tries"}``
-        — or None after ``max_tries`` rewrites."""
-        from .features import _all_hits
-
-        return collate_walk(
-            self, query_text, max_tries, k_sugg,
-            lambda q: int(len(_all_hits(self, q)[0])))
-
-
-
-    def terms(self, prefix: str = "", regex: str | None = None,
-              limit: int = 10, sort: str = "count") -> list[tuple[str, int]]:
-        """TermsComponent (``solr/core/.../handler/component/
-        TermsComponent.java``): enumerate index terms with global docFreq,
-        filtered by prefix and/or regex, sorted by count desc (value asc
-        ties) or by value ('index' order)."""
-        import re as _re
-
-        rx = _re.compile(regex) if regex else None
-        agg: dict[str, int] = {}
-        for sh in self.shards:
-            for t, i in sh._terms.items():
-                if prefix and not t.startswith(prefix):
-                    continue
-                if rx is not None and not rx.fullmatch(t):
-                    continue
-                agg[t] = agg.get(t, 0) + int(sh._df[i])
-        if sort == "index":
-            ranked = sorted(agg.items())
-        else:
-            ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit]
-
-    def suggest(self, prefix: str, k: int = 5) -> list[tuple[str, int]]:
-        """Prefix suggestions ranked by global docFreq (TermsComponent /
-        suggester analog over the term dictionary)."""
-        from .query import PrefixQuery, expand_multi_term
-
-        agg: dict[str, int] = {}
-        for sh in self.shards:
-            for t in expand_multi_term(PrefixQuery(prefix=prefix),
-                                       sh._terms.seq()):
-                agg[t] = agg.get(t, 0) + int(sh._df[sh._terms[t]])
-        ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:k]
-
-    def docmap(self) -> np.ndarray:
-        """conv_id per doc_id (lazy; used by block-join / result display)."""
-        if self._docmap_cache is None:
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(str(Path(self.index_dir) / "norms"),
-                             format="parquet", partitioning="hive").to_table(
-                columns=["doc_id", "conv_id"])
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            arr = np.empty(self.manifest["stats"]["num_docs"], dtype=object)
-            arr[ids] = np.asarray(t.column("conv_id").to_pylist(), dtype=object)
-            self._docmap_cache = arr
-        return self._docmap_cache
-
-    def global_df(self, query: Query) -> dict[str, int]:
-        terms = sorted(collect_terms(query))
-        df: dict[str, int] = {}
-        for sh in self.shards:
-            for t, d in sh.local_df(terms).items():
-                df[t] = df.get(t, 0) + d
-        return df
-
-    def search(self, query: Query | str, k: int = 10, sort=None,
-               filter_range=None, after=None):
-        """Top-k across shards. ``sort``: [(docvalue_field, descending)]
-        replaces score ranking (TopFieldCollector / Sort); ``filter_range``:
-        {field: (lo, hi)} inclusive docvalue ranges composed with the query
-        (numeric point/range filtering); ``after``: (score, doc_id) cursor
-        for deep paging (IndexSearcher.searchAfter). Returns
-        (doc_id, score) pairs."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        df_map = self.global_df(query)
-        from .query import CommonTermsQuery, rewrite_common_terms
-
-        if isinstance(query, CommonTermsQuery):
-            # df split needs GLOBAL stats, so rewrite on the driver
-            query = rewrite_common_terms(
-                query, df_map, self.manifest["stats"]["num_docs"])
-        hits = []
-        for sh in self.shards:
-            hits.extend(sh.search(query, df_map, k, sort=sort,
-                                  filter_range=filter_range, after=after))
-        if sort:
-            hits.sort(key=lambda h: _merge_sort_key(h, sort))
-            return [(d, s) for d, s, _ in hits[:k]]
-        hits.sort(key=lambda h: (-float(h[1]), h[0]))
-        return hits[:k]
-
-    def explain(self, query: Query | str, doc_id: int) -> dict | None:
-        """Explanation tree for one document's score (IndexSearcher.
-        explain / Solr debugQuery): routed to the shard owning the doc
-        (doc-range sharding makes it derivable), scored with the same
-        GLOBAL stats the search path uses, so the explained value equals
-        the served score bit-for-bit. None if the doc doesn't match."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        df_map = self.global_df(query)
-        from .query import CommonTermsQuery, rewrite_common_terms
-
-        if isinstance(query, CommonTermsQuery):
-            query = rewrite_common_terms(
-                query, df_map, self.manifest["stats"]["num_docs"])
-        sid = int(doc_id) // self.shards[0].docs_per_shard
-        if sid >= len(self.shards):
-            return None
-        return self.shards[sid].explain(query, int(doc_id), df_map)
-
-    def search_after(self, query: Query | str, k: int = 10, cursor=None):
-        """cursorMark-style page fetch: returns (hits, next_cursor);
-        next_cursor is None when the result set is exhausted. Unlike
-        offset paging, each page costs one (pruned) search — no
-        re-collection of the skipped prefix on the shards."""
-        hits = self.search(query, k=k, after=cursor)
-        if not hits:
-            return [], None
-        last = hits[-1]
-        nxt = (float(last[1]), int(last[0])) if len(hits) == k else None
-        return hits, nxt
-
-    def resolve_hits(self, hits):
-        """(doc_id, score) list -> rows with the docmap identity columns
-        (the stored-fields fetch phase, PURPOSE_GET_FIELDS analog —
-        QueryComponent.java:748,766; full stored fields live in the source
-        Parquet, addressable by (conv_id, turn_idx))."""
-        import pyarrow.dataset as pads
-
-        ids = [d for d, _ in hits]
-        if not ids:
-            return []
-        t = pads.dataset(str(Path(self.index_dir) / "norms"),
-                         format="parquet", partitioning="hive").to_table(
-            columns=["doc_id", "conv_id", "turn_idx"],
-            filter=pads.field("doc_id").isin(ids))
-        lookup = {r["doc_id"]: (r["conv_id"], r["turn_idx"])
-                  for r in t.to_pylist()}
-        return [
-            {"doc_id": d, "score": float(s),
-             "conv_id": lookup[d][0], "turn_idx": lookup[d][1]}
-            for d, s in hits
-        ]
-
-
-def collate_walk(searcher, query_text: str, max_tries: int,
-                 k_sugg: int, count_hits) -> dict | None:
-    """The SpellCheckCollator walk shared by the in-process and
-    distributed searchers: find zero-df words, substitute ranked
-    suggestions (best everywhere first, then one word at a time moves
-    to its next-ranked alternative), return the first rewrite whose
-    ``count_hits(collation)`` is positive."""
-    from ..analysis import get_analyzer
-
-    analyzer = get_analyzer(searcher.analyzer_name)
-    chunks = query_text.split()
-    misspelled: list[tuple[int, str, list[str]]] = []
-    for i, ch in enumerate(chunks):
-        if ch.upper() in ("AND", "OR", "NOT") or not ch.isalnum():
-            continue
-        terms, _ = analyzer.analyze(ch)
-        if len(terms) != 1:
-            continue
-        if searcher.global_df(TermQuery(terms[0])).get(terms[0], 0) == 0:
-            sugg = [t for t, _ in searcher.spellcheck(terms[0],
-                                                      k=k_sugg)]
-            if not sugg:
-                return None  # unfixable word: no collation possible
-            misspelled.append((i, terms[0], sugg))
-    if not misspelled:
-        return None  # nothing to collate (SpellCheckCollator no-op)
-
-    def candidates():
-        yield [0] * len(misspelled)
-        for depth in range(1, k_sugg):
-            for which in range(len(misspelled)):
-                if depth < len(misspelled[which][2]):
-                    pick = [0] * len(misspelled)
-                    pick[which] = depth
-                    yield pick
-
-    tries = 0
-    for pick in candidates():
-        if tries >= max_tries:
-            break
-        tries += 1
-        new_chunks = list(chunks)
-        for (i, _, sugg), j in zip(misspelled, pick):
-            new_chunks[i] = sugg[j]
-        collation = " ".join(new_chunks)
-        hits = count_hits(collation)
-        if hits > 0:
-            return {"collation": collation, "hits": int(hits),
-                    "tries": tries}
-    return None
-
-
-class MultiIndexSearcher:
-    """MultiReader analog (``lucene/core/src/java/org/apache/lucene/index/
-    MultiReader.java:43`` + BaseCompositeReader's docBase arithmetic):
-    search several standalone indexes as ONE logical index without
-    merging — sub-index i's documents appear at
-    ``[base_i, base_i + num_docs_i)`` where ``base_i`` is the sum of the
-    preceding indexes' maxDocs, exactly the reference's sub-reader doc
-    base. Query-time statistics (docFreq, docCount,
-    sumTotalTermFreq → avgdl) are the COMBINED values, so scores are
-    bit-equal to an ``add_indexes``-merged index (asserted in tests);
-    each sub-index keeps its own ``num_docs`` for layout (MatchAllDocs
-    clamping). Analyzers must match — the same compatible-schema rule
-    ``add_indexes`` enforces. The federation is the query side of
-    ``split_index``: split a hot index, keep serving both halves as one.
-    """
-
-    def __init__(self, index_dirs, similarity: str = "bm25"):
-        if not index_dirs:
-            raise ValueError("MultiIndexSearcher needs >= 1 index")
-        self.manifests = [
-            json.loads((Path(d) / "manifest.json").read_text())
-            for d in index_dirs]
-        analyzers = {m["params"]["analyzer"] for m in self.manifests}
-        if len(analyzers) != 1:
-            raise ValueError(
-                f"sub-index analyzers must match, got {sorted(analyzers)}")
-        self.analyzer_name = analyzers.pop()
-        num = sum(m["stats"]["num_docs"] for m in self.manifests)
-        dc = sum(m["stats"]["doc_count"] for m in self.manifests)
-        ttf = sum(m["stats"]["sum_total_term_freq"] for m in self.manifests)
-        avgdl = float(bm25.avg_field_length(ttf, max(dc, 1)))
-        self.manifest = {"params": self.manifests[0]["params"],
-                         "stats": {"num_docs": num, "doc_count": dc,
-                                   "sum_total_term_freq": ttf,
-                                   "avgdl": avgdl}}
-        self.subs = []
-        base = 0
-        for d, m in zip(index_dirs, self.manifests):
-            patched = {**m, "stats": {**m["stats"], "doc_count": dc,
-                                      "sum_total_term_freq": ttf,
-                                      "avgdl": avgdl}}
-            shards = [ShardSearcher(str(d), sid, patched,
-                                    similarity=similarity)
-                      for sid in sorted(s["shard_id"]
-                                        for s in m["shards"])]
-            self.subs.append((str(d), base, m, shards))
-            base += int(m["stats"]["num_docs"])
-
-    def parse(self, text: str) -> Query:
-        from ..analysis import get_analyzer
-
-        return parse_query(text, get_analyzer(self.analyzer_name))
-
-    def parse_complex(self, text: str) -> Query:
-        from ..analysis import get_analyzer
-        from .query import parse_complex_phrase
-
-        return parse_complex_phrase(text, get_analyzer(self.analyzer_name))
-
-    def global_df(self, query: Query) -> dict[str, int]:
-        terms = sorted(collect_terms(query))
-        df: dict[str, int] = {}
-        for _, _, _, shards in self.subs:
-            for sh in shards:
-                for t, d in sh.local_df(terms).items():
-                    df[t] = df.get(t, 0) + d
-        return df
-
-    def search(self, query: Query | str, k: int = 10, sort=None,
-               filter_range=None, after=None):
-        if isinstance(query, str):
-            query = self.parse(query)
-        df_map = self.global_df(query)
-        from .query import CommonTermsQuery, rewrite_common_terms
-
-        if isinstance(query, CommonTermsQuery):
-            query = rewrite_common_terms(
-                query, df_map, self.manifest["stats"]["num_docs"])
-        hits = []
-        for _, base, _, shards in self.subs:
-            sub_after = ((after[0], int(after[1]) - base)
-                         if after is not None else None)
-            for sh in shards:
-                for h in sh.search(query, df_map, k, sort=sort,
-                                   filter_range=filter_range,
-                                   after=sub_after):
-                    hits.append((h[0] + base,) + tuple(h[1:]))
-        if sort:
-            hits.sort(key=lambda h: _merge_sort_key(h, sort))
-            return [(d, s) for d, s, _ in hits[:k]]
-        hits.sort(key=lambda h: (-float(h[1]), h[0]))
-        return hits[:k]
-
-    def explain(self, query: Query | str, doc_id: int) -> dict | None:
-        if isinstance(query, str):
-            query = self.parse(query)
-        df_map = self.global_df(query)
-        from .query import CommonTermsQuery, rewrite_common_terms
-
-        if isinstance(query, CommonTermsQuery):
-            query = rewrite_common_terms(
-                query, df_map, self.manifest["stats"]["num_docs"])
-        doc_id = int(doc_id)
-        for _, base, m, shards in self.subs:
-            if base <= doc_id < base + int(m["stats"]["num_docs"]):
-                local = doc_id - base
-                sid = local // shards[0].docs_per_shard
-                if sid >= len(shards):
-                    return None
-                return shards[sid].explain(query, local, df_map)
-        return None
-
-    def search_after(self, query: Query | str, k: int = 10, cursor=None):
-        hits = self.search(query, k=k, after=cursor)
-        if not hits:
-            return [], None
-        last = hits[-1]
-        nxt = (float(last[1]), int(last[0])) if len(hits) == k else None
-        return hits, nxt
-
-    def resolve_hits(self, hits):
-        import pyarrow.dataset as pads
-
-        out = {}
-        for d, base, m, _ in self.subs:
-            lo, hi = base, base + int(m["stats"]["num_docs"])
-            ids = [h - base for h, _ in hits if lo <= h < hi]
-            if not ids:
-                continue
-            t = pads.dataset(str(Path(d) / "norms"), format="parquet",
-                             partitioning="hive").to_table(
-                columns=["doc_id", "conv_id", "turn_idx"],
-                filter=pads.field("doc_id").isin(ids))
-            for r in t.to_pylist():
-                out[r["doc_id"] + base] = (r["conv_id"], r["turn_idx"])
-        return [{"doc_id": d, "score": float(s),
-                 "conv_id": out[d][0], "turn_idx": out[d][1]}
-                for d, s in hits]
+        return getattr(actors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ import pytest
 from lucene_solr_ray.data.transcripts import generate_transcripts
 from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.index.update import atomic_update, realtime_get
-from lucene_solr_ray.search.features import boosted_search, field_stats
 from lucene_solr_ray.search.searcher import IndexSearcher
 
 
@@ -73,14 +72,14 @@ def test_atomic_inc_reflected_in_stats_and_boost(built):
     row = realtime_get(idx, doc_ids=[doc_id])
     key = {"conv_id": row.column("conv_id")[0].as_py(),
            "turn_idx": row.column("turn_idx")[0].as_py()}
-    before = field_stats(s0, term, "score")
+    before = s0.field_stats(term, "score")
     atomic_update(idx, [{**key, "score": {"inc": 1000}}])
     s1 = IndexSearcher(idx)
-    after = field_stats(s1, term, "score")
+    after = s1.field_stats(term, "score")
     assert after["count"] == before["count"]
     assert after["sum"] == pytest.approx(before["sum"] + 1000)
     # boost by score now prefers the inc'd doc
-    top = boosted_search(s1, term, "score", k=1)
+    top = s1.boosted_search(term, "score", k=1)
     assert top[0][0] == doc_id
 
 

@@ -1,0 +1,77 @@
+"""One coordinator, three group layouts: the in-process searcher, a
+2-actor pool and a federation of the split halves answer every query
+method identically over the same data."""
+
+import re
+
+import pyarrow.parquet as pq
+import pytest
+
+from lucene_solr_ray.data.transcripts import generate_transcripts
+from lucene_solr_ray.index.build import build_index
+from lucene_solr_ray.index.update import split_index
+from lucene_solr_ray.search.actors import DistributedSearcher
+from lucene_solr_ray.search.searcher import IndexSearcher, MultiIndexSearcher
+
+QUERIES = ["ray", "data OR index", "ray AND data", '"ray data"',
+           "tool AND NOT error", "the"]
+
+
+@pytest.fixture(scope="module")
+def searchers(ray_session, tmp_path_factory):
+    base = tmp_path_factory.mktemp("coord")
+    pq.write_table(generate_transcripts(240, seed=21), base / "in.parquet")
+    build_index(str(base / "in.parquet"), str(base / "idx"), num_shards=4)
+    split_index(str(base / "idx"), str(base / "a"), str(base / "b"))
+    dist = DistributedSearcher(str(base / "idx"), num_actors=2)
+    yield {"local": IndexSearcher(str(base / "idx")), "actors": dist,
+           "federated": MultiIndexSearcher([str(base / "a"),
+                                            str(base / "b")])}
+    dist.close()
+
+
+def _pages(s, q):
+    out, cursor = [], None
+    while True:
+        hits, cursor = s.search_after(q, k=7, cursor=cursor)
+        out.append(hits)
+        if cursor is None:
+            return out
+
+
+def _explain(s, q):
+    def norm(node):
+        # weight descriptions name the sub-index doc id (Lucene's explain
+        # is segment-local too); every value must match
+        return {**node, "description": re.sub(r"in \d+", "in _",
+                                              node["description"]),
+                "details": [norm(c) for c in node.get("details", [])]}
+
+    return [norm(s.explain(q, d)) for d, _ in s.search(q, k=5)] + \
+        [s.explain(q, 0)]
+
+
+OPS = {
+    "search": lambda s, q: s.search(q, k=15),
+    "search_after": _pages,
+    "explain": _explain,
+    "hit_count": lambda s, q: s.hit_count(q),
+    "facet": lambda s, q: s.facet(q, "role"),
+    "field_stats": lambda s, q: s.field_stats(q, "turn_idx"),
+    "collapse": lambda s, q: s.collapse(q, k=6),
+    "search_conversations": lambda s, q: [
+        s.search_conversations(q, k=6, score_mode=m)
+        for m in ("max", "total")],
+    "boosted_search": lambda s, q: [
+        s.boosted_search(q, expr, k=8) for expr in
+        ("recip(turn_idx,1,10,10)", "sum(1,termfreq(ray))",
+         "sum(ord(turn_idx),norm(text))")],
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_backends_agree(searchers, op):
+    for q in QUERIES:
+        got = {name: OPS[op](s, q) for name, s in searchers.items()}
+        assert got["actors"] == got["local"], (op, q)
+        assert got["federated"] == got["local"], (op, q)

@@ -80,3 +80,42 @@ def test_unconfigured_query_passthrough(s):
     got = elevated_search(s, "ray data", cfg, k=5)
     assert [r["doc_id"] for r in got] == org
     assert not any(r["elevated"] for r in got)
+
+
+def test_pins_in_config_order_and_excludes(s):
+    """Pinned docs first in config order, the organic rest in BM25 order
+    minus the pinned docs; an excluded doc is removed entirely."""
+    base = _organic(s, "ray")
+    assert len(base) >= 3
+    pin = [base[5] if len(base) > 5 else base[-1], base[2]]
+    out = elevated_search(s, "ray", ElevationConfig({"ray": {"elevate": pin}}),
+                          k=10)
+    assert [r["doc_id"] for r in out[:2]] == pin
+    rest = [r["doc_id"] for r in out[2:]]
+    assert rest == [d for d in base if d not in pin][:len(rest)]
+    cfg = ElevationConfig({"ray": {"elevate": pin[:1], "exclude": [pin[1]]}})
+    out2 = elevated_search(s, "ray", cfg, k=10)
+    assert pin[1] not in [r["doc_id"] for r in out2]
+    assert out2[0]["doc_id"] == pin[0]
+
+
+def test_deep_ranked_match_is_pinned_with_its_score(s):
+    """An elevated doc that matches but ranks far below the over-fetch
+    depth is still pinned, with its real score; only non-matching docs
+    need forceElevation (and get score 0)."""
+    full = s.search("ray data", k=10**6)
+    deep, deep_score = full[-1]
+    assert len(full) > 10
+    cfg = ElevationConfig({"ray data": {"elevate": [int(deep)]}})
+    got = elevated_search(s, "ray data", cfg, k=3)
+    assert got[0] == {"doc_id": int(deep), "score": float(deep_score),
+                      "elevated": True}
+    assert [r["doc_id"] for r in got[1:]] == \
+        [int(d) for d, _ in full[:2]]
+    alien = next(d for d in _organic(s, "tool", k=10**6)
+                 if d not in {int(x) for x, _ in full})
+    cfg = ElevationConfig({"ray data": {"elevate": [alien]}})
+    assert alien not in [r["doc_id"] for r in
+                         elevated_search(s, "ray data", cfg, k=3)]
+    forced = elevated_search(s, "ray data", cfg, k=3, force_elevation=True)
+    assert forced[0] == {"doc_id": alien, "score": 0.0, "elevated": True}

@@ -7,7 +7,6 @@ import pytest
 
 from lucene_solr_ray.data.transcripts import transcripts_path
 from lucene_solr_ray.index.build import build_index
-from lucene_solr_ray.search.features import _all_hits, collapse_search
 from lucene_solr_ray.search.oracle import OracleIndex
 from lucene_solr_ray.search.searcher import IndexSearcher
 
@@ -67,12 +66,12 @@ def test_suggest_prefix(searcher):
 
 def test_collapse_search(searcher):
     s, _ = searcher
-    hits = collapse_search(s, "ray data", k=5)
+    hits = s.collapse("ray data", k=5)
     assert hits
     convs = [c for _, _, c in hits]
     assert len(set(convs)) == len(convs)  # one head per conversation
     # head score equals max turn score within that conversation
-    docs, scores = _all_hits(s, "ray data")
+    docs, scores = s.all_hits("ray data")
     dm = s.docmap()
     for doc_id, score, conv in hits:
         mask = np.array([dm[d] == conv for d in docs])
@@ -97,8 +96,7 @@ def test_facet_missing_field_docs_omitted(searcher):
     s, _ = searcher
     full = dict(s.facet("ray", "role"))
     values = s.docvalues("role").copy()
-    docs_hit, _ = __import__(
-        "lucene_solr_ray.search.features", fromlist=["_all_hits"])._all_hits(s, "ray")
+    docs_hit, _ = s.all_hits("ray")
     # blank out the field for half the hit docs
     blanked = docs_hit[::2]
     values[blanked] = None

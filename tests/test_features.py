@@ -6,12 +6,7 @@ import pytest
 
 from lucene_solr_ray.data.transcripts import transcripts_path
 from lucene_solr_ray.index.build import build_index
-from lucene_solr_ray.search.features import (
-    highlight,
-    more_like_this,
-    rerank,
-    search_conversations,
-)
+from lucene_solr_ray.search.features import highlight, more_like_this
 from lucene_solr_ray.search.searcher import IndexSearcher
 
 
@@ -30,14 +25,12 @@ def searcher(built_index):
 
 def test_block_join_max(searcher):
     s, src = searcher
-    hits = search_conversations(s, "ray", k=5, score_mode="max")
+    hits = s.search_conversations("ray", k=5, score_mode="max")
     assert hits
     # oracle: group turn-level scores by conv, take max
     from collections import defaultdict
 
-    from lucene_solr_ray.search.features import _all_hits
-
-    docs, scores = _all_hits(s, "ray")
+    docs, scores = s.all_hits("ray")
     dm = s.docmap()
     agg = defaultdict(lambda: np.float32(0.0))
     for d, sc in zip(docs, scores):
@@ -49,8 +42,8 @@ def test_block_join_max(searcher):
 
 def test_block_join_total(searcher):
     s, _ = searcher
-    hits_max = search_conversations(s, "ray data", k=5, score_mode="max")
-    hits_tot = search_conversations(s, "ray data", k=5, score_mode="total")
+    hits_max = s.search_conversations("ray data", k=5, score_mode="max")
+    hits_tot = s.search_conversations("ray data", k=5, score_mode="total")
     assert hits_max and hits_tot
     # total >= max for any conversation
     tot = dict(hits_tot)
@@ -62,7 +55,7 @@ def test_block_join_total(searcher):
 def test_rerank_boosts_phrase_matches(searcher):
     s, _ = searcher
     base = s.search("ray data", k=10)
-    rr = rerank(s, "ray data", '"ray data"', k=10, top_n=20, weight=5.0)
+    rr = s.rerank("ray data", '"ray data"', k=10, top_n=20, weight=5.0)
     assert rr
     base_map = dict(base)
     for doc_id, score in rr:
@@ -99,13 +92,11 @@ def test_boosted_search_matches_recompute(searcher):
     import numpy as np
     import pyarrow.parquet as _pq
 
-    from lucene_solr_ray.search.features import _all_hits, boosted_search
-
     s, src = searcher
     table = _pq.read_table(src, columns=["turn_idx"])
     turn = table.column("turn_idx").to_numpy(zero_copy_only=False)
-    got = boosted_search(s, "ray data", "recip(turn_idx,1,10,10)", k=8)
-    docs, scores = _all_hits(s, "ray data")
+    got = s.boosted_search("ray data", "recip(turn_idx,1,10,10)", k=8)
+    docs, scores = s.all_hits("ray data")
     boost = 10.0 / (turn[docs].astype(np.float64) + 10.0)
     final = scores.astype(np.float64) * boost
     order = np.lexsort((docs, -final))[:8]
@@ -119,48 +110,25 @@ def test_boosted_search_matches_recompute(searcher):
 def test_boosted_search_unknown_field(searcher):
     import pytest as _pytest
 
-    from lucene_solr_ray.search.features import boosted_search
-
     s, _ = searcher
     with _pytest.raises(KeyError):
-        boosted_search(s, "ray", "recip(nonexistent,1,10,10)")
+        s.boosted_search("ray", "recip(nonexistent,1,10,10)")
 
 
 def test_field_stats(searcher):
     import numpy as np
     import pyarrow.parquet as _pq
 
-    from lucene_solr_ray.search.features import _all_hits, field_stats
-
     s, src = searcher
     table = _pq.read_table(src, columns=["turn_idx"])
     turn = table.column("turn_idx").to_numpy(zero_copy_only=False)
-    st = field_stats(s, "ray", "turn_idx")
-    docs, _ = _all_hits(s, "ray")
+    st = s.field_stats("ray", "turn_idx")
+    docs, _ = s.all_hits("ray")
     v = turn[docs].astype(np.float64)
     assert st["count"] == len(v)
     assert st["min"] == v.min() and st["max"] == v.max()
     assert st["sum"] == v.sum()
     assert abs(st["mean"] - v.mean()) < 1e-12
-
-
-def test_query_elevation(searcher):
-    from lucene_solr_ray.search.features import elevate
-
-    s, _ = searcher
-    base = s.search("ray", k=10)
-    assert len(base) >= 3
-    pin = [base[5][0] if len(base) > 5 else base[-1][0], base[2][0]]
-    out = elevate(s, "ray", pin, k=10)
-    assert [d for d, _ in out[:2]] == pin
-    # remaining ranking preserves BM25 order minus the pinned docs
-    rest = [d for d, _ in out[2:]]
-    want_rest = [d for d, _ in base if d not in pin][:len(rest)]
-    assert rest == want_rest
-    # exclusion removes a doc entirely
-    out2 = elevate(s, "ray", pin[:1], k=10, exclude_ids=[pin[1]])
-    assert pin[1] not in [d for d, _ in out2]
-    assert out2[0][0] == pin[0]
 
 
 def test_valuesource_stats_accessors_recompute(built_index):
@@ -172,8 +140,7 @@ def test_valuesource_stats_accessors_recompute(built_index):
     from lucene_solr_ray.functions import parse_func
     from lucene_solr_ray.functions.valuesource import (
         bind_index_stats, eval_expr, stats_terms, uses_norm)
-    from lucene_solr_ray.search.features import (_all_hits, boosted_search,
-                                                 decoded_norms, index_stats)
+    from lucene_solr_ray.search.features import decoded_norms, index_stats
     from lucene_solr_ray.search.searcher import IndexSearcher
     from lucene_solr_ray.util.smallfloat import NORM_TABLE
 
@@ -187,8 +154,8 @@ def test_valuesource_stats_accessors_recompute(built_index):
     assert st["numdocs"] == st["maxdoc"]  # no deletes in this fixture
     # boosted_search with accessors == manual recompute per hit
     expr = "mul(ln(sum(1,div(numdocs(),docfreq(ray)))),norm(text))"
-    got = dict(boosted_search(s, "ray", expr, k=1 << 20))
-    docs, scores = _all_hits(s, "ray")
+    got = dict(s.boosted_search("ray", expr, k=1 << 20))
+    docs, scores = s.all_hits("ray")
     idf_ish = np.log(1 + st["numdocs"] / st["docfreq"]["ray"])
     norms = decoded_norms(s, docs)
     for d, bm, nrm in zip(docs, scores, norms):
@@ -203,14 +170,13 @@ def test_valuesource_stats_accessors_recompute(built_index):
 
 def test_stats_accessors_distributed_parity(built_index, ray_session):
     from lucene_solr_ray.search.actors import DistributedSearcher
-    from lucene_solr_ray.search.features import boosted_search
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
     dist = DistributedSearcher(built_index, num_actors=2)
     try:
         expr = "mul(ln(sum(1,div(numdocs(),docfreq(ray)))),norm(text))"
-        want = boosted_search(s, "ray", expr, k=8)
+        want = s.boosted_search("ray", expr, k=8)
         got = dist.boosted_search("ray", expr, k=8)
         assert [d for d, _ in got] == [d for d, _ in want]
         for (gd, gs), (wd, ws) in zip(got, want):
@@ -286,8 +252,7 @@ def test_termfreq_accessors_recompute(built_index):
     statistics (TermFreqValueSource.java:36, TotalTermFreqValueSource,
     SumTotalTermFreqValueSource — lucene/queries/.../valuesource/):
     recompute each from raw shard postings and compare."""
-    from lucene_solr_ray.search.features import (_all_hits, boosted_search,
-                                                 index_stats)
+    from lucene_solr_ray.search.features import index_stats
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
@@ -303,8 +268,8 @@ def test_termfreq_accessors_recompute(built_index):
     assert st["sumttf"] == s.manifest["stats"]["sum_total_term_freq"] > 0
     # boosted_search: score = bm25 * (1 + termfreq(ray)) per hit, with the
     # per-hit tf recomputed straight from the postings lists
-    got = dict(boosted_search(s, "ray", "sum(1,termfreq(ray))", k=1 << 20))
-    docs, scores = _all_hits(s, "ray")
+    got = dict(s.boosted_search("ray", "sum(1,termfreq(ray))", k=1 << 20))
+    docs, scores = s.all_hits("ray")
     tf_of = {}
     for sh in s.shards:
         p = sh._postings("ray")
@@ -317,8 +282,8 @@ def test_termfreq_accessors_recompute(built_index):
         assert abs(got[int(d)] - want) < 1e-6 * max(1.0, abs(want))
     # constant accessors: sumtotaltermfreq()/totaltermfreq(t) are
     # query-independent constants inside the boost
-    got2 = dict(boosted_search(
-        s, "ray", "div(totaltermfreq(ray),sumtotaltermfreq())", k=1 << 20))
+    got2 = dict(s.boosted_search(
+        "ray", "div(totaltermfreq(ray),sumtotaltermfreq())", k=1 << 20))
     ratio = want_ttf / st["sumttf"]
     for d, bm in zip(docs, scores):
         want = float(bm) * ratio
@@ -327,7 +292,6 @@ def test_termfreq_accessors_recompute(built_index):
 
 def test_termfreq_distributed_parity(built_index, ray_session):
     from lucene_solr_ray.search.actors import DistributedSearcher
-    from lucene_solr_ray.search.features import boosted_search
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
@@ -335,7 +299,7 @@ def test_termfreq_distributed_parity(built_index, ray_session):
     try:
         expr = ("mul(sum(1,termfreq(ray)),"
                 "div(totaltermfreq(ray),sumtotaltermfreq()))")
-        want = boosted_search(s, "ray", expr, k=8)
+        want = s.boosted_search("ray", expr, k=8)
         got = dist.boosted_search("ray", expr, k=8)
         assert [d for d, _ in got] == [d for d, _ in want]
         for (gd, gs), (wd, ws) in zip(got, want):
@@ -351,36 +315,34 @@ def test_exists_def_ms_ord_rord(built_index):
     ReverseOrdFieldSource): recompute each against raw doc values."""
     from lucene_solr_ray.functions import parse_func
     from lucene_solr_ray.functions.valuesource import bind_index_stats
-    from lucene_solr_ray.search.features import (_all_hits, boosted_search,
-                                                 global_uniques,
-                                                 index_stats)
+    from lucene_solr_ray.search.features import global_uniques, index_stats
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
-    docs, scores = _all_hits(s, "ray")
+    docs, scores = s.all_hits("ray")
     tvals = s.docvalues("turn_idx")
 
     # exists(turn_idx) == 1 for docs carrying the docvalue
-    got = dict(boosted_search(s, "ray", "exists(turn_idx)", k=1 << 20))
+    got = dict(s.boosted_search("ray", "exists(turn_idx)", k=1 << 20))
     for d, bm in zip(docs, scores):
         want = float(bm) * (0.0 if tvals[int(d)] is None else 1.0)
         assert abs(got[int(d)] - want) < 1e-6
 
     # def() on an unindexed field falls back to the default, not KeyError
-    got = dict(boosted_search(s, "ray", "def(nosuchfield,2.5)", k=1 << 20))
+    got = dict(s.boosted_search("ray", "def(nosuchfield,2.5)", k=1 << 20))
     for d, bm in zip(docs, scores):
         assert abs(got[int(d)] - float(bm) * 2.5) < 1e-6
 
     # def() on an indexed field passes the value through
-    got = dict(boosted_search(s, "ray", "sum(1,def(turn_idx,99))",
-                              k=1 << 20))
+    got = dict(s.boosted_search("ray", "sum(1,def(turn_idx,99))",
+                                k=1 << 20))
     for d, bm in zip(docs, scores):
         v = tvals[int(d)]
         want = float(bm) * (1.0 + (99.0 if v is None else float(v)))
         assert abs(got[int(d)] - want) < 1e-6 * max(1.0, abs(want))
 
     # ms(a, b) = a - b; ms() = request NOW in epoch millis
-    got = dict(boosted_search(s, "ray", "ms(turn_idx,turn_idx)", k=1 << 20))
+    got = dict(s.boosted_search("ray", "ms(turn_idx,turn_idx)", k=1 << 20))
     assert all(abs(v) < 1e-9 for v in got.values())
     import time
     st = index_stats(s, set())
@@ -390,8 +352,8 @@ def test_exists_def_ms_ord_rord(built_index):
     uniq = global_uniques(tvals)
     n = len(uniq)
     rank = {v: i + 1 for i, v in enumerate(uniq)}
-    got_o = dict(boosted_search(s, "ray", "ord(turn_idx)", k=1 << 20))
-    got_r = dict(boosted_search(s, "ray", "rord(turn_idx)", k=1 << 20))
+    got_o = dict(s.boosted_search("ray", "ord(turn_idx)", k=1 << 20))
+    got_r = dict(s.boosted_search("ray", "rord(turn_idx)", k=1 << 20))
     for d, bm in zip(docs, scores):
         v = tvals[int(d)]
         o = 0 if v is None else rank[v]
@@ -409,7 +371,6 @@ def test_exists_def_ms_ord_rord(built_index):
 
 def test_exists_ord_distributed_parity(built_index, ray_session):
     from lucene_solr_ray.search.actors import DistributedSearcher
-    from lucene_solr_ray.search.features import boosted_search
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
@@ -417,7 +378,7 @@ def test_exists_ord_distributed_parity(built_index, ray_session):
     try:
         for expr in ("sum(exists(turn_idx),def(nosuchfield,2.5))",
                      "sum(mul(ord(turn_idx),0.1),rord(turn_idx))"):
-            want = boosted_search(s, "ray", expr, k=8)
+            want = s.boosted_search("ray", expr, k=8)
             got = dist.boosted_search("ray", expr, k=8)
             assert [d for d, _ in got] == [d for d, _ in want], expr
             for (gd, gs), (wd, ws) in zip(got, want):
@@ -431,21 +392,20 @@ def test_idf_valuesource(built_index, ray_session):
     routed through BM25, bm25.py:29): recompute + distributed parity."""
     from lucene_solr_ray.search import bm25
     from lucene_solr_ray.search.actors import DistributedSearcher
-    from lucene_solr_ray.search.features import (_all_hits, boosted_search,
-                                                 index_stats)
+    from lucene_solr_ray.search.features import index_stats
     from lucene_solr_ray.search.searcher import IndexSearcher
 
     s = IndexSearcher(built_index)
     st = index_stats(s, {"ray"})
     want_idf = float(bm25.idf(st["docfreq"]["ray"], st["numdocs"]))
-    got = dict(boosted_search(s, "ray", "idf(ray)", k=1 << 20))
-    docs, scores = _all_hits(s, "ray")
+    got = dict(s.boosted_search("ray", "idf(ray)", k=1 << 20))
+    docs, scores = s.all_hits("ray")
     for d, bm in zip(docs, scores):
         assert abs(got[int(d)] - float(bm) * want_idf) < 1e-6
     dist = DistributedSearcher(built_index, num_actors=2)
     try:
         assert dist.boosted_search("ray", "idf(ray)", k=5) == \
-            boosted_search(s, "ray", "idf(ray)", k=5)
+            s.boosted_search("ray", "idf(ray)", k=5)
     finally:
         dist.close()
 
@@ -478,21 +438,19 @@ def test_interesting_terms(searcher):
 def test_boosted_search_additive_bf(searcher):
     """mode='add' (dismax bf): score + f(doc), rank recomputed."""
     import numpy as np
-    from lucene_solr_ray.search.features import _all_hits, boosted_search
-
     s, _ = searcher
     q = "ray data"
-    docs, scores = _all_hits(s, q)
+    docs, scores = s.all_hits(q)
     tvals = s.docvalues("turn_idx")
     f = np.asarray([0.0 if tvals[d] is None else float(tvals[d])
                     for d in docs])
     want = scores.astype(np.float64) + f
     order = np.lexsort((docs, -want))[:10]
     expect = [(int(docs[i]), float(want[i])) for i in order]
-    got = boosted_search(s, q, "turn_idx", k=10, mode="add")
+    got = s.boosted_search(q, "turn_idx", k=10, mode="add")
     assert got == expect
     # multiplicative default unchanged
-    got_mul = boosted_search(s, q, "turn_idx", k=10)
+    got_mul = s.boosted_search(q, "turn_idx", k=10)
     want_mul = scores.astype(np.float64) * f
     order2 = np.lexsort((docs, -want_mul))[:10]
     assert got_mul == [(int(docs[i]), float(want_mul[i]))

@@ -135,10 +135,8 @@ def test_min_should_match_with_must(indexed):
 
 def test_field_sort_matches_recompute(indexed):
     s, oi, t = indexed
-    from lucene_solr_ray.search.features import _all_hits
-
     turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-    docs, _ = _all_hits(s, "ray")
+    docs, _ = s.all_hits("ray")
     for desc in (True, False):
         got = s.search("ray", k=15, sort=[("turn_idx", desc)])
         keyed = sorted(((int(turn[d]), d) for d in docs),
@@ -149,10 +147,8 @@ def test_field_sort_matches_recompute(indexed):
 
 def test_field_sort_string_key(indexed):
     s, oi, t = indexed
-    from lucene_solr_ray.search.features import _all_hits
-
     roles = t.column("role").to_pylist()
-    docs, _ = _all_hits(s, "data")
+    docs, _ = s.all_hits("data")
     got = s.search("data", k=12, sort=[("role", False), ("turn_idx", True)])
     turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
     keyed = sorted(((roles[d], -int(turn[d]), d) for d in docs))

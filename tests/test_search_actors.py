@@ -67,12 +67,10 @@ FEATURE_QUERIES = ["ray", "data index", "ray AND data", "the"]
 
 
 def test_distributed_block_join_matches_local(dist_pair):
-    from lucene_solr_ray.search.features import search_conversations
-
     local, dist = dist_pair
     for q in FEATURE_QUERIES:
         for mode in ("max", "total"):
-            want = search_conversations(local, q, k=8, score_mode=mode)
+            want = local.search_conversations(q, k=8, score_mode=mode)
             got = dist.search_conversations(q, k=8, score_mode=mode)
             assert [c for c, _ in got] == [c for c, _ in want], (q, mode)
             for (gc, gs), (wc, ws) in zip(got, want):
@@ -80,11 +78,9 @@ def test_distributed_block_join_matches_local(dist_pair):
 
 
 def test_distributed_collapse_matches_local(dist_pair):
-    from lucene_solr_ray.search.features import collapse_search
-
     local, dist = dist_pair
     for q in FEATURE_QUERIES:
-        want = collapse_search(local, q, k=8)
+        want = local.collapse(q, k=8)
         got = dist.collapse(q, k=8)
         assert [(d, c) for d, _, c in got] == [(d, c) for d, _, c in want], q
         for (gd, gs, gc), (wd, ws, wc) in zip(got, want):
@@ -92,11 +88,9 @@ def test_distributed_collapse_matches_local(dist_pair):
 
 
 def test_distributed_field_stats_matches_local(dist_pair):
-    from lucene_solr_ray.search.features import field_stats
-
     local, dist = dist_pair
     for q in FEATURE_QUERIES:
-        want = field_stats(local, q, "turn_idx")
+        want = local.field_stats(q, "turn_idx")
         got = dist.field_stats(q, "turn_idx")
         assert got["count"] == want["count"], q
         for key in ("min", "max", "sum", "mean"):
@@ -107,10 +101,8 @@ def test_distributed_field_stats_matches_local(dist_pair):
 
 
 def test_distributed_rerank_matches_local(dist_pair):
-    from lucene_solr_ray.search.features import rerank
-
     local, dist = dist_pair
-    want = rerank(local, "ray", '"ray data"', k=8, top_n=20)
+    want = local.rerank("ray", '"ray data"', k=8, top_n=20)
     got = dist.rerank("ray", '"ray data"', k=8, top_n=20)
     assert [d for d, _ in got] == [d for d, _ in want]
     for (gd, gs), (wd, ws) in zip(got, want):
@@ -118,11 +110,9 @@ def test_distributed_rerank_matches_local(dist_pair):
 
 
 def test_distributed_boosted_search_matches_local(dist_pair):
-    from lucene_solr_ray.search.features import boosted_search
-
     local, dist = dist_pair
     expr = "recip(turn_idx,1,10,10)"
-    want = boosted_search(local, "ray", expr, k=8)
+    want = local.boosted_search("ray", expr, k=8)
     got = dist.boosted_search("ray", expr, k=8)
     assert [d for d, _ in got] == [d for d, _ in want]
     for (gd, gs), (wd, ws) in zip(got, want):
@@ -145,9 +135,7 @@ def test_distributed_range_facet_over_hits(dist_pair):
     # recompute from the in-process full hit set
     import numpy as np
 
-    from lucene_solr_ray.search.features import _all_hits
-
-    docs, _ = _all_hits(local, "ray")
+    docs, _ = local.all_hits("ray")
     vals = np.asarray([v for v in local.docvalues("turn_idx")[docs]
                        if v is not None], dtype=np.float64)
     assert got["before"] == int((vals < 0).sum())
@@ -178,11 +166,9 @@ def test_distributed_more_like_this(dist_pair):
 def test_distributed_extended_stats_and_facet_query(dist_pair):
     import numpy as np
 
-    from lucene_solr_ray.search.features import _all_hits
-
     local, dist = dist_pair
     got = dist.field_stats("ray", "turn_idx")
-    docs, _ = _all_hits(local, "ray")
+    docs, _ = local.all_hits("ray")
     vals = np.asarray([v for v in local.docvalues("turn_idx")[docs]
                        if v is not None], dtype=np.float64)
     assert got["count"] == len(vals)
@@ -192,7 +178,7 @@ def test_distributed_extended_stats_and_facet_query(dist_pair):
     # facet.query: counts per arbitrary sub-query
     fq = dist.facet_query(["ray", "ray AND data", "zzzmissing"])
     assert fq["ray"] == len(docs)
-    and_docs, _ = _all_hits(local, "ray AND data")
+    and_docs, _ = local.all_hits("ray AND data")
     assert fq["ray AND data"] == len(and_docs)
     assert fq["zzzmissing"] == 0
 
@@ -211,12 +197,10 @@ def test_distributed_search_after_pages(dist_pair):
 
 
 def test_expand_component_local_and_distributed(dist_pair):
-    from lucene_solr_ray.search.features import collapse_search, expand_groups
-
     local, dist = dist_pair
-    heads = collapse_search(local, "ray", k=5)
+    heads = local.collapse("ray", k=5)
     assert heads
-    want = expand_groups(local, "ray", heads, per_group=3)
+    want = local.expand("ray", heads, per_group=3)
     got = dist.expand("ray", heads, per_group=3)
     assert set(got) == set(want)
     for c in want:
@@ -236,7 +220,7 @@ def test_conv_collapse_partials_are_bounded(dist_pair):
 
     local, dist = dist_pair
     q = dist.parse("ray")
-    df = dist._stats_phase(q)
+    df = dist.global_df(q)
     k = 3
     for actor in dist.actors:
         full = _ray.get(actor.conv_partial.remote(q, df, "total", None))
@@ -253,14 +237,12 @@ def test_conv_collapse_partials_are_bounded(dist_pair):
         for c, v in cbound.items():
             assert v == cfull[c]
     # end-to-end: bounded top-k identical to an unbounded driver merge
-    from lucene_solr_ray.search.features import (collapse_search,
-                                                 search_conversations)
     for mode in ("max", "total"):
-        want = search_conversations(local, "ray", k=k, score_mode=mode)
+        want = local.search_conversations("ray", k=k, score_mode=mode)
         got = dist.search_conversations("ray", k=k, score_mode=mode)
         assert [c for c, _ in got] == [c for c, _ in want], mode
     assert [(d, c) for d, _, c in dist.collapse("ray", k=k)] == \
-        [(d, c) for d, _, c in collapse_search(local, "ray", k=k)]
+        [(d, c) for d, _, c in local.collapse("ray", k=k)]
 
 
 def test_unfiltered_terms_enumeration_is_bounded(dist_pair):
@@ -280,3 +262,44 @@ def test_unfiltered_terms_enumeration_is_bounded(dist_pair):
             assert len(p) < vocab
         assert dist.terms(limit=10, sort=sort) == \
             local.terms(limit=10, sort=sort), sort
+
+
+def _outcome(dist, queries):
+    """search_batch result, or None when the call raised."""
+    import ray
+
+    try:
+        return dist.search_batch(queries, k=10)
+    except ray.exceptions.RayError:
+        return None
+
+
+def test_killed_actor_gives_same_result_or_raises(built):
+    """A SearchActor killed between two batches or during one is
+    restarted and the batch re-run: each call returns exactly the
+    pre-kill result or raises, never a short or partial top-k."""
+    import threading
+    import time
+
+    import ray
+
+    queries = QUERIES * 20
+    dist = DistributedSearcher(built, num_actors=2)
+    try:
+        want = dist.search_batch(queries, k=10)
+        victim = dist.actors[0]
+        ray.kill(victim, no_restart=False)
+        outcomes = [_outcome(dist, queries)]
+        during: dict = {}
+        t = threading.Thread(
+            target=lambda: during.update(out=_outcome(dist, queries)))
+        t.start()
+        time.sleep(0.02)
+        ray.kill(victim, no_restart=False)
+        t.join()
+        outcomes.append(during["out"])
+        for got in outcomes:
+            assert got is None or got == want
+        assert dist.search_batch(queries, k=10) == want
+    finally:
+        dist.close()
