@@ -8,7 +8,7 @@ data-processing capabilities (reference: Lucene 7.0.0-SNAPSHOT) on top of
   per-codepoint lowercase, 33-word English stop filter with position holes).
 - ``index``     — distributed inverted-index build: doc_id assignment,
   SPIMI-style per-partition runs via an actor pool, term groupby shuffle,
-  delta+varint block-encoded postings with skip and block-max metadata,
+  delta+varint encoded postings,
   doc-sharded segments plus a versioned manifest (resume support).
 - ``search``    — BM25 (k1=1.2, b=0.75, Lucene's Okapi variant, float32)
   top-k over sharded segments served from Ray actor pools; boolean

@@ -355,11 +355,9 @@ def _explode_runs(batch: pa.Table) -> pa.Table:
 
     doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     shards = batch.column("doc_shard").to_numpy(zero_copy_only=False)
-    norms = batch.column("norm_byte").to_numpy(zero_copy_only=False)
 
     rep_doc = np.repeat(doc_ids, term_counts)
     rep_shard = np.repeat(shards, term_counts)
-    rep_norm = np.repeat(norms, term_counts)
 
     # positions per posting: split flat per-doc positions by freqs
     freqs_np = flat_freqs.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -375,7 +373,6 @@ def _explode_runs(batch: pa.Table) -> pa.Table:
         "doc_id": pa.array(rep_doc, type=pa.int64()),
         "freq": pa.array(freqs_np, type=pa.int64()),
         "positions": positions,
-        "norm_byte": pa.array(rep_norm, type=pa.uint8()),
     })
 
 
@@ -429,7 +426,6 @@ class SegmentWriter:
 
         doc_ids = doc_ids[sort_idx]
         freqs = group.column("freq").to_numpy(zero_copy_only=False)[sort_idx]
-        norm_bytes = group.column("norm_byte").to_numpy(zero_copy_only=False)[sort_idx]
         pos_list = group.column("positions")
         if isinstance(pos_list, pa.ChunkedArray):
             pos_list = pos_list.combine_chunks()
@@ -451,7 +447,7 @@ class SegmentWriter:
 
         base = shard_id * self.docs_per_shard
         table = segment.encode_shard_postings(
-            None, doc_ids, freqs, pos_flat, norm_bytes, base,
+            None, doc_ids, freqs, pos_flat, base,
             uniq_terms=uniq_terms, term_offsets=term_offsets,
             codec=self.codec)
 
@@ -689,8 +685,8 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
         run_dir.mkdir(parents=True, exist_ok=True)
         # runs carry only what the encode wave reads (norms carry the docmap)
         pq.write_table(
-            piece.select(["doc_id", "doc_shard", "norm_byte",
-                          "terms", "freqs", "pos_flat"]),
+            piece.select(["doc_id", "doc_shard", "terms", "freqs",
+                          "pos_flat"]),
             run_dir / f"run-{task_id:05d}.parquet")
         norm_dir = Path(norms_dir) / f"doc_shard={sid}"
         norm_dir.mkdir(parents=True, exist_ok=True)
@@ -739,7 +735,7 @@ def _encode_shard_dir_task(runs_dir: str, shard_id: int, index_dir: str,
     shard_runs = Path(runs_dir) / f"shard={shard_id:05d}"
     if not shard_runs.exists():
         return []
-    cols = ["doc_id", "doc_shard", "norm_byte", "terms", "freqs", "pos_flat"]
+    cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
     tables = [pq.read_table(p, columns=cols)
               for p in sorted(shard_runs.glob("*.parquet"))]
     t = pa.concat_tables(tables)
@@ -895,6 +891,17 @@ def build_index(
     choice is recorded in the manifest and every reader dispatches on
     it."""
     segment.get_codec(postings_codec)  # validate up front
+    if store_offsets:
+        from ..analysis.tokenizer import DEFAULT_MAX_TOKEN_LENGTH
+
+        # a non-default limit skips over-long tokens with a position hole
+        # that the offsets sidecar has no span for: later spans would shift
+        mtl = get_analyzer(analyzer).tokenizer.max_token_length
+        if mtl != DEFAULT_MAX_TOKEN_LENGTH:
+            raise ValueError(
+                "store_offsets requires the default max_token_length "
+                f"({DEFAULT_MAX_TOKEN_LENGTH}); analyzer {analyzer!r} "
+                f"uses {mtl}")
     t0 = time.time()
     phases: dict[str, float] = {}
     _last = [t0]
@@ -1021,7 +1028,7 @@ def build_index(
     # — one independent task per shard, predicate-pushdown read, no
     # all-to-all. "groupby": the explicit Ray groupby shuffle (used when
     # upstream alignment cannot be assumed).
-    run_cols = ["doc_id", "doc_shard", "norm_byte", "terms", "freqs", "pos_flat"]
+    run_cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
     if shuffle == "aligned":
         futures = [
             _encode_shard_task.remote(
@@ -1070,7 +1077,6 @@ def _write_manifest(index_path: Path, analyzer: str, docs_per_shard: int,
             "analyzer": analyzer,
             "docs_per_shard": int(docs_per_shard),
             "num_shards": int(actual_shards),
-            "block_size": segment.BLOCK_SIZE,
             "postings_codec": postings_codec,
             "offsets": bool(offsets),
             "k1": float(bm25.K1),

@@ -4,9 +4,8 @@
 Validates, per shard: terms sorted and unique; doc_ids strictly ascending
 within each posting list and inside the shard's [doc_lo, doc_hi) range;
 df == decoded list length; ttf == sum of freqs; per-doc positions strictly
-ascending with counts matching freqs; skip/block metadata consistent.
-Globally: manifest stats equal the per-shard sums, and the norms docmap
-covers every doc_id exactly once.
+ascending with counts matching freqs. Globally: manifest stats equal the
+per-shard sums, and the norms docmap covers every doc_id exactly once.
 
 Shards are checked in PARALLEL as Ray tasks when a Ray session is active
 (single-process CheckIndex over a 13M-doc index takes tens of minutes;
@@ -49,11 +48,6 @@ def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
     doc_enc = t.column("doc_ids_enc").to_pylist()
     freq_enc = t.column("freqs_enc").to_pylist()
     pos_enc = t.column("positions_enc").to_pylist()
-    skip_last = t.column("skip_last_docs").to_pylist()
-    skip_doffs = t.column("skip_doc_offs").to_pylist()
-    skip_foffs = t.column("skip_freq_offs").to_pylist()
-    bmax = t.column("block_max_freq").to_pylist()
-    bmin = t.column("block_min_nt").to_pylist()
     postings_here = 0
     for i in range(len(terms)):
         docs = segment.decode_doc_ids(doc_enc[i], base, codec)
@@ -81,25 +75,6 @@ def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
             boundary[b] = True
             assert np.all(diffs[~boundary] > 0), \
                 f"shard {sid} term {terms[i]}: positions not ascending"
-        last = segment.decode_skip_last_docs(skip_last[i])
-        nblocks = (len(docs) + segment.BLOCK_SIZE - 1) // segment.BLOCK_SIZE
-        assert len(last) == nblocks and last[-1] == docs[-1]
-        doffs = segment.decode_skip_doc_offs(skip_doffs[i])
-        foffs = segment.decode_skip_doc_offs(skip_foffs[i])
-        assert len(doffs) == len(foffs) == nblocks
-        # block-selective decode of the LAST block round-trips
-        bi = nblocks - 1
-        prev = int(last[bi - 1]) if bi > 0 else base
-        bdocs, bfreqs = segment.decode_block(
-            doc_enc[i], freq_enc[i], doffs, foffs, bi, nblocks,
-            int(df[i]), prev, codec)
-        start = bi * segment.BLOCK_SIZE
-        np.testing.assert_array_equal(bdocs, docs[start:])
-        np.testing.assert_array_equal(bfreqs, freqs[start:])
-        bmaxf = segment.decode_block_max_freq(bmax[i])
-        bminnt = segment.decode_block_min_nt(bmin[i])
-        assert len(bmaxf) == nblocks and len(bminnt) == nblocks
-        assert np.all(bmaxf >= 1) and np.all(bminnt > 0)
         postings_here += len(docs)
     assert postings_here == sh["posting_count"], f"shard {sid}: posting_count"
     return {"postings": postings_here, "terms": len(terms),

@@ -1,9 +1,9 @@
-"""Segment format: per-shard term table with block-encoded posting lists.
+"""Segment format: per-shard term table with delta-encoded posting lists.
 
 Ray-native re-expression of the reference segment layout
 (``lucene/core/src/java/org/apache/lucene/codecs/lucene50/
-Lucene50PostingsFormat.java:99-140`` file map; 128-int blocks :398): one
-Parquet file per doc-shard holding one row per term:
+Lucene50PostingsFormat.java:99-140`` file map): one Parquet file per
+doc-shard holding one row per term:
 
     term:            string (sorted ascending within the shard)
     df, ttf:         int64 — docFreq / totalTermFreq (Terms.java:97-119)
@@ -12,22 +12,10 @@ Parquet file per doc-shard holding one row per term:
     freqs_enc:       binary — LEB128 freqs, aligned with doc_ids
     positions_enc:   binary — per-doc delta-encoded positions, concatenated
                      in doc order (counts given by freqs)
-    skip_last_docs:  binary — LEB128 deltas of last doc_id per 128-doc block
-                     (MultiLevelSkipListWriter.java:42-54 semantics, single
-                     level)
-    skip_doc_offs:   binary — LEB128 deltas of byte offsets into doc_ids_enc
-                     at each block start
-    skip_freq_offs:  binary — LEB128 deltas of byte offsets into freqs_enc
-                     at each block start (block-selective scoring decode)
-    block_max_freq:  binary — LEB128 of max freq per block
-    block_min_nt:    binary — float32 per block: min NORM_TABLE[norm_byte]
-                     over the block's postings. Together these give the
-                     avgdl-independent block-max score bound
-                     w * maxf / (maxf + k1*((1-b) + b*min_nt/avgdl)) for
-                     rank-preserving WAND-style skipping (beyond the
-                     reference snapshot, which pre-dates block-max;
-                     avgdl-independence keeps the bound valid across
-                     incremental updates that change collection stats)
+
+There is no skip list and no per-block score metadata: every query shape
+decodes whole posting lists (cached per searcher) and scores them
+exhaustively, as the reference does for disjunctions.
 
 A companion ``norms.parquet`` per shard holds (doc_id, norm_byte, doc_len,
 conv_id, turn_idx) for the shard's contiguous doc_id range.
@@ -44,10 +32,8 @@ import pyarrow as pa
 
 from ..util import varint
 
-BLOCK_SIZE = 128
-
 #: bump when the on-disk term-table schema changes (invalidates caches)
-FORMAT_VERSION = 4  # v4: ts carried as a docvalue (date-math range filters)
+FORMAT_VERSION = 5  # v5: skip-list and block-max columns dropped
 
 
 class _VarintCodec:
@@ -72,8 +58,7 @@ class _VarintCodec:
 class _Raw32Codec:
     """Fixed-width little-endian uint32 — the DirectPostingsFormat idea
     (``lucene/codecs/.../memory/DirectPostingsFormat.java``: trade bytes
-    for branch-free decode). Any byte offset from the skip data lands on
-    a 4-byte boundary, so block slicing works unchanged."""
+    for branch-free decode)."""
 
     name = "raw32"
 
@@ -92,9 +77,7 @@ class _Raw32Codec:
 
 #: postings-codec SPI (PostingsFormat analog, ``codecs/PostingsFormat.java``
 #: NamedSPILoader): governs the three VALUE streams (doc deltas, freqs,
-#: position deltas). Skip/block metadata stays varint — it is the term
-#: dictionary's sidecar, not codec-owned payload, exactly like the
-#: reference keeps .tip/.tim format fixed across postings formats.
+#: position deltas).
 POSTINGS_CODECS = {"varint": _VarintCodec, "raw32": _Raw32Codec}
 
 
@@ -108,19 +91,14 @@ def get_codec(name: str):
 
 
 def _delta_with_resets(values: np.ndarray, starts_mask: np.ndarray,
-                       base: np.ndarray | int) -> np.ndarray:
-    """values -> deltas, restarting at positions where starts_mask is True.
-
-    ``base`` is subtracted at each restart (scalar or per-element array).
-    """
+                       base: int) -> np.ndarray:
+    """values -> deltas, restarting at positions where starts_mask is True
+    (``base`` is subtracted at each restart)."""
     deltas = np.empty_like(values)
     deltas[1:] = values[1:] - values[:-1]
     if len(values):
         deltas[0] = values[0]
-    if isinstance(base, np.ndarray):
-        deltas[starts_mask] = values[starts_mask] - base[starts_mask]
-    else:
-        deltas[starts_mask] = values[starts_mask] - base
+    deltas[starts_mask] = values[starts_mask] - base
     return deltas
 
 
@@ -153,7 +131,6 @@ def encode_shard_postings(
     doc_ids: np.ndarray,          # int64, sorted within term
     freqs: np.ndarray,            # int64/int32
     pos_flat: np.ndarray,         # int32 flat positions (doc-major)
-    norm_bytes: np.ndarray,       # uint8 aligned with doc_ids
     shard_base: int,
     uniq_terms: np.ndarray | None = None,   # precomputed: sorted unique terms
     term_offsets: np.ndarray | None = None,  # precomputed: row offsets, len U+1
@@ -173,11 +150,6 @@ def encode_shard_postings(
             "doc_ids_enc": pa.array([], type=pa.large_binary()),
             "freqs_enc": pa.array([], type=pa.large_binary()),
             "positions_enc": pa.array([], type=pa.large_binary()),
-            "skip_last_docs": pa.array([], type=pa.large_binary()),
-            "skip_doc_offs": pa.array([], type=pa.large_binary()),
-            "skip_freq_offs": pa.array([], type=pa.large_binary()),
-            "block_max_freq": pa.array([], type=pa.large_binary()),
-            "block_min_nt": pa.array([], type=pa.large_binary()),
         })
 
     doc_ids = doc_ids.astype(np.int64)
@@ -232,54 +204,6 @@ def encode_shard_postings(
     else:
         positions_enc = [b""] * len(uniq_terms)
 
-    # --- block metadata: 128-doc blocks per term + avgdl-independent
-    # block-max bound inputs (max freq, min NORM_TABLE[norm]) ---
-    from ..util.smallfloat import NORM_TABLE
-
-    nt_vals = NORM_TABLE[norm_bytes.astype(np.int64)]
-    # vectorized across ALL terms at once (a per-term loop of tiny numpy
-    # varint encodes costs ~40us x |terms| and dominated shard-encode
-    # time): one global block-start index, one reduceat per metric, one
-    # varint pass per stream, then per-term byte slices. Output bytes are
-    # identical to the per-term encodes (LEB128 is per-value; the delta
-    # streams reset at each term's first block).
-    nterms = len(uniq_terms)
-    nb = -(-df // BLOCK_SIZE)  # blocks per term
-    nb_offsets = np.concatenate(([0], np.cumsum(nb)))
-    tot_blocks = int(nb_offsets[-1])
-    term_of_block = np.repeat(np.arange(nterms), nb)
-    block_j = np.arange(tot_blocks) - nb_offsets[:-1][term_of_block]
-    gstart = term_starts[term_of_block] + BLOCK_SIZE * block_j
-    gend_last = np.minimum(
-        gstart + BLOCK_SIZE,
-        np.asarray(term_offsets)[term_of_block + 1]) - 1
-    group_starts = np.zeros(tot_blocks, dtype=bool)
-    group_starts[nb_offsets[:-1]] = True
-
-    def _delta_stream(vals: np.ndarray) -> list[bytes]:
-        deltas = _delta_with_resets(vals, group_starts, 0)
-        lens = _varint_lengths(deltas)
-        offs = np.concatenate(([0], np.cumsum(lens)))
-        return _slice_encoded(varint.encode(deltas.astype(np.uint64)),
-                              offs, nb_offsets)
-
-    skip_last_docs = _delta_stream(doc_ids[gend_last])
-    skip_doc_offs = _delta_stream(
-        doc_byte_offs[gstart] - doc_byte_offs[term_starts[term_of_block]])
-    skip_freq_offs = _delta_stream(
-        freq_byte_offs[gstart] - freq_byte_offs[term_starts[term_of_block]])
-
-    bmaxf = np.maximum.reduceat(freqs, gstart)
-    bm_lens = _varint_lengths(bmaxf)
-    bm_offs = np.concatenate(([0], np.cumsum(bm_lens)))
-    block_max_freq = _slice_encoded(varint.encode(bmaxf.astype(np.uint64)),
-                                    bm_offs, nb_offsets)
-
-    bminnt_raw = np.minimum.reduceat(nt_vals, gstart).astype(
-        np.float32).tobytes()
-    block_min_nt = [bminnt_raw[4 * a:4 * b]
-                    for a, b in zip(nb_offsets[:-1], nb_offsets[1:])]
-
     return pa.table({
         "term": pa.array(uniq_terms.astype(object), type=pa.string()),
         "df": pa.array(df, type=pa.int64()),
@@ -287,11 +211,6 @@ def encode_shard_postings(
         "doc_ids_enc": pa.array(doc_ids_enc, type=pa.large_binary()),
         "freqs_enc": pa.array(freqs_enc, type=pa.large_binary()),
         "positions_enc": pa.array(positions_enc, type=pa.large_binary()),
-        "skip_last_docs": pa.array(skip_last_docs, type=pa.large_binary()),
-        "skip_doc_offs": pa.array(skip_doc_offs, type=pa.large_binary()),
-        "skip_freq_offs": pa.array(skip_freq_offs, type=pa.large_binary()),
-        "block_max_freq": pa.array(block_max_freq, type=pa.large_binary()),
-        "block_min_nt": pa.array(block_min_nt, type=pa.large_binary()),
     })
 
 
@@ -323,29 +242,18 @@ def decode_positions(positions_enc: bytes, freqs: np.ndarray,
     return abs_pos, offsets
 
 
-def decode_block_max_freq(block_max_freq: bytes) -> np.ndarray:
-    return varint.decode(block_max_freq)
-
-
-def decode_block_min_nt(block_min_nt: bytes) -> np.ndarray:
-    return np.frombuffer(block_min_nt, dtype=np.float32)
-
-
-def decode_skip_last_docs(skip_last_docs: bytes) -> np.ndarray:
-    return varint.decode_deltas(skip_last_docs)
-
-
 def decode_block(doc_ids_enc: bytes, freqs_enc: bytes,
                  doc_offs: np.ndarray, freq_offs: np.ndarray,
                  block_idx: int, n_blocks: int, df: int,
                  prev_last_doc: int,
                  codec: str = "varint") -> tuple[np.ndarray, np.ndarray]:
-    """Decode ONE 128-doc block of a posting list.
+    """Decode one slice of a posting list: the doc ids and freqs from byte
+    offsets ``doc_offs[block_idx]`` / ``freq_offs[block_idx]`` to the next
+    offset (to the end for the last of ``n_blocks``), the first doc delta
+    taken relative to ``prev_last_doc``.
 
-    ``prev_last_doc`` is the previous block's last doc_id (or the value the
-    first delta is relative to — shard_base for block 0), from the skip
-    data: delta encoding runs continuously across blocks, so the block's
-    first cumsum term anchors there.
+    The term table stores no block offsets, so the engine never calls
+    this; it stays a public name because ``perfbench/trace.py`` wraps it.
     """
     d_lo = int(doc_offs[block_idx])
     d_hi = int(doc_offs[block_idx + 1]) if block_idx + 1 < n_blocks else None
@@ -359,11 +267,6 @@ def decode_block(doc_ids_enc: bytes, freqs_enc: bytes,
     freqs = cdc.decode(freqs_enc[f_lo:f_hi] if f_hi is not None
                        else freqs_enc[f_lo:])
     return docs, freqs
-
-
-def decode_skip_doc_offs(skip_offs: bytes) -> np.ndarray:
-    """Byte offsets (into doc_ids_enc / freqs_enc) at each block start."""
-    return varint.decode_deltas(skip_offs)
 
 
 def recover_norms_partitions(index_path) -> None:

@@ -104,25 +104,10 @@ class MergingSegmentWriter(SegmentWriter):
             base = shard_id * self.docs_per_shard
             old = _decode_segment_to_postings(terms_file, base, self.codec)
             if old is not None:
-                # old postings need norm_byte for block-max: look them up
-                # from the new group's shard norms at encode time; reuse 0
-                # (impact bound stays positive; block_max is advisory)
-                norms_part = (Path(self.index_dir) / "norms" /
-                              f"doc_shard={shard_id}")
-                norm_arr = np.zeros(self.docs_per_shard, dtype=np.uint8)
-                if norms_part.exists():
-                    nt = pq.read_table(norms_part, columns=["doc_id", "norm_byte"])
-                    ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-                    norm_arr[ids - base] = nt.column("norm_byte").to_numpy(
-                        zero_copy_only=False)
-                old_docs = old.column("doc_id").to_numpy(zero_copy_only=False)
                 old = old.append_column(
                     "doc_shard",
                     pa.array(np.full(old.num_rows, shard_id, dtype=np.int32),
                              type=pa.int32()))
-                old = old.append_column(
-                    "norm_byte",
-                    pa.array(norm_arr[old_docs - base], type=pa.uint8()))
                 group = pa.concat_tables(
                     [old.select(group.column_names), group])
             # set the old segment ASIDE (atomic rename, recoverable above)
@@ -259,7 +244,7 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
     # term shuffle over the NEW postings only; tail shard merges its old data
     runs = rd.read_parquet(
         str(runs_dir),
-        columns=["doc_id", "doc_shard", "norm_byte", "terms", "freqs", "pos_flat"])
+        columns=["doc_id", "doc_shard", "terms", "freqs", "pos_flat"])
     postings = runs.map_batches(_explode_runs, batch_format="pyarrow",
                                 zero_copy_batch=True)
     writer = functools.partial(
@@ -438,22 +423,11 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
         if t is None:
             return None
         docs = t.column("doc_id").to_numpy(zero_copy_only=False) + base
-        norms_part = src_path / "norms" / f"doc_shard={shard_id}"
-        norm_arr = np.zeros(src_dps, dtype=np.uint8)
-        if norms_part.exists():
-            nt = pq.read_table(norms_part, columns=["doc_id", "norm_byte"])
-            ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-            norm_arr[ids - src_base] = nt.column("norm_byte").to_numpy(
-                zero_copy_only=False)
         out = t.drop_columns(["doc_id"])
         out = out.append_column("doc_id", pa.array(docs, type=pa.int64()))
-        out = out.append_column(
+        return out.append_column(
             "doc_shard", pa.array((docs // dps).astype(np.int32),
                                   type=pa.int32()))
-        out = out.append_column(
-            "norm_byte", pa.array(norm_arr[docs - base - src_base],
-                                  type=pa.uint8()))
-        return out
 
     src_shards = sorted(s["shard_id"] for s in srcm["shards"])
     refs = [decode_shift.remote(sid) for sid in src_shards]
@@ -601,19 +575,9 @@ def _expunge_shard(index_dir: str, shard_id: int, docs_per_shard: int,
     if keep.all():
         return None
     filtered = old.filter(pa.array(keep))
-    norms_part = Path(index_dir) / "norms" / f"doc_shard={shard_id}"
-    norm_arr = np.zeros(docs_per_shard, dtype=np.uint8)
-    if norms_part.exists():
-        nt = pq.read_table(norms_part, columns=["doc_id", "norm_byte"])
-        ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-        norm_arr[ids - base] = nt.column("norm_byte").to_numpy(
-            zero_copy_only=False)
-    f_docs = filtered.column("doc_id").to_numpy(zero_copy_only=False)
     filtered = filtered.append_column(
         "doc_shard", pa.array(np.full(filtered.num_rows, shard_id,
                                       dtype=np.int32), type=pa.int32()))
-    filtered = filtered.append_column(
-        "norm_byte", pa.array(norm_arr[f_docs - base], type=pa.uint8()))
     os.rename(shard_dir, aside)
     try:
         writer = SegmentWriter(index_dir, docs_per_shard, codec)
@@ -977,11 +941,9 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     IndexWriter.addIndexes pass, the doc-range-sharded layout makes the
     split almost metadata-only: ``split_doc`` must sit on a shard
     boundary, so every ``terms.parquet`` segment belongs wholly to one
-    side — segment postings are shard-relative, so side A copies
-    verbatim and side B re-bases by rewriting ONE varint per term (the
-    first delta of the absolute skip-list stream; the doc/freq/position
-    value streams copy byte-identical). The norms/docvalue rows of side
-    B rewrite
+    side — segment postings are shard-relative, so every
+    ``terms.parquet`` copies verbatim on both sides. The norms/docvalue
+    rows of side B rewrite
     (absolute doc_id/doc_shard columns shift), fanned out as one Ray task
     per partition; the same tasks return (num_docs, doc_count,
     sum_doc_len, key range) partials so each side's BM25 statistics are
@@ -1016,35 +978,12 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
         (Path(dst) / "norms").mkdir(parents=True, exist_ok=True)
 
     @ray.remote
-    def copy_shard(shard_id: int, dst: str, new_id: int,
-                   shift: int) -> None:
-        sdir = src / "shards" / f"shard={shard_id:05d}"
-        ddir = Path(dst) / "shards" / f"shard={new_id:05d}"
-        ddir.mkdir(parents=True, exist_ok=True)
-        for f in sorted(sdir.iterdir()):
-            if shift and f.name == "terms.parquet":
-                # posting doc streams are shard-RELATIVE (first delta is
-                # added to shard_id*dps at decode) so they copy verbatim,
-                # but the skip list's last-doc-per-block stream is
-                # delta-encoded ABSOLUTE: shifting every absolute value
-                # by -shift only changes the FIRST delta of each term
-                t = pq.read_table(f)
-                from ..util import varint as _vi
-
-                def reskip(buf: bytes) -> bytes:
-                    vals = _vi.decode_deltas(buf)
-                    if len(vals):
-                        vals = vals - shift
-                    return _vi.encode_deltas(vals)
-
-                col = pa.array([reskip(b.as_py())
-                                for b in t.column("skip_last_docs")],
-                               type=pa.binary())
-                idx = t.schema.get_field_index("skip_last_docs")
-                t = t.set_column(idx, "skip_last_docs", col)
-                pq.write_table(t, ddir / f.name)
-            else:
-                shutil.copy2(f, ddir / f.name)
+    def copy_shard(shard_id: int, dst: str, new_id: int) -> None:
+        # posting doc streams are shard-relative (the first delta is added
+        # to shard_id*dps at decode), so a renumbered shard copies verbatim
+        shutil.copytree(src / "shards" / f"shard={shard_id:05d}",
+                        Path(dst) / "shards" / f"shard={new_id:05d}",
+                        dirs_exist_ok=True)
 
     @ray.remote
     def move_norms(shard_id: int, dst: str, new_id: int,
@@ -1080,11 +1019,10 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     for s in shards:
         sid = int(s["shard_id"])
         if sid < k:
-            copy_refs.append(copy_shard.remote(sid, dst_a, sid, 0))
+            copy_refs.append(copy_shard.remote(sid, dst_a, sid))
             norm_refs["a"].append(move_norms.remote(sid, dst_a, sid, 0))
         else:
-            copy_refs.append(
-                copy_shard.remote(sid, dst_b, sid - k, split_doc))
+            copy_refs.append(copy_shard.remote(sid, dst_b, sid - k))
             norm_refs["b"].append(
                 move_norms.remote(sid, dst_b, sid - k, split_doc))
     ray.get(copy_refs)

@@ -77,6 +77,14 @@ def anti_join(left: rd.Dataset, keys: np.ndarray, on: str) -> rd.Dataset:
 SET_OP_BROADCAST_CAP = 5_000_000
 
 
+def _key_column(keys_ds: rd.Dataset, col: str) -> np.ndarray:
+    """One column of a materialized Dataset as a numpy array, read from
+    its Arrow blocks (no per-row dicts)."""
+    chunks = [t.column(col) for t in ray.get(keys_ds.to_arrow_refs())
+              if t.num_rows]
+    return pa.chunked_array(chunks).to_numpy() if chunks else np.empty(0)
+
+
 def _distinct_keys(right: rd.Dataset, right_on: str,
                    out_name: str) -> rd.Dataset:
     """Distributed distinct over one key column, renamed ``out_name``,
@@ -112,7 +120,7 @@ def semi_join_ds(left: rd.Dataset, right: rd.Dataset, on: str,
     keys_ds = right.select_columns([right_on]).materialize()
     n = keys_ds.count()
     if n <= broadcast_cap and not _force_join:
-        keys = np.asarray([r[right_on] for r in keys_ds.take_all()])
+        keys = _key_column(keys_ds, right_on)
         return semi_join(left, keys, on)
     tmp = "__semi_key"
     distinct = _distinct_keys(keys_ds, right_on, tmp)
@@ -141,7 +149,7 @@ def anti_join_ds(left: rd.Dataset, right: rd.Dataset, on: str,
     keys_ds = right.select_columns([right_on]).materialize()
     n = keys_ds.count()
     if n <= broadcast_cap and not _force_join:
-        keys = np.asarray([r[right_on] for r in keys_ds.take_all()])
+        keys = _key_column(keys_ds, right_on)
         return anti_join(left, keys, on)
     tmp = "__anti_key"
     distinct = _distinct_keys(keys_ds, right_on, tmp)

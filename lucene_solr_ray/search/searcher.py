@@ -307,9 +307,8 @@ class ShardSearcher:
         self.avgdl = np.float32(stats["avgdl"])
         self.cache = bm25.norm_cache(self.avgdl)
         # query-time pluggable scoring (Similarity SPI: IndexSearcher.
-        # setSimilarity); the MaxScore pruning path stays BM25-only.
-        # A callable acts as a factory (avgdl -> sim) for similarities
-        # with custom parameters (e.g. SweetSpotSim settings).
+        # setSimilarity). A callable acts as a factory (avgdl -> sim) for
+        # similarities with custom parameters (e.g. SweetSpotSim settings).
         self.sim = similarity(self.avgdl) if callable(similarity) \
             else bm25.make_similarity(similarity, self.avgdl)
 
@@ -322,11 +321,6 @@ class ShardSearcher:
             self._doc_enc = t.column("doc_ids_enc").to_pylist()
             self._freq_enc = t.column("freqs_enc").to_pylist()
             self._pos_enc = t.column("positions_enc").to_pylist()
-            self._skip_last = t.column("skip_last_docs").to_pylist()
-            self._skip_offs = t.column("skip_doc_offs").to_pylist()
-            self._skip_foffs = t.column("skip_freq_offs").to_pylist()
-            self._bmaxf = t.column("block_max_freq").to_pylist()
-            self._bminnt = t.column("block_min_nt").to_pylist()
         else:  # empty shard
             self._terms = _TermDict(pa.array([], type=pa.string()))
             self._df = np.empty(0, dtype=np.int64)
@@ -334,11 +328,6 @@ class ShardSearcher:
             self._doc_enc = []
             self._freq_enc = []
             self._pos_enc = []
-            self._skip_last = []
-            self._skip_offs = []
-            self._skip_foffs = []
-            self._bmaxf = []
-            self._bminnt = []
 
         # live-docs mask (tombstones from delete/overwrite-by-id;
         # IndexWriter.deleteDocuments analog — deleted docs are masked out
@@ -494,18 +483,15 @@ class ShardSearcher:
 
         The index is postings-only (no forward term-vector file, unlike
         Lucene's optional .tvd), so this inverts the shard's term
-        dictionary for one doc: terms are pruned by their last-doc skip
-        metadata, then binary-searched in the decoded doc list. O(vocab)
-        per call — a debugging/feature API; a production variant at
-        10^12 docs would persist a forward vector file at build time.
+        dictionary for one doc: every term's decoded doc list is
+        binary-searched for it. O(vocab) per call — a debugging/feature
+        API; a production variant at 10^12 docs would persist a forward
+        vector file at build time.
         """
         if self._deleted is not None and self._deleted[doc_id - self.base]:
             return []
         out = []
         for term, i in self._terms.items():
-            last = segment.decode_skip_last_docs(self._skip_last[i])
-            if len(last) and int(last[-1]) < doc_id:
-                continue
             p = self._postings(term)
             docs, freqs = p[0], p[1]
             j = int(np.searchsorted(docs, doc_id))
@@ -1004,114 +990,6 @@ class ShardSearcher:
                 docs, scores = docs[keep], scores[keep]
         return docs, scores
 
-    # --- Block-Max / MaxScore disjunction path -------------------------
-    # Rank-preserving pruning for pure term disjunctions (SURVEY.md §7.6:
-    # "Block-Max WAND added as a rank-preserving optimization with exact
-    # fallback asserted in tests"). MaxScore variant: terms are processed
-    # in decreasing score-upper-bound order; once the suffix bound falls
-    # strictly below a safe lower estimate of the running k-th score, the
-    # remaining terms stop contributing NEW candidate docs, and their
-    # contributions to existing candidates are read via block-selective
-    # decode (skip data). A final pass rescores candidates in ORIGINAL
-    # clause order in float32, so results are bit-identical to the
-    # exhaustive scorer.
-
-    def _term_upper_bound(self, row: int, w64: float) -> float:
-        from ..util import varint as _vi
-
-        maxf = float(_vi.decode(self._bmaxf[row]).max())
-        min_nt = float(np.frombuffer(self._bminnt[row], dtype=np.float32).min())
-        k1, b = float(bm25.K1), float(bm25.B)
-        cache_min = k1 * ((1 - b) + b * min_nt / float(self.avgdl))
-        return w64 * maxf / (maxf + cache_min) * (1 + 1e-6)
-
-    def _freqs_for_docs(self, term: str, docs: np.ndarray):
-        """(sub_docs, sub_freqs) covering every hit of ``term`` among
-        ``docs``, decoding only the 128-doc blocks that can contain them."""
-        row = self._terms[term]
-        last = segment.decode_skip_last_docs(self._skip_last[row])
-        nblocks = len(last)
-        if nblocks <= 2:
-            d, f, _ = self._postings(term)
-            return d, f
-        need = np.unique(np.searchsorted(last, docs))
-        need = need[need < nblocks]
-        if len(need) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        doffs = segment.decode_skip_doc_offs(self._skip_offs[row])
-        foffs = segment.decode_skip_doc_offs(self._skip_foffs[row])
-        df = int(self._df[row])
-        parts_d, parts_f = [], []
-        for bi in need:
-            prev = int(last[bi - 1]) if bi > 0 else self.base
-            bd, bf = segment.decode_block(
-                self._doc_enc[row], self._freq_enc[row],
-                doffs, foffs, int(bi), nblocks, df, prev,
-                self._codec)
-            parts_d.append(bd)
-            parts_f.append(bf)
-        return np.concatenate(parts_d), np.concatenate(parts_f)
-
-    @staticmethod
-    def _is_pure_term_disjunction(query: Query) -> bool:
-        return (isinstance(query, BooleanQuery) and not query.must
-                and not query.must_not and len(query.should) >= 2
-                and getattr(query, "min_should_match", 0) <= 1
-                and all(isinstance(c, TermQuery) for c in query.should))
-
-    def _score_disjunction_maxscore(self, query: BooleanQuery,
-                                    df_map: dict[str, int], k: int):
-        should = [q for q in query.should if q.term in self._terms]
-        if not should:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        w32 = [bm25.weight_value(
-            bm25.idf(df_map.get(q.term, 0), self.doc_count), q.boost)
-            for q in should]
-        ubs = np.array([
-            self._term_upper_bound(self._terms[q.term], float(w))
-            for q, w in zip(should, w32)])
-        order = np.argsort(-ubs)
-        suffix = np.concatenate((np.cumsum(ubs[order][::-1])[::-1], [0.0]))
-
-        cand = np.empty(0, dtype=np.int64)
-        approx = np.empty(0, dtype=np.float64)
-        essential: set[int] = set()
-        theta = -np.inf
-        for pos, ti in enumerate(order):
-            if len(cand) >= k and suffix[pos] < theta:
-                break
-            essential.add(int(ti))
-            d, s = self._score_term(should[ti], df_map)
-            merged = np.union1d(cand, d)
-            new_approx = np.zeros(len(merged), dtype=np.float64)
-            new_approx[np.searchsorted(merged, cand)] = approx
-            new_approx[np.searchsorted(merged, d)] += s.astype(np.float64)
-            cand, approx = merged, new_approx
-            if len(cand) >= k:
-                kth = np.partition(approx, len(approx) - k)[len(approx) - k]
-                theta = kth * (1 - 1e-5)  # safe lower estimate
-
-        # exact float32 rescore of candidates in ORIGINAL clause order
-        acc = np.zeros(len(cand), dtype=np.float32)
-        for ti, q in enumerate(should):
-            w = w32[ti]
-            if ti in essential:
-                d, s = self._score_term(q, df_map)
-            else:
-                sub_d, sub_f = self._freqs_for_docs(q.term, cand)
-                d = sub_d
-                s = bm25.score_freqs(sub_f, self.norms[d - self.base],
-                                     self.cache, w) if len(d) else \
-                    np.empty(0, dtype=np.float32)
-            pos_idx = np.searchsorted(cand, d)
-            ok = pos_idx < len(cand)
-            hit = np.zeros(len(d), dtype=bool)
-            hit[ok] = cand[pos_idx[ok]] == d[ok]
-            add = np.zeros(len(cand), dtype=np.float32)
-            add[pos_idx[hit]] = s[hit]
-            acc = (acc + add).astype(np.float32)
-        return cand, acc
-
     @staticmethod
     def _range_mask(vals: np.ndarray, lo, hi) -> np.ndarray:
         """Inclusive-range membership over a doc-value array (None = open
@@ -1143,7 +1021,7 @@ class ShardSearcher:
         return docs, scores
 
     def search(self, query: Query, df_map: dict[str, int], k: int = 10,
-               use_maxscore: bool = True, sort=None, filter_range=None,
+               sort=None, filter_range=None,
                after: tuple[float, int] | None = None):
         """Top-k for this shard: (doc_id, score) ranked by score, or
         (doc_id, score, sort_key_tuple) ranked by ``sort`` — a list of
@@ -1151,12 +1029,7 @@ class ShardSearcher:
         -> lower doc_id. ``filter_range`` = {field: (lo, hi)} intersects
         the hit set with inclusive docvalue ranges (IntPoint /
         PointRangeQuery analog) BEFORE ranking."""
-        if (use_maxscore and sort is None and not filter_range
-                and after is None and self.sim.name == "bm25"
-                and self._is_pure_term_disjunction(query)):
-            docs, scores = self._score_disjunction_maxscore(query, df_map, k)
-        else:
-            docs, scores = self._score_clause(query, df_map)
+        docs, scores = self._score_clause(query, df_map)
         if filter_range:
             docs, scores = self._apply_filter(docs, scores, filter_range)
         if after is not None:

@@ -176,3 +176,22 @@ def test_offsets_graceful_after_incremental_update(ray_session, tmp_path):
     new = [r for r in out if str(r["conv_id"]).startswith("zz-")]
     assert new and all(r["snippets"] == [] for r in new)
     assert old and any("<b>" in sn for r in old for sn in r["snippets"])
+
+
+def test_offsets_refuse_non_default_max_token_length(ray_session, tmp_path,
+                                                    monkeypatch):
+    """A non-default max_token_length skips over-long tokens with a
+    position hole the offsets sidecar has no span for, so the build
+    refuses store_offsets before writing anything."""
+    from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
+    from lucene_solr_ray.analysis.filters import CUSTOM_CHAINS
+
+    monkeypatch.setitem(CUSTOM_CHAINS, "short_tokens",
+                        StandardAnalyzer(max_token_length=10))
+    src = tmp_path / "a.parquet"
+    pq.write_table(generate_transcripts(5, seed=3), src)
+    idx = tmp_path / "idx"
+    with pytest.raises(ValueError, match="max_token_length"):
+        build_index(str(src), str(idx), num_shards=1,
+                    analyzer="short_tokens", store_offsets=True)
+    assert not idx.exists()

@@ -11,19 +11,35 @@ empty partitions/blocks are far more likely — round 2's
 at 32 for exactly this reason.
 
 These tests therefore run the affected pipelines in a SUBPROCESS with a
-fresh ``ray.init(num_cpus=32)``.
+fresh ``ray.init(num_cpus=32)``. The partition counts come from the CPU
+count, not the row count, so the dedup/near-dup pipelines read a trimmed
+copy of the document tables.
 """
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pyarrow.parquet as pq
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SF_DIR = "/root/testdata/sf0.001"
+#: documents/embeddings rows kept: two per CPU, with near-duplicate
+#: clusters still in them (5 docs dropped by MinHash, 3 SimHash pairs)
+N_DOCS = 128
+
+
+def _trimmed_sf(dst: Path) -> str:
+    for name in ("documents", "embeddings"):
+        t = pq.read_table(f"{SF_DIR}/{name}.parquet").slice(0, N_DOCS)
+        pq.write_table(t, dst / f"{name}.parquet")
+    for name in ("customer", "orders"):
+        shutil.copy(f"{SF_DIR}/{name}.parquet", dst / f"{name}.parquet")
+    return str(dst)
 
 _SCRIPT = """
 import ray
@@ -37,7 +53,7 @@ from lucene_solr_ray.pipelines.knn import embedding_neardup_pairs
 from lucene_solr_ray.pipelines.relational import leftouter_customer_orders
 
 out = minhash_dedup_keep({sf!r}).to_pandas()
-assert len(out) == 500, len(out)
+assert len(out) == {n_docs}, len(out)
 assert out["keep"].sum() > 0
 assert (~out["keep"]).sum() >= 0
 
@@ -54,14 +70,15 @@ em = embedding_neardup_pairs({sf!r}).to_pandas()
 print("PARALLELISM_OK", len(out), int(out["keep"].sum()), len(lo),
       len(sh), len(em))
 ray.shutdown()
-""".format(sf=SF_DIR)
+"""
 
 
-def test_dedup_and_join_at_32_cpus():
+def test_dedup_and_join_at_32_cpus(tmp_path):
     """minhash_dedup_keep + leftouter join must survive num_cpus=32
     (regression: round-2 ArrowInvalid in HashShuffleAggregator.finalize)."""
+    script = _SCRIPT.format(sf=_trimmed_sf(tmp_path), n_docs=N_DOCS)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         cwd=str(REPO_ROOT),
         capture_output=True,
         text=True,

@@ -65,6 +65,25 @@ def test_200_queries_rank_identical(engine_and_oracle):
     assert not mismatches, mismatches[:5]
 
 
+#: long ORs, a missing term, rare-term pairs and a stopword
+OR_QUERIES = [
+    "ray OR data", "ray OR data OR index OR query OR merge",
+    "t00001 OR the OR data", "engine OR scale OR batch OR t01999",
+    "data OR index OR term OR actor OR shard OR stream OR cache",
+    "t00042 OR t00043", "ray OR zzzmissing",
+]
+
+
+@pytest.mark.parametrize("q", OR_QUERIES)
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_disjunctions_rank_identical(engine_and_oracle, q, k):
+    searcher, oracle = engine_and_oracle
+    got = searcher.search(q, k=k)
+    want = oracle.search(q, k=k)
+    assert [(d, float(s)) for d, s in got] == \
+        [(d, float(s)) for d, s in want], (q, k)
+
+
 def test_fuzz_random_query_strings(engine_and_oracle):
     """Hypothesis-style robustness: random query strings (including
     operator soup) never crash and stay engine==oracle."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lucene_solr_ray.index import segment
-from lucene_solr_ray.search import bm25
 
 
 def build_inputs(rng, n_terms=40, n_docs=500, base=1000):
@@ -22,21 +21,20 @@ def build_inputs(rng, n_terms=40, n_docs=500, base=1000):
     doc_ids = np.array([r[1] for r in rows], dtype=np.int64)
     freqs = np.array([r[2] for r in rows], dtype=np.int64)
     pos_flat = np.concatenate([r[3] for r in rows]).astype(np.int64)
-    norm_bytes = (doc_ids % 200 + 20).astype(np.uint8)
-    return terms, doc_ids, freqs, pos_flat, norm_bytes
+    return terms, doc_ids, freqs, pos_flat
 
 
 @pytest.fixture(scope="module")
 def encoded():
     rng = np.random.default_rng(7)
-    terms, doc_ids, freqs, pos_flat, norm_bytes = build_inputs(rng)
+    terms, doc_ids, freqs, pos_flat = build_inputs(rng)
     table = segment.encode_shard_postings(
-        terms, doc_ids, freqs, pos_flat, norm_bytes, shard_base=1000)
-    return table, (terms, doc_ids, freqs, pos_flat, norm_bytes)
+        terms, doc_ids, freqs, pos_flat, shard_base=1000)
+    return table, (terms, doc_ids, freqs, pos_flat)
 
 
 def test_term_stats(encoded):
-    table, (terms, doc_ids, freqs, _, _) = encoded
+    table, (terms, doc_ids, freqs, _) = encoded
     t = table.to_pydict()
     assert t["term"] == sorted(set(terms))
     for i, term in enumerate(t["term"]):
@@ -46,7 +44,7 @@ def test_term_stats(encoded):
 
 
 def test_doc_id_roundtrip(encoded):
-    table, (terms, doc_ids, freqs, _, _) = encoded
+    table, (terms, doc_ids, freqs, _) = encoded
     t = table.to_pydict()
     for i, term in enumerate(t["term"]):
         mask = terms == term
@@ -57,7 +55,7 @@ def test_doc_id_roundtrip(encoded):
 
 
 def test_positions_roundtrip(encoded):
-    table, (terms, doc_ids, freqs, pos_flat, _) = encoded
+    table, (terms, doc_ids, freqs, pos_flat) = encoded
     t = table.to_pydict()
     # reconstruct per-posting position slices
     bounds = np.concatenate(([0], np.cumsum(freqs)))
@@ -70,57 +68,28 @@ def test_positions_roundtrip(encoded):
         np.testing.assert_array_equal(offs, np.concatenate(([0], np.cumsum(f))))
 
 
-def test_block_metadata(encoded):
-    from lucene_solr_ray.util.smallfloat import NORM_TABLE
-
-    table, (terms, doc_ids, freqs, _, norm_bytes) = encoded
-    t = table.to_pydict()
-    for i, term in enumerate(t["term"]):
-        mask = terms == term
-        docs = doc_ids[mask]
-        last = segment.decode_skip_last_docs(t["skip_last_docs"][i])
-        nblocks = (len(docs) + segment.BLOCK_SIZE - 1) // segment.BLOCK_SIZE
-        assert len(last) == nblocks
-        assert last[-1] == docs[-1]
-        bmaxf = segment.decode_block_max_freq(t["block_max_freq"][i])
-        bminnt = segment.decode_block_min_nt(t["block_min_nt"][i])
-        assert len(bmaxf) == len(bminnt) == nblocks
-        assert bmaxf[0] == freqs[mask][:segment.BLOCK_SIZE].max()
-        nt = NORM_TABLE[norm_bytes[mask].astype(np.int64)]
-        assert bminnt[0] == np.float32(nt[:segment.BLOCK_SIZE].min())
-
-
 def test_empty_shard():
     t = segment.encode_shard_postings(
         np.array([], dtype=object), np.array([], dtype=np.int64),
-        np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-        np.array([], dtype=np.uint8), 0)
+        np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0)
     assert t.num_rows == 0
 
 
 @pytest.mark.parametrize("df", [127, 128, 129, 256, 257])
 def test_block_boundary_dfs(df):
-    """Terms with df at exact block boundaries round-trip with correct
-    block counts and block-selective decode."""
+    """Terms with df around 128-doc multiples round-trip through the
+    whole-list decoders: doc ids, freqs and positions."""
     docs = np.arange(10, 10 + df * 3, 3, dtype=np.int64)
     freqs = (docs % 7 + 1).astype(np.int64)
     terms = np.array(["t"] * df, dtype=object)
     pos_flat = np.concatenate([np.arange(f) for f in freqs]).astype(np.int64)
-    norms = np.full(df, 120, dtype=np.uint8)
-    t = segment.encode_shard_postings(terms, docs, freqs, pos_flat, norms, 0)
-    nblocks = (df + segment.BLOCK_SIZE - 1) // segment.BLOCK_SIZE
+    t = segment.encode_shard_postings(terms, docs, freqs, pos_flat, 0)
     d = t.to_pydict()
-    last = segment.decode_skip_last_docs(d["skip_last_docs"][0])
-    assert len(last) == nblocks
-    doffs = segment.decode_skip_doc_offs(d["skip_doc_offs"][0])
-    foffs = segment.decode_skip_doc_offs(d["skip_freq_offs"][0])
-    full = segment.decode_doc_ids(d["doc_ids_enc"][0], 0)
-    np.testing.assert_array_equal(full, docs)
-    for bi in range(nblocks):
-        prev = int(last[bi - 1]) if bi > 0 else 0
-        bd, bf = segment.decode_block(d["doc_ids_enc"][0], d["freqs_enc"][0],
-                                      doffs, foffs, bi, nblocks, df, prev)
-        s = bi * segment.BLOCK_SIZE
-        e = min(s + segment.BLOCK_SIZE, df)
-        np.testing.assert_array_equal(bd, docs[s:e])
-        np.testing.assert_array_equal(bf, freqs[s:e])
+    assert d["df"] == [df] and d["ttf"] == [int(freqs.sum())]
+    np.testing.assert_array_equal(
+        segment.decode_doc_ids(d["doc_ids_enc"][0], 0), docs)
+    np.testing.assert_array_equal(
+        segment.decode_freqs(d["freqs_enc"][0]), freqs)
+    flat, offs = segment.decode_positions(d["positions_enc"][0], freqs)
+    np.testing.assert_array_equal(flat, pos_flat)
+    np.testing.assert_array_equal(offs, np.concatenate(([0], np.cumsum(freqs))))

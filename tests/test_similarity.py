@@ -56,7 +56,7 @@ def test_classic_term_scores_match_recount(idx):
 
 def test_classic_vs_bm25_rankings_both_consistent(idx):
     """Same index, two similarities: both run, scores differ, and the
-    classic disjunction path (MaxScore disabled) is exact."""
+    classic disjunction path is exact."""
     s_b = IndexSearcher(idx, similarity="bm25")
     s_c = IndexSearcher(idx, similarity="classic")
     q = "ray OR data OR index"
