@@ -73,8 +73,8 @@ class StandardAnalyzer:
     def analyze(self, text: str) -> tuple[list[str], list[int]]:
         # ASCII fast path: lowercase the whole string once (equivalent to
         # per-token Character.toLowerCase for ASCII) and scan with the
-        # compiled re pattern directly — the indexing hot loop. Subclassed
-        # tokenizers (URL/email variant) must use the tokenizer path.
+        # compiled re pattern directly — hot in query parsing, suggesters
+        # and MoreLikeThis. The URL/email tokenizer uses the tokenizer path.
         if text.isascii() and type(self.tokenizer) is StandardTokenizer:
             from .tokenizer import DEFAULT_MAX_TOKEN_LENGTH, _ascii_scanner
 

@@ -11,10 +11,17 @@ as streaming Dataset stages:
 2.  **Tokenize + SPIMI runs**: an actor pool (``map_batches`` over zero-copy
     Arrow, analyzer compiled once per actor — the Analyzer-reuse analog,
     Analyzer.java:135-168) emits one row per document with its per-term
-    postings; runs are spilled to Parquet (the DWPT flush analog) so the
-    three downstream consumers (stats, norms, postings) each re-read only
-    the columns they need, and so a restarted build resumes past
-    tokenization.
+    postings. The StandardAnalyzer front end works on whole Arrow columns:
+    the batch's ASCII docs are lowercased and split on runs of characters
+    outside the UAX#29 word classes in one ``pyarrow.compute`` pass, only
+    candidates holding a mid-letter/mid-num character or ``_`` go through
+    the exact ASCII scanner, and stopword removal and term coding
+    (``is_in``, ``dictionary_encode``) stay columnar. Non-ASCII docs, docs
+    holding a token over ``max_token_length`` and every other analyzer
+    chain take the exact per-doc ``analyze()``. Runs are spilled to
+    Parquet (the DWPT flush analog) so the three downstream consumers
+    (stats, norms, postings) each re-read only the columns they need, and
+    so a restarted build resumes past tokenization.
 3.  **Global statistics**: docCount / sumTotalTermFreq via a partial-per-batch
     + global-sum aggregate (IndexSearcher.collectionStatistics analog).
 4.  **Term shuffle + segment encode**: explode runs into posting rows, then
@@ -148,20 +155,13 @@ def assign_doc_ids(ds: rd.Dataset, docs_per_shard: int,
 # stage 2: tokenize into SPIMI runs (actor pool)
 # --------------------------------------------------------------------------
 
-def _dict_terms(all_terms: list[str]) -> pa.DictionaryArray:
-    import pandas as pd
-
-    codes, vocab = pd.factorize(np.asarray(all_terms, dtype=object))
-    return pa.DictionaryArray.from_arrays(
-        pa.array(codes.astype(np.int32)), pa.array(vocab, type=pa.string()))
-
-
 class TokenizeStage:
     """Actor-pool callable: text -> per-doc postings row.
 
     Output row: doc_id, doc_shard, conv_id, turn_idx, doc_len, norm_byte,
-    terms (list<string>, first-occurrence order), freqs (list<int32>),
-    pos_flat (list<int32>, positions concatenated in term order).
+    terms (list<dictionary<string>>, in term-code order), freqs
+    (list<int32>), pos_flat (list<int32>, positions concatenated in term
+    order).
     """
 
     def __init__(self, analyzer_name: str = "standard"):
@@ -172,9 +172,9 @@ class TokenizeStage:
 
 
 #: inner chunking for the vectorized tokenize back-end: bounds the flat
-#: token stream each factorize/lexsort touches (a 140k-doc fused task
-#: would otherwise sort ~2M-element key arrays per worker — at 30+
-#: concurrent workers that saturates the memory bus)
+#: token stream each encode/sort touches (a 140k-doc fused task would
+#: otherwise sort ~2M-element key arrays per worker — at 30+ concurrent
+#: workers that saturates the memory bus)
 _TOKENIZE_CHUNK_DOCS = 8192
 
 
@@ -186,156 +186,141 @@ def tokenize_table(batch: pa.Table, analyzer) -> pa.Table:
     return _tokenize_chunk(batch, analyzer)
 
 
+def _fast_tokens(text: pa.Array, analyzer) -> tuple[pa.Array, np.ndarray,
+                                                    np.ndarray, np.ndarray]:
+    """The ASCII docs of a plain StandardAnalyzer chain, tokenized as whole
+    Arrow columns: -> (tokens, token doc, token position, slow-doc mask).
+
+    No UAX#29 token spans a character outside the ASCII word classes, so
+    ``split_pattern_regex`` on runs of such characters yields every token
+    inside one candidate. A candidate of letters and digits only is one
+    token as it stands; the rest (holding a mid-letter/mid-num character
+    or ``_``: ``e.g.``, ``1,000``, ``o'neill's``, ``map_batches``) go
+    through the exact ``_ascii_scanner()`` regex. Non-ASCII docs (blanked
+    first) and docs holding a token over ``max_token_length`` are flagged
+    slow, with no tokens here: ``analyze()`` owns those rules.
+    """
+    import pyarrow.compute as pc
+
+    from ..analysis.tokenizer import _ascii_classes, _ascii_scanner
+
+    c = _ascii_classes()
+    clean = c["aletter"] + c["numeric"]
+    word_chars = clean + c["midletter"] + c["midnum"] + c["enl"]
+    is_ascii = pc.string_is_ascii(text)
+    slow = ~is_ascii.to_numpy(zero_copy_only=False)
+    cand_lists = pc.split_pattern_regex(
+        pc.ascii_lower(pc.if_else(is_ascii, text, "")),
+        pattern=f"[^{word_chars}]+")
+    cands = pc.list_flatten(cand_lists)
+    cand_doc = pc.list_parent_indices(cand_lists).to_numpy()
+    counts = (pc.binary_length(cands).to_numpy() > 0).astype(np.int64)
+    dirty = np.flatnonzero(~pc.match_substring_regex(
+        cands, f"^[{clean}]*$").to_numpy(zero_copy_only=False))
+    findall = _ascii_scanner()[0].findall
+    split = [findall(s) for s in cands.take(dirty).to_pylist()]
+    counts[dirty] = [len(s) for s in split]
+
+    # token stream = candidates in order, each dirty one replaced by its
+    # scanner tokens (appended after the candidates and gathered back)
+    ends = np.cumsum(counts)
+    src = np.repeat(np.arange(len(cands), dtype=np.int64), counts)
+    n_split = counts[dirty]
+    split_at = np.arange(n_split.sum()) + np.repeat(
+        ends[dirty] - np.cumsum(n_split), n_split)
+    src[split_at] = len(cands) + np.arange(len(split_at))
+    tokens = pa.concat_arrays([cands, pa.array(
+        [t for s in split for t in s], type=cands.type)]).take(src)
+    tok_doc = np.repeat(cand_doc, counts)
+    doc_start = np.concatenate(
+        ([0], np.cumsum(np.bincount(tok_doc, minlength=len(text)))))
+    tok_pos = np.arange(len(tokens), dtype=np.int64) - doc_start[tok_doc]
+
+    long = pc.binary_length(tokens).to_numpy() > \
+        analyzer.tokenizer.max_token_length
+    slow[tok_doc[long]] = True
+    keep = ~slow[tok_doc]
+    if analyzer.stopwords:
+        keep &= ~pc.is_in(tokens, value_set=pa.array(
+            sorted(analyzer.stopwords), type=tokens.type)).to_numpy(
+                zero_copy_only=False)
+    keep = np.flatnonzero(keep)
+    return tokens.take(keep), tok_doc[keep], tok_pos[keep], slow
+
+
 def _tokenize_chunk(batch: pa.Table, analyzer) -> pa.Table:
-        """text column -> per-doc postings rows.
+    """text column -> per-doc postings rows.
 
-        Hot-path structure: ONE C-speed regex findall per ASCII doc (the
-        StandardAnalyzer fast path), then every remaining step — stopword
-        filter, position assignment, per-(doc, term) grouping, freq
-        counting — is a vectorized pandas/numpy pass over the batch's
-        flat token stream (the per-doc dict/list loop was ~60%% of
-        tokenize CPU). Non-ASCII docs and non-standard chains go through
-        ``analyzer.analyze`` per doc and merge into the same stream.
-        """
-        import pandas as pd
+    ``_fast_tokens`` tokenizes the ASCII docs of a plain StandardAnalyzer
+    chain as Arrow columns; every other doc, and every other chain, goes
+    whole through the exact ``analyzer.analyze``, its terms after the fast
+    docs'. ``dictionary_encode`` gives the int32 term codes, one stable sort
+    by (doc, code) groups the postings, and ``terms`` is a dictionary array
+    built straight from the codes, so no Python string is made per token.
+    """
+    from ..analysis.analyzer import StandardAnalyzer
+    from ..analysis.tokenizer import StandardTokenizer
 
-        from ..analysis.analyzer import StandardAnalyzer
+    text = batch.column("text").combine_chunks().cast(pa.string()).fill_null("")
+    n_docs = len(text)
+    if (isinstance(analyzer, StandardAnalyzer)
+            and type(analyzer.tokenizer) is StandardTokenizer):
+        tok_fast, doc_fast, pos_fast, slow = _fast_tokens(text, analyzer)
+    else:
+        tok_fast = pa.array([], type=text.type)
+        doc_fast = pos_fast = np.empty(0, dtype=np.int64)
+        slow = np.ones(n_docs, dtype=bool)
 
-        texts = batch.column("text").to_pylist()
-        n_docs = len(texts)
+    slow_idx = np.flatnonzero(slow)
+    analyzed = [analyzer.analyze(t) for t in text.take(slow_idx).to_pylist()]
+    tok_all = pa.concat_arrays([tok_fast, pa.array(
+        [t for terms, _ in analyzed for t in terms], type=tok_fast.type)])
+    doc_all = np.concatenate((doc_fast, np.repeat(
+        slow_idx, [len(terms) for terms, _ in analyzed])))
+    pos_all = np.concatenate((pos_fast, np.asarray(
+        [p for _, pos in analyzed for p in pos], dtype=np.int64)))
 
-        from ..analysis.tokenizer import StandardTokenizer as _StdTok
+    doc_lens = np.bincount(doc_all, minlength=n_docs).astype(np.int32)
 
-        fast_capable = (isinstance(analyzer, StandardAnalyzer)
-                        and type(analyzer.tokenizer) is _StdTok)
-        if fast_capable:
-            from ..analysis.tokenizer import (
-                DEFAULT_MAX_TOKEN_LENGTH,
-                _ascii_scanner,
-            )
+    # per-(doc, term) grouping: one stable sort by doc-major term code.
+    # Each doc's tokens are contiguous in the stream with ascending
+    # positions, so stability keeps every posting's positions ascending
+    encoded = tok_all.dictionary_encode()
+    codes = encoded.indices.to_numpy()
+    order = np.argsort(doc_all * len(encoded.dictionary) + codes,
+                       kind="stable")
+    d_s = doc_all[order]
+    c_s = codes[order]
+    all_pos = pos_all[order]
+    new_post = np.ones(len(d_s), dtype=bool)
+    new_post[1:] = (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])
+    post_starts = np.flatnonzero(new_post)
+    freqs_arr = np.diff(np.append(post_starts, len(d_s)))
+    term_counts = np.bincount(d_s[post_starts], minlength=n_docs)
 
-            word_re, _ = _ascii_scanner()
-            findall = word_re.findall
-            mtl = analyzer.tokenizer.max_token_length
-            mtl_default = mtl >= DEFAULT_MAX_TOKEN_LENGTH
+    term_offs = np.concatenate(([0], np.cumsum(term_counts))).astype(np.int64)
+    pos_offs = np.concatenate(([0], np.cumsum(doc_lens))).astype(np.int64)
 
-        # front-end: raw (unfiltered) token lists for fast docs, analyzed
-        # (already-filtered) term/pos lists for slow docs
-        raw_lists: list = []
-        slow_terms: list[str] = []
-        slow_pos: list[int] = []
-        slow_doc: list[int] = []
-        raw_counts = np.zeros(n_docs, dtype=np.int64)
-        for i, text in enumerate(texts):
-            t = text or ""
-            if fast_capable and t.isascii():
-                toks = findall(t.lower())
-                if len(t) > mtl and any(len(x) > mtl for x in toks):
-                    if not mtl_default:
-                        # non-default limit: over-long tokens are SKIPPED
-                        # with position holes — analyze() owns that path
-                        terms_i, pos_i = analyzer.analyze(t)
-                        slow_terms.extend(terms_i)
-                        slow_pos.extend(pos_i)
-                        slow_doc.extend([i] * len(terms_i))
-                        raw_lists.append(None)
-                        continue
-                    chunked: list[str] = []
-                    for x in toks:
-                        if len(x) <= mtl:
-                            chunked.append(x)
-                        else:
-                            chunked.extend(x[j:j + mtl]
-                                           for j in range(0, len(x), mtl))
-                    toks = chunked
-                raw_lists.append(toks)
-                raw_counts[i] = len(toks)
-            else:
-                terms_i, pos_i = analyzer.analyze(t)
-                slow_terms.extend(terms_i)
-                slow_pos.extend(pos_i)
-                slow_doc.extend([i] * len(terms_i))
-                raw_lists.append(None)
-
-        # flat fast stream + vectorized stopword filter
-        import itertools
-
-        fast_flat = list(itertools.chain.from_iterable(
-            r for r in raw_lists if r is not None))
-        fast_doc = np.repeat(np.arange(n_docs, dtype=np.int64), raw_counts)
-        starts = np.concatenate(([0], np.cumsum(raw_counts)))
-        fast_pos = np.arange(len(fast_flat), dtype=np.int64) - \
-            starts[fast_doc]
-        if fast_flat and (analyzer_stop := getattr(analyzer, "stopwords",
-                                                   None)):
-            keep = ~pd.Series(fast_flat, dtype=object).isin(
-                analyzer_stop).to_numpy()
-            tok_fast = np.asarray(fast_flat, dtype=object)[keep]
-            fast_doc, fast_pos = fast_doc[keep], fast_pos[keep]
-        else:
-            tok_fast = np.asarray(fast_flat, dtype=object)
-
-        if slow_terms:
-            tok_all = np.concatenate(
-                [tok_fast, np.asarray(slow_terms, dtype=object)])
-            doc_all = np.concatenate(
-                [fast_doc, np.asarray(slow_doc, dtype=np.int64)])
-            pos_all = np.concatenate(
-                [fast_pos, np.asarray(slow_pos, dtype=np.int64)])
-        else:
-            tok_all, doc_all, pos_all = tok_fast, fast_doc, fast_pos
-
-        doc_lens = np.bincount(doc_all, minlength=n_docs).astype(np.int32)
-
-        # vectorized per-(doc, term) grouping: factorize + one stable
-        # lexsort; postings stay doc-major with ascending positions
-        if len(tok_all):
-            codes, uniques = pd.factorize(tok_all)
-            order = np.lexsort((pos_all, codes, doc_all))
-            d_s = doc_all[order]
-            c_s = codes[order]
-            all_pos = pos_all[order]
-            new_post = np.empty(len(d_s), dtype=bool)
-            new_post[0] = True
-            new_post[1:] = (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])
-            post_starts = np.nonzero(new_post)[0]
-            freqs_arr = np.diff(np.concatenate((post_starts, [len(d_s)])))
-            term_counts = np.bincount(d_s[post_starts],
-                                      minlength=n_docs).astype(np.int64)
-            all_terms = np.asarray(uniques, dtype=object)[c_s[post_starts]]
-        else:
-            freqs_arr = np.empty(0, dtype=np.int64)
-            term_counts = np.zeros(n_docs, dtype=np.int64)
-            all_terms = np.empty(0, dtype=object)
-            all_pos = np.empty(0, dtype=np.int64)
-
-        term_offs = np.concatenate(([0], np.cumsum(term_counts))).astype(np.int64)
-        pos_offs = np.concatenate(([0], np.cumsum(doc_lens))).astype(np.int64)
-
-        cols = {
-            "doc_id": batch.column("doc_id"),
-            "doc_shard": batch.column("doc_shard"),
-            "conv_id": batch.column("conv_id"),
-            "turn_idx": batch.column("turn_idx"),
-        }
-        for c in DOCVALUE_FIELDS:
-            if c in batch.column_names:
-                cols[c] = batch.column(c)
-        return pa.table({
-            **cols,
-            "doc_len": pa.array(doc_lens, type=pa.int32()),
-            "norm_byte": pa.array(
-                encode_norm(np.maximum(doc_lens, 1)), type=pa.uint8()),
-            # dictionary-encoded: each batch's vocab is tiny next to the
-            # token stream, so runs/explode/sort move int32 codes, not
-            # millions of strings (the main memory-bandwidth cut)
-            "terms": pa.LargeListArray.from_arrays(
-                term_offs, _dict_terms(all_terms)),
-            "freqs": pa.LargeListArray.from_arrays(
-                term_offs, pa.array(freqs_arr, type=pa.int32())),
-            "pos_flat": pa.LargeListArray.from_arrays(
-                pos_offs, pa.array(np.asarray(all_pos, dtype=np.int32), type=pa.int32())),
-        })
+    cols = {c: batch.column(c) for c in (
+        "doc_id", "doc_shard", "conv_id", "turn_idx",
+        *(f for f in DOCVALUE_FIELDS if f in batch.column_names))}
+    return pa.table({
+        **cols,
+        "doc_len": pa.array(doc_lens, type=pa.int32()),
+        "norm_byte": pa.array(
+            encode_norm(np.maximum(doc_lens, 1)), type=pa.uint8()),
+        # dictionary-encoded: each batch's vocab is tiny next to the
+        # token stream, so runs/explode/sort move int32 codes, not
+        # millions of strings (the main memory-bandwidth cut)
+        "terms": pa.LargeListArray.from_arrays(
+            term_offs, pa.DictionaryArray.from_arrays(
+                pa.array(c_s[post_starts], type=pa.int32()),
+                encoded.dictionary)),
+        "freqs": pa.LargeListArray.from_arrays(
+            term_offs, pa.array(freqs_arr, type=pa.int32())),
+        "pos_flat": pa.LargeListArray.from_arrays(
+            pos_offs, pa.array(all_pos, type=pa.int32())),
+    })
 
 
 # --------------------------------------------------------------------------

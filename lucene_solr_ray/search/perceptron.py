@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -256,6 +257,20 @@ def classify_batches(ds: rd.Dataset, model: PerceptronModel,
                           concurrency=(1, 8), num_cpus=1)
 
 
+def training_sample(ds: rd.Dataset) -> list[dict]:
+    """The 128 rows with the lowest doc_ids, ascending (a docID-order
+    training pass): a bottom-128 per batch, then one on the driver over
+    the survivors, so no global sort runs."""
+    def lowest(t: pa.Table) -> pa.Table:
+        if t.num_rows > 128:
+            t = t.take(pc.bottom_k_unstable(t, 128, sort_keys=["doc_id"]))
+        return t.sort_by("doc_id")
+
+    batches = list(ds.map_batches(lowest, batch_format="pyarrow")
+                   .iter_batches(batch_format="pyarrow", batch_size=None))
+    return lowest(pa.concat_tables(batches)).to_pylist() if batches else []
+
+
 def perceptron_classify_docs(sf_dir: str):
     """Driver query: train a Boolean perceptron (label: lang == 'en') on
     a deterministic sample with the exact reference pass, then classify
@@ -271,8 +286,7 @@ def perceptron_classify_docs(sf_dir: str):
     ds = read(sf_dir, "documents", ["doc_id", "text", "lang"])
     terms, ttf, auto_threshold = corpus_init_stats(ds, "text")
 
-    # deterministic sample: lowest 128 doc_ids (docID-order training pass)
-    sample = (ds.sort("doc_id").limit(128)).take_all()
+    sample = training_sample(ds)
     token_lists, labels = [], []
     for row in sample:
         _, flat = _explode_terms(pa.table({"text": [row["text"]]}))

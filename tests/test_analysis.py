@@ -2,12 +2,19 @@
 test-framework/.../analysis/BaseTokenStreamTestCase.java:122-323) plus
 ASCII-fast-path equivalence fuzzing."""
 
+import numpy as np
+import pyarrow as pa
+import pytest
 import regex as regex_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucene_solr_ray.analysis import StandardAnalyzer, StandardTokenizer
-from lucene_solr_ray.analysis.analyzer import ENGLISH_STOP_WORDS, java_lowercase
+from lucene_solr_ray.analysis.analyzer import (
+    ENGLISH_STOP_WORDS,
+    get_analyzer,
+    java_lowercase,
+)
 from lucene_solr_ray.analysis.tokenizer import (
     ALPHANUM,
     HANGUL,
@@ -17,6 +24,8 @@ from lucene_solr_ray.analysis.tokenizer import (
     NUM,
     SOUTHEAST_ASIAN,
 )
+from lucene_solr_ray.index.build import tokenize_table
+from lucene_solr_ray.util.smallfloat import encode_norm
 
 
 def toks(text):
@@ -201,6 +210,59 @@ def test_types_consistent_between_paths(text):
     fast = [(t.text, t.type) for t in tok.tokenize_full(text)]
     slow = [(t.text, t.type) for t in tok.tokenize_full(text + " ")]
     assert fast == slow
+
+
+# --- build front end == per-doc analyze() ---
+
+_piece = st.one_of(
+    st.text(alphabet="aZq09_.,:;'-/!?()@\" \t\n", min_size=1, max_size=12),
+    st.sampled_from(sorted(ENGLISH_STOP_WORDS) + ["The", "AND", "e.g.",
+                                                  "1,000", "o'neill's"]),
+    # runs around and over the 255-char token limit
+    st.builds(lambda run, n: run * n, st.sampled_from(["a", "Z7", "x_"]),
+              st.integers(120, 300)),
+)
+_doc = st.one_of(st.none(), st.just(""),
+                 st.lists(_piece, max_size=10).map("".join))
+_docs = st.lists(_doc, min_size=1, max_size=8).map(
+    lambda docs: docs + ["Ünïcode café " + (docs[0] or "")])
+
+
+def _postings_by_analyze(analyzer, text):
+    terms, positions = analyzer.analyze(text or "")
+    postings: dict[str, list[int]] = {}
+    for t, p in zip(terms, positions):
+        postings.setdefault(t, []).append(p)
+    return len(terms), postings
+
+
+@pytest.mark.parametrize("analyzer", [
+    get_analyzer("standard"), get_analyzer("standard_nostop"),
+    StandardAnalyzer(max_token_length=10)],
+    ids=["standard", "standard_nostop", "max_token_length_10"])
+@given(texts=_docs)
+@settings(max_examples=150, deadline=None)
+def test_build_front_end_matches_analyze(analyzer, texts):
+    """``tokenize_table`` (the Arrow front end plus its per-doc fallback)
+    gives every doc exactly ``analyze()``'s terms, freqs, positions,
+    doc_len and norm byte."""
+    n = len(texts)
+    out = tokenize_table(pa.table({
+        "doc_id": pa.array(range(n), type=pa.int64()),
+        "doc_shard": pa.array([0] * n, type=pa.int32()),
+        "conv_id": pa.array(["c"] * n),
+        "turn_idx": pa.array(range(n), type=pa.int32()),
+        "text": pa.array(texts, type=pa.string()),
+    }), analyzer)
+    for text, row in zip(texts, out.to_pylist()):
+        doc_len, want = _postings_by_analyze(analyzer, text)
+        got, pos = {}, iter(row["pos_flat"])
+        for term, freq in zip(row["terms"], row["freqs"]):
+            got[term] = [next(pos) for _ in range(freq)]
+        assert got == want, text
+        assert row["doc_len"] == doc_len
+        assert row["norm_byte"] == int(
+            encode_norm(np.array([max(doc_len, 1)]))[0])
 
 
 unicode_text = st.text(

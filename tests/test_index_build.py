@@ -112,6 +112,45 @@ def test_resume_skips_completed_shards(ray_session, tmp_path):
     assert s.search("ray", k=5)  # index is functional after resume
 
 
+def _tree_bytes(root: Path, pattern: str) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.glob(pattern)) if p.is_file()}
+
+
+def test_resume_after_lost_tokenize_task_is_byte_identical(ray_session,
+                                                           tmp_path):
+    """A wave-A tokenize task killed mid-write (no SUCCESS marker, its run
+    files truncated, the shards they feed never encoded) is redone on
+    resume, and the index comes out byte-identical."""
+    src = tmp_path / "src.parquet"
+    # 2,048-row row groups: the ~20k turns plan as three tokenize tasks
+    pq.write_table(generate_transcripts(3000, seed=5), src,
+                   row_group_size=2048)
+    out = tmp_path / "idx"
+    m1 = build_index(str(src), str(out), num_shards=8, keep_runs=True)
+    assert len(m1["lineage"]) >= 2
+    shard_files = _tree_bytes(out, "shards/**/terms.parquet")
+    norm_files = _tree_bytes(out, "norms/**/*")
+    assert shard_files and norm_files
+
+    task = len(m1["lineage"]) // 2
+    (out / "runs" / f"_task{task:05d}_SUCCESS").unlink()
+    lost = sorted((out / "runs").glob(f"shard=*/run-{task:05d}.parquet"))
+    assert lost
+    for run in lost + sorted(
+            (out / "norms").glob(f"doc_shard=*/run-{task:05d}.parquet")):
+        run.write_bytes(run.read_bytes()[:run.stat().st_size // 2])
+    for run in lost:
+        shutil.rmtree(out / "shards" / run.parent.name)
+
+    m2 = build_index(str(src), str(out), num_shards=8, resume=True,
+                     keep_runs=True)
+    assert _tree_bytes(out, "shards/**/terms.parquet") == shard_files
+    assert _tree_bytes(out, "norms/**/*") == norm_files
+    assert m2["stats"] == m1["stats"]
+    assert m2["shards"] == m1["shards"]
+
+
 def test_doc_id_is_rank_of_sorted_order(ray_session, tmp_path):
     """doc_id must equal the rank under (conv_id, turn_idx) — verify via norms
     docmap against an explicitly sorted source read."""

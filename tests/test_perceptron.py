@@ -16,6 +16,7 @@ from lucene_solr_ray.search.perceptron import (
     corpus_init_stats,
     train_perceptron_mixed,
     train_reference,
+    training_sample,
 )
 
 DOCS = ["good good stuff", "bad stuff", "good win", "bad loss"]
@@ -120,6 +121,23 @@ def test_bulk_classify_matches_model(ray_session):
         want_a, want_s = m.assign(text.split())
         assert bool(tab["assigned"].iloc[i]) == want_a
         assert tab["score"].iloc[i] == pytest.approx(want_s, abs=1e-6)
+
+
+def test_training_sample_is_sort_limit(ray_session):
+    """The per-batch bottom-128 sample holds exactly the rows of a global
+    sort by doc_id cut at 128, in that order."""
+    rng = np.random.default_rng(3)
+    ids = rng.permutation(1000)
+    blocks = [pa.table({"doc_id": pa.array(ids[i:i + 97], type=pa.int64()),
+                        "text": pa.array([f"t{d}" for d in ids[i:i + 97]])})
+              for i in range(0, 1000, 97)]
+    ds = rd.from_arrow(blocks).repartition(5)
+    want = ds.sort("doc_id").limit(128).take_all()
+    assert training_sample(ds) == want
+    assert [r["doc_id"] for r in want] == list(range(128))
+    # an empty corpus gives an empty sample, as the sort did
+    empty = ds.filter(expr="doc_id < 0")
+    assert training_sample(empty) == empty.sort("doc_id").limit(128).take_all() == []
 
 
 def test_driver_query_smoke(ray_session):
