@@ -20,25 +20,11 @@ import sys
 import time
 
 
-# Calibration references: best calib_probe() readings observed in a
-# known-good VM window (see BASELINE.md "calibration probe"). The probe
-# runs a fixed deterministic kernel — single-process AND as 32
-# concurrent processes — so probe_sec / ref is a direct measure of how
-# throttled the measurement window was. The sandbox host intermittently
-# steals 2-10x of this container's aggregate CPU (documented across
-# rounds 2-4; direct evidence: host load-average 24 with an idle
-# container, BASELINE.md r4 notes), and the steal hits the AGGREGATE
-# budget — a single process can read full speed while 32 concurrent
-# processes crawl — hence the 32-way probe is the one that predicts the
-# distributed job's window, and every bench artifact now carries both
-# readings as its own throttle evidence.
-# Pinned from the best readings observed across a full day of sampling
-# (r5 session): single 0.042 s/kernel; the 32-way batch hit 0.365 s in
-# the one genuinely-unthrottled window (most of the day it read 2-11 s,
-# i.e. the host granted 1.5-6 of 32 cores). throttle_factor is
-# max(1, agg/ref): >1 says the window was stolen and by how much.
-CALIB_REF_SINGLE_SEC = 0.042   # 1 proc, fixed kernel, good window
-CALIB_REF_AGG_SEC = 0.365      # 32 procs x 3 kernels, good window
+# Calibration probe: a fixed deterministic kernel, run single-process and
+# as 32 concurrent processes before each timed build. The host can steal
+# aggregate CPU (a single process reads full speed while 32 concurrent
+# ones crawl), so the artifact carries both raw readings as context for
+# the measurement window; they are never used to rescale a timing.
 
 
 def _probe_kernel(iters: int) -> float:
@@ -130,28 +116,17 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
         probe_single, probe_agg = min(probe_single, s), min(probe_agg, g)
         shutil.rmtree(index_dir, ignore_errors=True)
         t0 = time.time()
-        build_index(src, index_dir, num_shards=32,
-                    batch_size=2048, concurrency=31)
+        build_index(src, index_dir, num_shards=32, concurrency=31)
         t_build = min(t_build, time.time() - t0)
     timings["index_build"] = round(t_build, 3)
     timings["index_turns_per_sec"] = round(n_turns / t_build, 1)
-    throttle = probe_agg / CALIB_REF_AGG_SEC
     timings["calib_probe_single_sec"] = round(probe_single, 4)
     timings["calib_probe_agg_sec"] = round(probe_agg, 3)
-    timings["calib_ref_agg_sec"] = CALIB_REF_AGG_SEC
-    timings["throttle_factor"] = round(throttle, 3)
     # effective cores the host actually granted during the probe batch:
     # 32 procs x 3 kernels of work, each kernel worth probe_single_sec
     # of one-core time — ratio to the batch wall time is parallelism
     timings["calib_effective_cores"] = round(
         32 * 3 * probe_single / max(probe_agg, 1e-9), 1)
-    # probe-normalized figures: what this job measures when the host is
-    # not stealing aggregate CPU (divide by the 32-way slowdown; a
-    # conservative correction — the distributed job also loses to
-    # scheduler preemption bursts the probe batch may miss)
-    timings["index_build_normalized"] = round(t_build / max(1.0, throttle), 3)
-    timings["index_turns_per_sec_normalized"] = round(
-        n_turns / (t_build / max(1.0, throttle)), 1)
 
     # --- BM25 query serving: p95 latency + batch throughput ---
     rng_terms = ["ray", "data", "index", "query", "merge", "scale", "t00042",

@@ -6,9 +6,9 @@ data-processing capabilities (reference: Lucene 7.0.0-SNAPSHOT) on top of
 
 - ``analysis``  — StandardAnalyzer-equivalent chain (UAX#29 tokenizer,
   per-codepoint lowercase, 33-word English stop filter with position holes).
-- ``index``     — distributed inverted-index build: doc_id assignment,
-  SPIMI-style per-partition runs via an actor pool, term groupby shuffle,
-  delta+varint encoded postings,
+- ``index``     — distributed inverted-index build: doc_id assignment
+  from parquet footers, SPIMI-style per-shard runs from one tokenize wave,
+  a per-shard encode wave of delta+varint postings,
   doc-sharded segments plus a versioned manifest (resume support).
 - ``search``    — BM25 (k1=1.2, b=0.75, Lucene's Okapi variant, float32)
   top-k over sharded segments served from Ray actor pools; boolean

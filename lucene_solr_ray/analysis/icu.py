@@ -12,10 +12,13 @@ Re-expression without ICU (no native libs in scope):
 
 - script runs come from a small codepoint-range table (the scripts the
   break rules distinguish), not ICU's full Script property;
-- Han and Hiragana runs emit overlapping BIGRAMS (the CJKBigramFilter
-  default flags cover Han/Hiragana/Katakana/Hangul, but the standard
-  scanner only ever emits Han and Hiragana as single codepoints — the
-  same effective behavior the reference chain has);
+- Han and Hiragana runs emit overlapping BIGRAMS, each script run on its
+  own. DOCUMENTED DIVERGENCES from CJKBigramFilter, whose default flags
+  (Han|Hiragana|Katakana|Hangul) buffer adjacent flagged codepoints as
+  one bigram domain: no bigram spans a Han<->Hiragana run boundary
+  (``語は`` is never emitted), and Katakana and Hangul runs are not
+  bigrammed, so Japanese and Korean text indexes different terms than
+  the reference chain;
 - Katakana, Hangul and Southeast-Asian runs (Thai/Lao/Khmer/Myanmar)
   stay whole-run tokens. DOCUMENTED DIVERGENCE: ICU breaks Thai by a
   dictionary BreakIterator; with no dictionary available the run is the

@@ -36,7 +36,8 @@ def main(argv=None) -> int:
     b.add_argument("--analyzer", default="standard")
     b.add_argument("--resume", action="store_true")
     b.add_argument("--unsorted", action="store_true",
-                   help="input is not pre-sorted by (conv_id, turn_idx)")
+                   help="input is not pre-sorted by (conv_id, turn_idx); "
+                        "it is sorted once into index_dir/source/")
     b.add_argument("--store-offsets", action="store_true",
                    help="write the token char-offsets sidecar "
                         "(PostingsHighlighter-style highlighting without "

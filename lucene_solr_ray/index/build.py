@@ -2,36 +2,49 @@
 
 Re-expresses the reference indexing chain (SURVEY.md §3.1,
 ``IndexWriter.addDocument`` -> DWPT -> TermsHash -> FreqProx -> codec flush)
-as streaming Dataset stages:
+as one two-wave Ray task graph over a parquet source sorted by
+``(conv_id, turn_idx)``. A Dataset source, or any source given with
+``assume_sorted=False``, is first written once (sorted when unsorted) as
+``index_dir/source/part-NNNNNN.parquet`` and built from there like a
+user's file; the copy is removed with the runs.
 
-1.  ``read_parquet`` (columns pruned) -> optional global sort by
-    ``(conv_id, turn_idx)`` -> **doc_id assignment** (rank in the stable
-    ordering — the determinism invariant, stronger than the reference's
-    thread-timing-dependent docID order, DocumentsWriterPerThreadPool.java:27-37).
-2.  **Tokenize + SPIMI runs**: an actor pool (``map_batches`` over zero-copy
-    Arrow, analyzer compiled once per actor — the Analyzer-reuse analog,
-    Analyzer.java:135-168) emits one row per document with its per-term
-    postings. The StandardAnalyzer front end works on whole Arrow columns:
-    the batch's ASCII docs are lowercased and split on runs of characters
+1.  **Footer plan**: the parquet footers alone (no data read; footer reads
+    fan out as Ray tasks past a handful of files) give every row group's
+    row count. Consecutive row groups are packed into tokenize tasks, and
+    a prefix sum over the counts gives each task its first **doc_id** —
+    the rank in the stable ``(conv_id, turn_idx)`` ordering, the
+    determinism invariant, stronger than the reference's
+    thread-timing-dependent docID order
+    (DocumentsWriterPerThreadPool.java:27-37). The plan is persisted in
+    ``_BUILD_PARAMS.json`` so a resumed build reuses it.
+2.  **Wave A, tokenize + SPIMI runs**: one task per planned span reads its
+    row groups, checks they are strictly sorted, assigns doc_ids and emits
+    one row per document with its per-term postings (analyzer compiled
+    once per task — the Analyzer-reuse analog, Analyzer.java:135-168).
+    The StandardAnalyzer front end works on whole Arrow columns: the
+    batch's ASCII docs are lowercased and split on runs of characters
     outside the UAX#29 word classes in one ``pyarrow.compute`` pass, only
     candidates holding a mid-letter/mid-num character or ``_`` go through
     the exact ASCII scanner, and stopword removal and term coding
     (``is_in``, ``dictionary_encode``) stay columnar. Non-ASCII docs, docs
     holding a token over ``max_token_length`` and every other analyzer
-    chain take the exact per-doc ``analyze()``. Runs are spilled to
-    Parquet (the DWPT flush analog) so the three downstream consumers
-    (stats, norms, postings) each re-read only the columns they need, and
-    so a restarted build resumes past tokenization.
-3.  **Global statistics**: docCount / sumTotalTermFreq via a partial-per-batch
-    + global-sum aggregate (IndexSearcher.collectionStatistics analog).
-4.  **Term shuffle + segment encode**: explode runs into posting rows, then
-    ``groupby("doc_shard").map_groups`` — the one all-to-all exchange —
-    sorts each shard's postings by (term, doc_id) and block-encodes them
-    (segment.py). Sharding is by contiguous doc_id range (SolrCloud
-    doc-routing analog, HashBasedRouter.java:27-50), which bounds every
-    term's per-shard posting list by the shard's doc count — the heavy-term
-    skew control: a stopword-adjacent term's 10^12-doc posting list is
-    split across shards by construction, and shard segments are encoded
+    chain take the exact per-doc ``analyze()``. Each task writes its runs
+    and norms split at shard boundaries (the DWPT flush analog) and a
+    ``_task{i}_SUCCESS`` marker, so a restarted build resumes past it.
+3.  **Global statistics**: docCount / sumTotalTermFreq are the sum of the
+    wave-A partials (IndexSearcher.collectionStatistics analog);
+    ``build_index`` also checks the tasks' key ranges follow each other
+    in order.
+4.  **Wave B, per-shard encode**: sharding is by contiguous doc_id range
+    (SolrCloud doc-routing analog, HashBasedRouter.java:27-50), so a
+    shard's postings are exactly its ``runs/shard=K`` files and no
+    all-to-all exchange runs. One task per shard, gated only on the wave-A
+    tasks covering its doc range (encoding overlaps the rest of wave A),
+    explodes its runs into posting rows, sorts them by (term, doc_id) and
+    block-encodes them (segment.py). The range split bounds every term's
+    per-shard posting list by the shard's doc count — the heavy-term skew
+    control: a stopword-adjacent term's 10^12-doc posting list is split
+    across shards by construction, and shard segments are encoded
     independently (mtree-merge-style, MapReduceIndexerTool.java:330-338).
 5.  **Manifest**: written last, atomically, listing every shard with doc/term
     counts and lineage (segments_N generation protocol,
@@ -85,74 +98,8 @@ def _limit_worker_threads() -> None:
 
 
 # --------------------------------------------------------------------------
-# stage 1: doc_id assignment
-# --------------------------------------------------------------------------
-
-@ray.remote
-def _block_meta(block: pa.Table):
-    """(num_rows, first_key, last_key, strictly_sorted_within) per block."""
-    n = block.num_rows
-    if n == 0:
-        return n, None, None, True
-    conv = np.asarray(block.column("conv_id").to_pylist(), dtype=object)
-    turn = block.column("turn_idx").to_numpy(zero_copy_only=False)
-    first = (conv[0], int(turn[0]))
-    last = (conv[-1], int(turn[-1]))
-    ok = bool(np.all(
-        (conv[1:] > conv[:-1])
-        | ((conv[1:] == conv[:-1]) & (turn[1:] > turn[:-1]))))
-    return n, first, last, ok
-
-
-@ray.remote
-def _add_doc_ids(block: pa.Table, offset: int, docs_per_shard: int) -> pa.Table:
-    n = block.num_rows
-    doc_id = np.arange(offset, offset + n, dtype=np.int64)
-    block = block.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
-    return block.append_column(
-        "doc_shard", pa.array(doc_id // docs_per_shard, type=pa.int32()))
-
-
-def assign_doc_ids(ds: rd.Dataset, docs_per_shard: int,
-                   verify_order: bool = True) -> tuple[rd.Dataset, int]:
-    """Attach ``doc_id`` = rank under the (conv_id, turn_idx) ordering.
-
-    Ray Data has no zipWithIndex, so this drops to the documented raw-Ray
-    escape hatch: materialize the (already sorted) dataset, prefix-sum the
-    per-block row counts (block count ~ 10^6 at 10^12 rows — trivial on the
-    driver), and add the id column per block. Blocks stay in the object
-    store throughout (zero-copy refs); nothing is pulled to the driver.
-
-    With ``verify_order`` the per-block key ranges are checked to be sorted
-    within and across blocks — the "stable (conv_id, turn_idx) ordering"
-    invariant asserted before indexing.
-    """
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    metas = ray.get([_block_meta.remote(r) for r in refs])
-    counts = [m[0] for m in metas]
-    if verify_order:
-        prev_last = None
-        for i, (n, first, last, sorted_within) in enumerate(metas):
-            if n == 0:
-                continue
-            if not sorted_within:
-                raise ValueError(f"input block {i} is not sorted by (conv_id, turn_idx)")
-            if prev_last is not None and first < prev_last:
-                raise ValueError(
-                    f"input blocks out of order at block {i}: {first} < {prev_last}")
-            prev_last = last
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(offsets[-1])
-    new_refs = [
-        _add_doc_ids.remote(r, int(offsets[i]), docs_per_shard)
-        for i, r in enumerate(refs)
-    ]
-    return rd.from_arrow_refs(new_refs), total
-
-
-# --------------------------------------------------------------------------
-# stage 2: tokenize into SPIMI runs (actor pool)
+# tokenize: text -> per-doc postings rows (wave A; TokenizeStage is
+# update.py's actor-pool form)
 # --------------------------------------------------------------------------
 
 class TokenizeStage:
@@ -324,7 +271,7 @@ def _tokenize_chunk(batch: pa.Table, analyzer) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# stage 4: explode runs -> posting rows, encode per shard
+# explode runs -> posting rows, encode one shard (wave B)
 # --------------------------------------------------------------------------
 
 def _explode_runs(batch: pa.Table) -> pa.Table:
@@ -362,10 +309,11 @@ def _explode_runs(batch: pa.Table) -> pa.Table:
 
 
 class SegmentWriter:
-    """map_groups fn over groupby(doc_shard): encode + write one shard.
+    """Encode + write one shard from its posting rows (wave B; update.py's
+    merge runs it as a map_groups fn over groupby(doc_shard)).
 
     Writes atomically (temp dir + rename); a shard directory containing
-    ``_SUCCESS`` is skipped on resume, making the shuffle restartable at
+    ``_SUCCESS`` is skipped on resume, making the encode restartable at
     shard granularity.
     """
 
@@ -459,36 +407,6 @@ class SegmentWriter:
         return _manifest_row_table([row])
 
 
-def _write_segment_group(group: pa.Table, index_dir: str,
-                         docs_per_shard: int,
-                         codec: str = "varint") -> pa.Table:
-    """Module-level map_groups fn (GroupedData requires a __name__)."""
-    return SegmentWriter(index_dir, docs_per_shard, codec)(group)
-
-
-@ray.remote
-def _encode_shard_task(runs_dir: str, shard_id: int, index_dir: str,
-                       docs_per_shard: int, columns: list[str],
-                       codec: str = "varint") -> list[dict]:
-    """Aligned path: one task per shard reads ONLY its doc range from the
-    runs (parquet predicate pushdown over the doc-ordered files), explodes
-    and encodes it. No all-to-all: doc_ids are range-partitioned, so the
-    term grouping is shard-local by construction — the cluster-scale win
-    over re-shipping every posting through a shuffle.
-    """
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    _limit_worker_threads()
-    t = pads.dataset(runs_dir, format="parquet").to_table(
-        columns=columns, filter=pc.field("doc_shard") == shard_id)
-    if t.num_rows == 0:
-        return []
-    group = _explode_runs(t)
-    result = SegmentWriter(index_dir, docs_per_shard, codec)(group)
-    return result.to_pylist()
-
-
 def _manifest_row_table(rows: list[dict]) -> pa.Table:
     return pa.table({
         "shard_id": pa.array([r["shard_id"] for r in rows], type=pa.int64()),
@@ -501,7 +419,7 @@ def _manifest_row_table(rows: list[dict]) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# stage 3: global statistics (partial per batch + tiny global sum)
+# global statistics of update.py's runs (partial per batch + tiny global sum)
 # --------------------------------------------------------------------------
 
 def _partial_stats(batch: pa.Table) -> pa.Table:
@@ -524,7 +442,7 @@ def compute_stats(runs: rd.Dataset) -> dict:
 
 
 # --------------------------------------------------------------------------
-# fused fast path: one task per source row-group span
+# the two-wave build: one task per source row-group span, one per shard
 # --------------------------------------------------------------------------
 
 @ray.remote
@@ -571,11 +489,6 @@ def _assemble_plan(files, rg_rows, target_rows: int):
         if cur_rgs:
             tasks.append((f, cur_rgs, cur_offset, cur_rows))
     return tasks, offset
-
-
-def _plan_source_tasks(source: str, target_rows: int):
-    files, rg_rows = _read_footers(source)
-    return _assemble_plan(files, rg_rows, target_rows)
 
 
 def _token_spans(texts: list, analyzer):
@@ -733,7 +646,7 @@ def _encode_shard_dir_task(runs_dir: str, shard_id: int, index_dir: str,
 
 def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
                  num_shards: int | None, analyzer: str, concurrency: int,
-                 resume: bool, keep_runs: bool, phases: dict, _phase,
+                 resume: bool, _phase,
                  codec: str = "varint",
                  store_offsets: bool = False) -> dict:
     """The scalable two-wave build (documented in the module docstring)."""
@@ -758,30 +671,29 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
             "postings_codec": codec,
             "tasks": [[str(f), list(map(int, rgs)), int(off), int(nr)]
                       for f, rgs, off, nr in tasks]}
-    if resume and params_file.exists():
-        prev = json.loads(params_file.read_text())
-        if prev.get("postings_codec", "varint") != codec:
-            # completed shards were encoded with the old codec; mixing
-            # codecs under one manifest would corrupt readers
-            raise ValueError(
-                f"resume with postings_codec={codec!r} over a build "
-                f"started with {prev.get('postings_codec', 'varint')!r}")
-        if (prev.get("tasks")
-                and prev.get("docs_per_shard") == plan["docs_per_shard"]):
-            # resume with the PERSISTED plan: _task{i}_SUCCESS markers and
-            # run files are keyed by task index, and a fresh plan depends
-            # on the current cluster size (target_rows = f(concurrency)) —
-            # trusting old markers under a replanned task list silently
-            # corrupts doc_id assignment
-            tasks = [(f, rgs, off, nr) for f, rgs, off, nr in prev["tasks"]]
-            total_docs = int(prev["total_docs"])
-        else:  # incompatible layout: stale markers cannot be trusted
-            for stale in ("runs", "norms", "shards"):
+    prev = (json.loads(params_file.read_text())
+            if resume and params_file.exists() else {})
+    if prev and prev.get("postings_codec", "varint") != codec:
+        # completed shards were encoded with the old codec; mixing
+        # codecs under one manifest would corrupt readers
+        raise ValueError(
+            f"resume with postings_codec={codec!r} over a build "
+            f"started with {prev.get('postings_codec', 'varint')!r}")
+    if (prev.get("tasks")
+            and prev.get("docs_per_shard") == plan["docs_per_shard"]):
+        # resume with the PERSISTED plan: _task{i}_SUCCESS markers and
+        # run files are keyed by task index, and a fresh plan depends
+        # on the current cluster size (target_rows = f(concurrency)) —
+        # trusting old markers under a replanned task list silently
+        # corrupts doc_id assignment
+        tasks = [(f, rgs, off, nr) for f, rgs, off, nr in prev["tasks"]]
+        total_docs = int(prev["total_docs"])
+    else:
+        if resume:  # no usable plan: stale markers cannot be trusted
+            for stale in ("runs", "norms", "shards", "offsets"):
                 shutil.rmtree(index_path / stale, ignore_errors=True)
             runs_dir.mkdir(parents=True, exist_ok=True)
             norms_dir.mkdir(parents=True, exist_ok=True)
-            params_file.write_text(json.dumps(plan))
-    else:
         params_file.write_text(json.dumps(plan))
     _phase("plan")
 
@@ -853,6 +765,40 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
 # the build driver
 # --------------------------------------------------------------------------
 
+@ray.remote
+def _write_source_part(block: pa.Table, path: str) -> None:
+    if block.num_rows:
+        pq.write_table(block, path)
+
+
+def _materialize_source(source: str | rd.Dataset, index_path: Path,
+                        assume_sorted: bool, resume: bool) -> str:
+    """Write a Dataset or unsorted source once, in (conv_id, turn_idx)
+    order, as ``index_dir/source/part-NNNNNN.parquet`` (one file per
+    non-empty block) for the fused build to plan over like a user's file.
+    ``resume`` reuses a completed copy: the persisted task plan addresses
+    these parts by row group, and a repeated sort may cut different
+    blocks, so a fresh copy also drops the plan."""
+    src_dir = index_path / "source"
+    if resume and (src_dir / "_SUCCESS").exists():
+        return str(src_dir)
+    shutil.rmtree(src_dir, ignore_errors=True)
+    (index_path / "_BUILD_PARAMS.json").unlink(missing_ok=True)
+    src_dir.mkdir(parents=True)
+    ds = ds_select(rd.read_parquet(source) if isinstance(source, str)
+                   else source)
+    if not assume_sorted:
+        ds = ds.sort(["conv_id", "turn_idx"])
+    # the footer plan reads files in name order, so parts are named by
+    # block index here (Dataset.write_parquet names files by write task)
+    refs = ds.materialize().to_arrow_refs()
+    ray.get([
+        _write_source_part.remote(r, str(src_dir / f"part-{i:06d}.parquet"))
+        for i, r in enumerate(refs)])
+    (src_dir / "_SUCCESS").touch()
+    return str(src_dir)
+
+
 def build_index(
     source: str | rd.Dataset,
     index_dir: str,
@@ -860,16 +806,19 @@ def build_index(
     num_shards: int | None = None,
     docs_per_shard: int | None = None,
     analyzer: str = "standard",
-    batch_size: int = 4096,
     concurrency: int | None = None,
     assume_sorted: bool = True,
     resume: bool = False,
     keep_runs: bool = False,
-    shuffle: str = "aligned",
     postings_codec: str = "varint",
     store_offsets: bool = False,
 ) -> dict:
     """Build a sharded inverted index; returns the manifest dict.
+
+    ``source`` is a parquet file or directory sorted by (conv_id,
+    turn_idx), or a Dataset; a Dataset, or any source with
+    ``assume_sorted=False``, is first written sorted into
+    ``index_dir/source/`` and built from there.
 
     ``postings_codec`` selects the posting-stream encoding from the
     codec SPI (segment.POSTINGS_CODECS — PostingsFormat analog); the
@@ -899,151 +848,28 @@ def build_index(
     index_path = Path(index_dir)
     index_path.mkdir(parents=True, exist_ok=True)
     if not resume:
-        for stale in ("shards", "norms", "runs"):
+        for stale in ("shards", "norms", "runs", "offsets", "source"):
             shutil.rmtree(index_path / stale, ignore_errors=True)
-        (index_path / "_NORMS_SUCCESS").unlink(missing_ok=True)
         (index_path / MANIFEST_NAME).unlink(missing_ok=True)
 
     if concurrency is None:
         concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
 
-    # fused two-wave path: applicable to sorted parquet-on-disk sources
-    # (the 100 TB case); Dataset sources or unsorted input use the general
-    # Dataset pipeline below
-    if store_offsets and not (isinstance(source, str) and assume_sorted
-                              and shuffle == "aligned"):
-        raise ValueError("store_offsets requires the fused sorted-parquet "
-                         "build path")
-    if isinstance(source, str) and assume_sorted and shuffle == "aligned":
-        r = _build_fused(source, index_path, docs_per_shard, num_shards,
-                         analyzer, concurrency, resume, keep_runs,
-                         phases, _phase, codec=postings_codec,
-                         store_offsets=store_offsets)
-        manifest = _write_manifest(
-            index_path, analyzer, r["docs_per_shard"], r["actual_shards"],
-            r["stats"], r["avgdl"], r["manifest_rows"], phases, t0,
-            checkpoint=r["checkpoint"], lineage=r["lineage"],
-            postings_codec=postings_codec, offsets=store_offsets)
-        if not keep_runs:
-            shutil.rmtree(index_path / "runs", ignore_errors=True)
-        return manifest
-
-    runs_dir = index_path / "runs"
-    runs_done = runs_dir / "_RUNS_SUCCESS"
-    params_file = index_path / "_BUILD_PARAMS.json"
-
-    if resume and runs_done.exists() and params_file.exists():
-        # tokenized runs already on disk: skip read + assign + tokenize
-        prev_params = json.loads(params_file.read_text())
-        if prev_params.get("postings_codec", "varint") != postings_codec:
-            raise ValueError(
-                f"resume with postings_codec={postings_codec!r} over a "
-                f"build started with "
-                f"{prev_params.get('postings_codec', 'varint')!r}")
-        docs_per_shard = prev_params["docs_per_shard"]
-        total_docs = prev_params["total_docs"]
-        actual_shards = max(1, -(-total_docs // docs_per_shard))
-    else:
-        if isinstance(source, str):
-            import pyarrow.dataset as _pads
-
-            src_fields = {f.name for f in _pads.dataset(source).schema}
-            extra = [c for c in DOCVALUE_FIELDS if c in src_fields]
-            ds = rd.read_parquet(
-                source, columns=["conv_id", "turn_idx", "text"] + extra)
-        else:
-            ds = ds_select(source)
-        if not assume_sorted:
-            ds = ds.sort(["conv_id", "turn_idx"])
-
-        total_docs = ds.count()
-        if docs_per_shard is None:
-            num_shards = num_shards or 8
-            docs_per_shard = max(1, -(-total_docs // num_shards))
-        actual_shards = max(1, -(-total_docs // docs_per_shard))
-        params_file.write_text(json.dumps(
-            {"docs_per_shard": int(docs_per_shard),
-             "total_docs": int(total_docs),
-             "postings_codec": postings_codec}))
-
-        _phase("read_count")
-        ds, _ = assign_doc_ids(ds, docs_per_shard, verify_order=assume_sorted)
-        _phase("assign_doc_ids")
-
-        if runs_dir.exists():
-            shutil.rmtree(runs_dir)
-        tokenized = ds.map_batches(
-            TokenizeStage,
-            fn_constructor_kwargs={"analyzer_name": analyzer},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            concurrency=concurrency,
-        )
-        tokenized.write_parquet(str(runs_dir))
-        runs_done.touch()
-        _phase("tokenize_runs")
-
-    # stats (column-pruned read of the runs)
-    stats = compute_stats(
-        rd.read_parquet(str(runs_dir), columns=["doc_len"]))
-    avgdl = float(bm25.avg_field_length(
-        stats["sum_total_term_freq"], max(stats["doc_count"], 1)))
-    _phase("stats")
-
-    # norms + docmap, partitioned by shard for query-side range loads
-    norms_dir = index_path / "norms"
-    if not (resume and (index_path / "_NORMS_SUCCESS").exists()):
-        if norms_dir.exists():
-            shutil.rmtree(norms_dir)
-        import pyarrow.dataset as _pads
-
-        runs_fields = {f.name for f in _pads.dataset(str(runs_dir)).schema}
-        ncols = (["doc_id", "doc_shard", "conv_id", "turn_idx"]
-                 + [c for c in DOCVALUE_FIELDS if c in runs_fields]
-                 + ["doc_len", "norm_byte"])
-        rd.read_parquet(str(runs_dir), columns=ncols).write_parquet(
-            str(norms_dir), partition_cols=["doc_shard"])
-        (index_path / "_NORMS_SUCCESS").touch()
-    _phase("norms")
-
-    # the term grouping: per-shard postings aggregation + encode.
-    # "aligned" (default): doc_ids are range-partitioned and the runs are
-    # written in doc order, so each shard's postings are already co-located
-    # — one independent task per shard, predicate-pushdown read, no
-    # all-to-all. "groupby": the explicit Ray groupby shuffle (used when
-    # upstream alignment cannot be assumed).
-    run_cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
-    if shuffle == "aligned":
-        futures = [
-            _encode_shard_task.remote(
-                str(runs_dir), sid, str(index_path), int(docs_per_shard),
-                run_cols, postings_codec)
-            for sid in range(actual_shards)
-        ]
-        manifest_rows = [r for rows in ray.get(futures) for r in rows]
-    else:
-        runs = rd.read_parquet(str(runs_dir), columns=run_cols)
-        postings = runs.map_batches(_explode_runs, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-        import functools
-
-        writer = functools.partial(
-            _write_segment_group, index_dir=str(index_path),
-            docs_per_shard=int(docs_per_shard), codec=postings_codec)
-        manifest_rows = (
-            postings.groupby("doc_shard")
-            .map_groups(writer, batch_format="pyarrow")
-            .take_all()
-        )
-
-    _phase("term_shuffle_encode")
-    shards = manifest_rows
-    manifest = _write_manifest(index_path, analyzer, docs_per_shard,
-                               actual_shards, stats, avgdl, shards, phases,
-                               t0, postings_codec=postings_codec)
+    if not (isinstance(source, str) and assume_sorted):
+        source = _materialize_source(source, index_path, assume_sorted,
+                                     resume)
+        _phase("materialize_source")
+    r = _build_fused(source, index_path, docs_per_shard, num_shards,
+                     analyzer, concurrency, resume, _phase,
+                     codec=postings_codec, store_offsets=store_offsets)
+    manifest = _write_manifest(
+        index_path, analyzer, r["docs_per_shard"], r["actual_shards"],
+        r["stats"], r["avgdl"], r["manifest_rows"], phases, t0,
+        checkpoint=r["checkpoint"], lineage=r["lineage"],
+        postings_codec=postings_codec, offsets=store_offsets)
     if not keep_runs:
-        shutil.rmtree(runs_dir, ignore_errors=True)
+        for work_dir in ("runs", "source"):
+            shutil.rmtree(index_path / work_dir, ignore_errors=True)
     return manifest
 
 

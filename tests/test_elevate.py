@@ -13,8 +13,7 @@ from lucene_solr_ray.search.searcher import IndexSearcher
 @pytest.fixture(scope="module")
 def s(ray_session, tmp_path_factory):
     out = tmp_path_factory.mktemp("elev") / "idx"
-    build_index(transcripts_path("tiny"), str(out), num_shards=2,
-                batch_size=64)
+    build_index(transcripts_path("tiny"), str(out), num_shards=2)
     return IndexSearcher(str(out))
 
 

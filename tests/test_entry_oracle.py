@@ -70,6 +70,35 @@ def test_rows_only_queries_run(ray_session):
         assert df is not None and len(df.columns) > 0, name
 
 
+def test_bm25_topk_docs_matches_oracle(ray_session, tmp_path, monkeypatch):
+    """``bm25_topk_docs`` indexes ``documents.text`` from a Dataset source;
+    its top-k is rank- and float32-score-identical to the oracle over the
+    same texts in doc_id order. The index dir is redirected so a cached
+    index cannot stand in for this build."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.pipelines import fulltext
+    from lucene_solr_ray.search.oracle import OracleIndex
+
+    monkeypatch.setattr(fulltext, "_docs_index_dir",
+                        lambda sf_dir: str(tmp_path / "docs_idx"))
+    got = fulltext.bm25_topk_docs(SF_DIR, k=10).to_pylist()
+    assert (tmp_path / "docs_idx" / "manifest.json").exists()
+
+    docs = pq.read_table(f"{SF_DIR}/documents.parquet",
+                         columns=["doc_id", "text"]).sort_by("doc_id")
+    assert docs.column("doc_id").to_pylist() == list(range(docs.num_rows))
+    oracle = OracleIndex()
+    oracle.add_all(enumerate(docs.column("text").to_pylist()))
+    want = [(q, rank, d, float(np.float32(s)))
+            for q in fulltext.DOC_QUERIES
+            for rank, (d, s) in enumerate(oracle.search(q, k=10))]
+    assert want
+    assert [(r["query"], r["rank"], r["doc_id"], r["score"])
+            for r in got] == want
+
+
 def test_entry_smoke(ray_session):
     df = entrymod.entry()
     assert len(df) > 0

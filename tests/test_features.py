@@ -14,7 +14,7 @@ from lucene_solr_ray.search.searcher import IndexSearcher
 def built_index(ray_session, tmp_path_factory):
     src = transcripts_path("tiny")
     out = tmp_path_factory.mktemp("fidx") / "idx"
-    build_index(src, str(out), num_shards=3, batch_size=64)
+    build_index(src, str(out), num_shards=3)
     return str(out)
 
 

@@ -20,8 +20,7 @@ from lucene_solr_ray.search.searcher import IndexSearcher
 def off_index(ray_session, tmp_path_factory):
     src = transcripts_path("tiny")
     out = tmp_path_factory.mktemp("hloff") / "idx"
-    build_index(src, str(out), num_shards=3, batch_size=64,
-                store_offsets=True)
+    build_index(src, str(out), num_shards=3, store_offsets=True)
     return str(out), src
 
 
@@ -74,6 +73,31 @@ def test_postings_highlight_hits_end_to_end(off_index):
     out = postings_highlight_hits(s, "ray AND data", rows, src)
     assert out and all("snippets" in r for r in out)
     assert any("<b>" in sn for r in out for sn in r["snippets"])
+
+
+def test_dataset_source_offsets_match_path_build(off_index, tmp_path):
+    """store_offsets holds for a Dataset source: its stored spans and its
+    offsets-based highlights equal the path build's."""
+    import ray.data as rd
+
+    idx, src = off_index
+    out = tmp_path / "ds"
+    build_index(rd.read_parquet(src), str(out), num_shards=3,
+                store_offsets=True)
+    a, b = IndexSearcher(idx), IndexSearcher(str(out))
+    docs = list(range(a.manifest["stats"]["num_docs"]))
+
+    def spans(s):
+        return {d: (list(st), list(en))
+                for d, (st, en) in s.term_offsets(docs).items()}
+
+    assert spans(a) and spans(b) == spans(a)
+    for q in QUERIES:
+        want = postings_highlight_hits(
+            a, q, a.resolve_hits(a.search(q, k=8)), src)
+        got = postings_highlight_hits(
+            b, q, b.resolve_hits(b.search(q, k=8)), src)
+        assert got == want, q
 
 
 def test_offsets_align_under_stopword_holes(ray_session, tmp_path):

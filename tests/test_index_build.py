@@ -30,7 +30,7 @@ QUERIES = [
 def tiny_index(ray_session, tmp_path_factory):
     src = transcripts_path("tiny")
     out = tmp_path_factory.mktemp("idx") / "tiny_index"
-    manifest = build_index(src, str(out), num_shards=4, batch_size=64)
+    manifest = build_index(src, str(out), num_shards=4)
     return src, str(out), manifest
 
 
@@ -79,8 +79,8 @@ def test_partition_count_equivalence(ray_session, tiny_index, oracle, tmp_path):
     src, _, _ = tiny_index
     out1 = tmp_path / "idx1"
     out8 = tmp_path / "idx8"
-    build_index(src, str(out1), num_shards=1, batch_size=1000)
-    build_index(src, str(out8), num_shards=8, batch_size=17)
+    build_index(src, str(out1), num_shards=1)
+    build_index(src, str(out8), num_shards=8)
     s1, s8 = IndexSearcher(str(out1)), IndexSearcher(str(out8))
     for q in QUERIES:
         r1 = [(d, float(s)) for d, s in s1.search(q, k=10)]
@@ -171,22 +171,81 @@ def test_doc_id_is_rank_of_sorted_order(ray_session, tmp_path):
         turn, src_table.column("turn_idx").to_numpy(zero_copy_only=False))
 
 
-def test_aligned_equals_groupby_shuffle(ray_session, tmp_path):
-    """The aligned per-shard encode and the explicit groupby shuffle
-    produce identical indexes and identical search results."""
-    src = transcripts_path("tiny")
-    a = tmp_path / "aligned"
-    g = tmp_path / "grouped"
-    build_index(src, str(a), num_shards=4, shuffle="aligned")
-    build_index(src, str(g), num_shards=4, shuffle="groupby")
-    sa, sg = IndexSearcher(str(a)), IndexSearcher(str(g))
-    for q in QUERIES:
-        ra = [(d, float(s)) for d, s in sa.search(q, k=10)]
-        rg = [(d, float(s)) for d, s in sg.search(q, k=10)]
-        assert ra == rg, f"query={q!r}"
-    ma, mg = sa.manifest, sg.manifest
-    assert ma["stats"] == mg["stats"]
-    assert ma["shards"] == mg["shards"]
+def _norm_rows(index_dir: Path) -> list[dict]:
+    import pyarrow.dataset as pads
+
+    return (pads.dataset(str(index_dir / "norms"), format="parquet",
+                         partitioning="hive")
+            .to_table().sort_by("doc_id").to_pylist())
+
+
+def _blocks(table, rows: int = 500) -> list:
+    return [table.slice(i, rows) for i in range(0, table.num_rows, rows)]
+
+
+def test_dataset_and_unsorted_sources_match_path_build(ray_session,
+                                                       tmp_path):
+    """A sorted Dataset, a shuffled Dataset and a reverse-sorted file (the
+    last two with assume_sorted=False) build the path build's index: the
+    same terms.parquet bytes, norms rows and manifest stats/shards. The
+    reverse-sorted file without the flag is refused."""
+    import ray.data as rd
+
+    t = generate_transcripts(300, seed=7)
+    src = tmp_path / "t.parquet"
+    pq.write_table(t, src)
+    rev = tmp_path / "rev.parquet"
+    pq.write_table(t.take(np.arange(t.num_rows)[::-1]), rev)
+    base = tmp_path / "path"
+    m0 = build_index(str(src), str(base), num_shards=4)
+    terms0 = _tree_bytes(base, "shards/**/terms.parquet")
+    assert terms0
+    cases = {
+        "sorted_ds": (rd.from_arrow(_blocks(t)), True),
+        "shuffled_ds": (rd.from_arrow(_blocks(t)).random_shuffle(seed=3),
+                        False),
+        "reverse_file": (str(rev), False),
+    }
+    for name, (source, assume_sorted) in cases.items():
+        out = tmp_path / name
+        m = build_index(source, str(out), num_shards=4,
+                        assume_sorted=assume_sorted)
+        assert _tree_bytes(out, "shards/**/terms.parquet") == terms0, name
+        assert _norm_rows(out) == _norm_rows(base), name
+        assert m["stats"] == m0["stats"], name
+        assert m["shards"] == m0["shards"], name
+        assert not (out / "source").exists(), name
+    with pytest.raises(ValueError, match="not sorted"):
+        build_index(str(rev), str(tmp_path / "refused"), num_shards=4)
+
+
+def test_resume_dataset_source_reuses_materialized_source(ray_session,
+                                                         tmp_path):
+    """A Dataset build kept with keep_runs=True resumes from its sorted
+    ``source/`` copy and persisted plan: only the deleted shard is
+    re-encoded, and the index comes out byte-identical."""
+    import ray.data as rd
+
+    t = generate_transcripts(300, seed=8)
+    ds = rd.from_arrow(_blocks(t)).random_shuffle(seed=4)
+    out = tmp_path / "idx"
+    m1 = build_index(ds, str(out), num_shards=4, assume_sorted=False,
+                     keep_runs=True)
+    parts = sorted((out / "source").glob("part-*.parquet"))
+    assert parts and (out / "source" / "_SUCCESS").exists()
+    shard_files = _tree_bytes(out, "shards/**/terms.parquet")
+    lost = sorted((out / "shards").iterdir())[1]
+    untouched = parts + [f for f in sorted(out.glob("shards/*/terms.parquet"))
+                         if f.parent != lost]
+    mtimes = {p: p.stat().st_mtime_ns for p in untouched}
+    shutil.rmtree(lost)
+
+    m2 = build_index(ds, str(out), num_shards=4, assume_sorted=False,
+                     resume=True, keep_runs=True)
+    assert _tree_bytes(out, "shards/**/terms.parquet") == shard_files
+    assert m2["stats"] == m1["stats"]
+    assert m2["shards"] == m1["shards"]
+    assert {p: p.stat().st_mtime_ns for p in untouched} == mtimes
 
 
 def test_manifest_records_input_lineage(tiny_index):

@@ -16,7 +16,7 @@ QUERIES = ["ray", "data index", "ray AND data", '"ray data"', "+index -error",
 def built(ray_session, tmp_path_factory):
     src = transcripts_path("tiny")
     out = tmp_path_factory.mktemp("aidx") / "idx"
-    build_index(src, str(out), num_shards=4, batch_size=64)
+    build_index(src, str(out), num_shards=4)
     return str(out)
 
 
