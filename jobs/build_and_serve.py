@@ -67,12 +67,6 @@ def main() -> int:
         chk = check_index(args.index)
         print(json.dumps({"stage": "check", "status": chk["status"],
                           "sec": round(time.time() - t0, 2)}))
-        t0 = time.time()
-        from lucene_solr_ray.index.bloom import build_term_blooms
-
-        build_term_blooms(args.index)
-        print(json.dumps({"stage": "bloom",
-                          "sec": round(time.time() - t0, 2)}))
 
     queries = ["ray AND data", '"ray data"', "index OR merge", "scale"]
     if args.queries:

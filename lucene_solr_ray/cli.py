@@ -181,11 +181,6 @@ def main(argv=None) -> int:
                         "docs' postings/norms (forceMergeDeletes)")
     xp.add_argument("index_dir")
 
-    bl = sub.add_parser("bloom", help="build per-shard term bloom "
-                        "filters (BloomFilteringPostingsFormat analog; "
-                        "prunes distributed scatter for rare terms)")
-    bl.add_argument("index_dir")
-
     xpl = sub.add_parser("explain", help="score explanation for one doc "
                          "(debugQuery / IndexSearcher.explain)")
     xpl.add_argument("index_dir")
@@ -471,15 +466,6 @@ def main(argv=None) -> int:
         from .index.update import expunge_deletes
 
         print(json.dumps(expunge_deletes(args.index_dir)))
-    elif args.cmd == "bloom":
-        from .index.bloom import TermBloomSet, build_term_blooms
-
-        build_term_blooms(args.index_dir)
-        bl = TermBloomSet.load(args.index_dir)
-        print(json.dumps({
-            "shards": int(len(bl.shard_ids)),
-            "bits_per_shard": [int(b) for b in bl.bits],
-        }))
     elif args.cmd == "explain":
         from .search.searcher import IndexSearcher
 

@@ -2,7 +2,7 @@
 
 A *shard group* (``ShardGroup``) is a list of ``ShardSearcher``s over one
 index plus a doc base. It answers the shard side of every query method:
-term statistics (``local_df``), per-group top-k (``search_batch``),
+its term table (``term_table``), per-group top-k (``search_batch``),
 ``explain``, and the ``*_partial`` aggregates behind facets, stats, block
 join, collapse/expand, rerank, function boosts, terms and suggestions.
 Doc ids cross the group boundary as coordinator ids (doc base + the
@@ -11,24 +11,27 @@ index's own doc id). The same class runs in-process, or as the Ray actor
 
 ``SearchCoordinator`` implements every query method once, in SolrCloud's
 scatter/gather shape (SURVEY.md §3.3, QueryComponent.distributedProcess):
-parse; a stats round summing per-group docFreq into global statistics
-(which the CommonTermsQuery rewrite also needs); a scatter to the groups;
-a driver-side merge by (score desc, doc_id asc) (TopDocs.merge,
-TopDocs.java:199-215); the searchAfter cursor. A batch of queries costs
-one stats round trip and one scoring round trip. Every group call goes
-through ``SearchCoordinator._scatter``.
+parse; global statistics (which the CommonTermsQuery rewrite also needs);
+a scatter to the groups; a driver-side merge by (score desc, doc_id asc)
+(TopDocs.merge, TopDocs.java:199-215); the searchAfter cursor. The global
+statistics come from a term table the coordinator builds once, at open,
+from every group's ``term_table`` (Solr's ExactStatsCache, kept for the
+searcher's lifetime: df and ttf cannot change while it is open). So a
+batch of queries costs one round trip, the scoring one, and the table's
+per-group presence mask skips groups that hold none of a batch's terms.
+Every group call goes through ``SearchCoordinator._scatter``.
 
 Three constructors choose the groups and nothing else:
 
 - ``IndexSearcher(dir)``: one in-process group holding every shard;
 - ``MultiIndexSearcher(dirs)``: one in-process group per sub-index, each
   at its doc base and scoring with the combined statistics (MultiReader);
-- ``DistributedSearcher(dir, num_actors)``: one actor per shard subset;
-  per-shard term blooms skip actors that cannot match a query batch.
+- ``DistributedSearcher(dir, num_actors)``: one actor per shard subset.
 
 Group methods are read-only, so the actors are created with restarts and
 task retries: a killed actor is restarted and its calls are re-run, and a
-call that still fails raises rather than returning a partial merge.
+call that still fails, or outlasts ``CALL_TIMEOUT_S``, raises rather than
+returning a partial merge.
 """
 
 from __future__ import annotations
@@ -37,16 +40,22 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
 from .query import CommonTermsQuery, Query, parse_query, rewrite_common_terms
-from .searcher import DocValues, ShardSearcher, _merge_sort_key, collect_terms
+from .searcher import (DocValues, ShardSearcher, _merge_sort_key, _TermDict,
+                       collect_terms)
 
 # actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
 # call that was in flight on it
 ACTOR_MAX_RESTARTS = 3
 ACTOR_MAX_TASK_RETRIES = 3
+# deadline of one scatter's results, generous enough to span the restarts
+# and re-runs above (an actor restart reloads its shards)
+CALL_TIMEOUT_S = 300.0
 
 
 def _read_manifest(index_dir) -> dict:
@@ -63,6 +72,14 @@ def _top(hits: list[tuple], k: int, sort=None) -> list[tuple]:
     hits.sort(key=(lambda h: _merge_sort_key(h, sort)) if sort
               else (lambda h: (-h[1], h[0])))
     return hits[:k]
+
+
+def _sum_by_term(tables: list) -> pa.Table:
+    """One (term, df, ttf) row per distinct term of ``tables``, df and ttf
+    summed."""
+    return (pa.concat_tables(tables).group_by("term")
+            .aggregate([("df", "sum"), ("ttf", "sum")])
+            .rename_columns(["term", "df", "ttf"]))
 
 
 def _add_counts(partials) -> dict:
@@ -111,15 +128,14 @@ class ShardGroup:
             raise KeyError(f"field {field!r} was not indexed as a doc value")
 
     # --- term statistics ---
-    def local_df(self, terms: list[str]) -> dict[str, int]:
-        return _add_counts(sh.local_df(terms) for sh in self.searchers)
-
-    def local_term_stats(self, terms: list[str]
-                         ) -> tuple[dict[str, int], dict[str, int]]:
-        """(df, ttf) partials for the index-statistics ValueSources
-        (DocFreqValueSource / TotalTermFreqValueSource) in one trip."""
-        return (self.local_df(terms),
-                _add_counts(sh.local_ttf(terms) for sh in self.searchers))
+    def term_table(self) -> pa.Table:
+        """(term, df, ttf) of every term the group holds, summed over its
+        shards: the group's part of the coordinator's term table."""
+        return _sum_by_term([pa.table({
+            "term": sh._terms._arr,
+            "df": pa.array(sh._df, type=pa.int64()),
+            "ttf": pa.array(sh._ttf, type=pa.int64())})
+            for sh in self.searchers])
 
     def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
         """Distinct non-null values per field — partials the coordinator
@@ -395,8 +411,6 @@ class ShardGroup:
         with ``ast`` a boost expression already bound to the global index
         statistics. The boost is per-doc, so a group top-k is exact under
         the global merge."""
-        import pyarrow as pa
-
         from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX, Field,
                                              Func, eval_expr)
 
@@ -442,25 +456,17 @@ class ShardGroup:
         a term in the global first-N precedes fewer than N terms, so it
         is inside every holding shard's first-N), the group's top-N by df
         for sort=count (the coordinator refines candidate counts to exact
-        with a local_df round; like Solr's distributed TermsComponent, a
+        from its term table; like Solr's distributed TermsComponent, a
         term below every group's overfetched cut can be missed)."""
         import re
         from bisect import bisect_left
 
-        import pyarrow as pa
-
         bounded = limit is not None and not prefix and regex is None
         if bounded and sort == "count":
-            t = pa.table({
-                "term": pa.concat_arrays([sh._terms._arr
-                                          for sh in self.searchers]),
-                "df": pa.array(np.concatenate([sh._df for sh in
-                                               self.searchers]),
-                               type=pa.int64())})
-            top = t.group_by("term").aggregate([("df", "sum")]).sort_by(
-                [("df_sum", "descending"), ("term", "ascending")])[:limit]
+            top = self.term_table().sort_by(
+                [("df", "descending"), ("term", "ascending")])[:limit]
             return dict(zip(top.column("term").to_pylist(),
-                            top.column("df_sum").to_pylist()))
+                            top.column("df").to_pylist()))
         rx = re.compile(regex) if regex else None
         out: dict[str, int] = {}
         for sh in self.searchers:
@@ -507,13 +513,13 @@ SearchActor = ray.remote(max_restarts=ACTOR_MAX_RESTARTS,
                          max_task_retries=ACTOR_MAX_TASK_RETRIES)(ShardGroup)
 
 
-def _bloom_prunable(q: Query) -> bool:
+def _prunable(q: Query) -> bool:
     """True iff every doc matching ``q`` must contain at least one of
-    ``collect_terms(q)`` — the condition under which union-semantics
-    bloom pruning is exact. Conservative whitelist: term-enumerable
-    leaves and positive boolean composition. MultiTermQuery expansions
-    (wildcard/fuzzy/range/regexp), MatchAllDocs, span wrappers and any
-    unknown node disable pruning."""
+    ``collect_terms(q)`` — the condition under which pruning the groups
+    that hold none of a batch's terms is exact. Conservative whitelist:
+    term-enumerable leaves and positive boolean composition.
+    MultiTermQuery expansions (wildcard/fuzzy/range/regexp), MatchAllDocs,
+    span wrappers and any unknown node disable pruning."""
     from .query import (
         BooleanQuery,
         DisMaxQuery,
@@ -527,13 +533,12 @@ def _bloom_prunable(q: Query) -> bool:
                       MultiPhraseQuery, CommonTermsQuery)):
         return True
     if isinstance(q, DisMaxQuery):
-        return bool(q.clauses) and all(_bloom_prunable(c)
-                                       for c in q.clauses)
+        return bool(q.clauses) and all(_prunable(c) for c in q.clauses)
     if isinstance(q, BooleanQuery):
         pos = list(q.must) + list(q.should)
         # must_not clauses never make a doc match; only the positive
-        # clauses decide whether a shard can contribute
-        return bool(pos) and all(_bloom_prunable(c) for c in pos)
+        # clauses decide whether a group can contribute
+        return bool(pos) and all(_prunable(c) for c in pos)
     return False
 
 
@@ -542,83 +547,98 @@ class SearchCoordinator:
     ``ShardGroup``s or ``SearchActor`` handles).
 
     ``indexes`` lists (index_dir, doc base, DocValues) per index, in doc
-    base order; ``group_shards`` the shard ids each group holds (bloom
-    candidate selection)."""
+    base order. At open the coordinator sums the groups' term tables into
+    one term-statistics table: sorted terms (a ``_TermDict``), their
+    global df and ttf, and a terms x groups presence mask."""
 
-    #: per-shard term blooms (BloomFilteringPostingsFormat analog,
-    #: index/bloom.py); when set, term-only query batches scatter only to
-    #: the groups owning candidate shards
-    blooms = None
-
-    def __init__(self, manifest: dict, indexes: list[tuple], groups: list,
-                 group_shards: list[list[int]]):
+    def __init__(self, manifest: dict, indexes: list[tuple], groups: list):
         self.manifest = manifest
         self.analyzer_name = manifest["params"]["analyzer"]
         self.indexes = indexes
         self.groups = groups
-        self.group_shards = group_shards
         self._remote = bool(groups) and isinstance(groups[0],
                                                    ray.actor.ActorHandle)
         self._offsets_files: dict = {}  # parquet handle cache (metadata)
         self.last_fanout: int | None = None
+        parts = self._scatter("term_table")
+        table = _sum_by_term(parts).sort_by("term")
+        terms = table.column("term").combine_chunks()
+        self._terms = _TermDict(terms)
+        self._df = table.column("df").to_numpy()
+        self._ttf = table.column("ttf").to_numpy()
+        self._present = np.zeros((len(terms), len(parts)), dtype=bool)
+        for g, part in enumerate(parts):
+            self._present[pc.index_in(part.column("term"),
+                                      value_set=terms).to_numpy(), g] = True
 
     # --- scatter / stats ---
     def _scatter(self, method: str, *args, groups=None) -> list:
         """Call ``method(*args)`` on every group (or on ``groups``) and
         return the per-group results in group order: one round trip for
-        actor groups. Raises if a call fails after the actor retries."""
+        actor groups. Raises if a call fails after the actor retries, and
+        ``TimeoutError`` if the results take longer than
+        ``CALL_TIMEOUT_S``."""
         groups = self.groups if groups is None else groups
-        if self._remote:
-            return ray.get([getattr(g, method).remote(*args)
-                            for g in groups])
-        return [getattr(g, method)(*args) for g in groups]
+        if not self._remote:
+            return [getattr(g, method)(*args) for g in groups]
+        refs = [getattr(g, method).remote(*args) for g in groups]
+        try:
+            return ray.get(refs, timeout=CALL_TIMEOUT_S)
+        except ray.exceptions.GetTimeoutError:
+            done, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+            late = next(g for g, r in zip(groups, refs) if r not in done)
+            raise TimeoutError(
+                f"{method} on group {self.groups.index(late)} did not "
+                f"return within {CALL_TIMEOUT_S} s") from None
 
-    def _prepare(self, queries: list, groups=None):
-        """Parse, one stats round for the whole batch, and the
+    def _rows(self, terms) -> dict[str, int]:
+        """Term-table row of each of ``terms`` the index holds."""
+        get = self._terms.get
+        return {t: i for t in terms if (i := get(t)) is not None}
+
+    def _prepare(self, queries: list):
+        """Parse, global statistics for the whole batch, and the
         CommonTermsQuery rewrite (its df split needs GLOBAL stats):
-        (parsed queries, per-query df maps)."""
+        (parsed queries, per-query df maps, term-table rows of the
+        batch's terms)."""
         parsed = [self.parse(q) if isinstance(q, str) else q
                   for q in queries]
-        terms = sorted(set().union(*map(collect_terms, parsed)))
-        global_df = _add_counts(self._scatter("local_df", terms,
-                                              groups=groups))
+        term_sets = [collect_terms(q) for q in parsed]
+        rows = self._rows(set().union(*term_sets))
+        global_df = {t: int(self._df[i]) for t, i in rows.items()}
         max_doc = self.manifest["stats"]["num_docs"]
         parsed = [rewrite_common_terms(q, global_df, max_doc)
                   if isinstance(q, CommonTermsQuery) else q for q in parsed]
-        df_maps = [{t: global_df.get(t, 0) for t in collect_terms(q)}
-                   for q in parsed]
-        return parsed, df_maps
+        df_maps = [{t: global_df.get(t, 0) for t in ts} for ts in term_sets]
+        return parsed, df_maps, rows
 
     def _prepare_one(self, query):
-        parsed, df_maps = self._prepare([query])
+        parsed, df_maps, _ = self._prepare([query])
         return parsed[0], df_maps[0]
 
-    def _candidate_groups(self, parsed: list[Query]) -> list:
-        """Bloom-pruned group subset for a query batch. Exactness: a
-        pruned group's shards contain NONE of the batch's terms (bloom
-        false negatives are impossible), so its df partials are all 0
-        and no whitelisted query can match a doc there."""
+    def _candidate_groups(self, parsed: list[Query], df_maps: list[dict],
+                          rows: dict[str, int]) -> list:
+        """The groups a query batch scatters to. Exactness: a pruned
+        group holds NONE of the batch's terms (the presence mask is
+        exact), so no whitelisted query can match a doc there."""
         groups = self.groups
-        terms = sorted(set().union(*map(collect_terms, parsed)))
-        if (self.blooms is not None and terms
-                and all(_bloom_prunable(q) for q in parsed)):
-            cand = self.blooms.shards_maybe(terms)
-            groups = [g for g, sids in zip(self.groups, self.group_shards)
-                      if any(s in cand for s in sids)]
+        if any(df_maps) and all(_prunable(q) for q in parsed):
+            hit = self._present[list(rows.values())].any(axis=0)
+            groups = [g for g, h in zip(self.groups, hit) if h]
         self.last_fanout = len(groups)
         return groups
 
     def global_df(self, query: Query) -> dict[str, int]:
         """Global docFreq of the query's terms."""
-        return _add_counts(self._scatter("local_df",
-                                         sorted(collect_terms(query))))
+        return self.global_term_stats(collect_terms(query))[0]
 
-    def global_term_stats(self, terms: list[str]
-                          ) -> tuple[dict[str, int], dict[str, int]]:
-        """Global (df, ttf) for the index-statistics ValueSources."""
-        partials = self._scatter("local_term_stats", terms)
-        return (_add_counts(df for df, _ in partials),
-                _add_counts(ttf for _, ttf in partials))
+    def global_term_stats(self, terms) -> tuple[dict[str, int],
+                                                dict[str, int]]:
+        """Global (df, ttf) of the ``terms`` the index holds (also the
+        index-statistics ValueSources' input)."""
+        rows = self._rows(terms)
+        return ({t: int(self._df[i]) for t, i in rows.items()},
+                {t: int(self._ttf[i]) for t, i in rows.items()})
 
     # --- parsing ---
     def parse(self, text: str) -> Query:
@@ -644,11 +664,10 @@ class SearchCoordinator:
         {field: (lo, hi)} inclusive docvalue ranges composed with the
         query; ``after``: (score, doc_id) cursor (IndexSearcher.
         searchAfter)."""
-        parsed = [self.parse(q) if isinstance(q, str) else q for q in queries]
-        groups = self._candidate_groups(parsed)
+        parsed, df_maps, rows = self._prepare(queries)
+        groups = self._candidate_groups(parsed, df_maps, rows)
         if not groups:
             return [[] for _ in parsed]
-        parsed, df_maps = self._prepare(parsed, groups)
         per_group = self._scatter("search_batch", parsed, df_maps, k, sort,
                                   filter_range, after, groups=groups)
         return [[(d, np.float32(s)) for d, s, *_ in
@@ -745,9 +764,9 @@ class SearchCoordinator:
         return out[:limit] if limit else out
 
     def facet_query(self, queries: list[Query | str]) -> dict[str, int]:
-        """facet.query: hit count per arbitrary sub-query — one stats
-        round trip over all sub-queries' terms, then one counting trip."""
-        parsed, df_maps = self._prepare(queries)
+        """facet.query: hit count per arbitrary sub-query, in one
+        counting trip."""
+        parsed, df_maps, _ = self._prepare(queries)
         totals = np.sum(np.asarray(self._scatter("query_counts", parsed,
                                                  df_maps), dtype=np.int64),
                         axis=0)
@@ -883,16 +902,16 @@ class SearchCoordinator:
         value (sort="index"). Filtered slices ship whole, so counts are
         exact. An unfiltered enumeration is bounded: each group ships its
         first-N (sort=index) or overfetched top-N-by-df candidates
-        (sort=count), whose counts a local_df round refines to exact
+        (sort=count), whose counts the term table refines to exact
         global docFreq — no group ever ships its whole vocabulary."""
         bounded = not prefix and regex is None
         group_limit = (limit if sort == "index" else limit * 4 + 16) \
             if bounded else None
         agg = _add_counts(self._scatter("terms_partial", prefix, regex,
                                         group_limit, sort))
-        if bounded and sort == "count" and agg:
+        if bounded and sort == "count":
             # a group's cut may have excluded a candidate another surfaced
-            agg = _add_counts(self._scatter("local_df", sorted(agg)))
+            agg = self.global_term_stats(agg)[0]
         key = None if sort == "index" else (lambda kv: (-kv[1], kv[0]))
         return sorted(agg.items(), key=key)[:limit]
 
@@ -929,7 +948,6 @@ class SearchCoordinator:
         first with hits — ``{"collation", "hits", "tries"}`` — or None
         after ``max_tries`` rewrites."""
         from ..analysis import get_analyzer
-        from .query import TermQuery
 
         analyzer = get_analyzer(self.analyzer_name)
         chunks = query_text.split()
@@ -940,7 +958,7 @@ class SearchCoordinator:
             terms, _ = analyzer.analyze(ch)
             if len(terms) != 1:
                 continue
-            if self.global_df(TermQuery(terms[0])).get(terms[0], 0) == 0:
+            if terms[0] not in self._terms:
                 sugg = [t for t, _ in self.spellcheck(terms[0], k=k_sugg)]
                 if not sugg:
                     return None  # unfixable word: no collation possible
@@ -1072,7 +1090,7 @@ class IndexSearcher(SearchCoordinator):
         shard_ids = _shard_ids(manifest)
         group = ShardGroup(str(index_dir), shard_ids, manifest, similarity)
         super().__init__(manifest, [(str(index_dir), 0, group.docvalues)],
-                         [group], [shard_ids])
+                         [group])
         self.index_dir = str(index_dir)
         self.shards = group.searchers
         self._docvalue_cache = group.docvalues.cache
@@ -1108,7 +1126,7 @@ class MultiIndexSearcher(SearchCoordinator):
         ttf = sum(m["stats"]["sum_total_term_freq"] for m in manifests)
         combined = {"doc_count": dc, "sum_total_term_freq": ttf,
                     "avgdl": float(bm25.avg_field_length(ttf, max(dc, 1)))}
-        indexes, groups, group_shards, base = [], [], [], 0
+        indexes, groups, base = [], [], 0
         for d, m in zip(index_dirs, manifests):
             sids = _shard_ids(m)
             g = ShardGroup(str(d), sids,
@@ -1116,21 +1134,18 @@ class MultiIndexSearcher(SearchCoordinator):
                            similarity, base)
             indexes.append((str(d), base, g.docvalues))
             groups.append(g)
-            group_shards.append(sids)
             base += int(m["stats"]["num_docs"])
         super().__init__({"params": manifests[0]["params"],
                           "stats": {"num_docs": num, **combined}},
-                         indexes, groups, group_shards)
+                         indexes, groups)
 
 
 class DistributedSearcher(SearchCoordinator):
     """Coordinator over a SearchActor pool: one actor per shard subset
-    (shards dealt round-robin), with bloom candidate selection."""
+    (shards dealt round-robin)."""
 
     def __init__(self, index_dir: str, num_actors: int = 4,
                  similarity="bm25"):
-        from ..index.bloom import TermBloomSet
-
         self.index_dir = str(index_dir)
         manifest = _read_manifest(index_dir)
         shard_ids = _shard_ids(manifest)
@@ -1142,8 +1157,12 @@ class DistributedSearcher(SearchCoordinator):
         self.actors = [SearchActor.remote(self.index_dir, sids, manifest,
                                           similarity)
                        for sids in self.actor_shards]
-        super().__init__(
-            manifest, [(self.index_dir, 0, DocValues(
-                self.index_dir, manifest["stats"]["num_docs"]))],
-            self.actors, self.actor_shards)
-        self.blooms = TermBloomSet.load(self.index_dir)
+        try:
+            super().__init__(
+                manifest, [(self.index_dir, 0, DocValues(
+                    self.index_dir, manifest["stats"]["num_docs"]))],
+                self.actors)
+        except Exception:  # the term-table call failed: free the actors
+            for a in self.actors:
+                ray.kill(a)
+            raise

@@ -343,7 +343,8 @@ class ShardSearcher:
                 self._deleted = np.zeros(self.docs_per_shard, dtype=bool)
                 self._deleted[local - self.base] = True
 
-        self._decode_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # term -> (docs, freqs, ordinal)
+        self._decode_cache: dict[str, tuple] = {}
         # Heal a crashed atomic-update partition swap BEFORE loading
         # norms: a .dvold-* aside with a missing live partition would
         # otherwise read as all-zero norms / all-None docvalues and
@@ -453,15 +454,9 @@ class ShardSearcher:
             return []
         return [str(arr[present[0]]), str(arr[present[-1]])]
 
-    # --- phase 1: local term stats ---
     def local_df(self, terms: list[str]) -> dict[str, int]:
+        """This shard's docFreq of the ``terms`` it holds."""
         return {t: int(self._df[self._terms[t]]) for t in terms if t in self._terms}
-
-    def local_ttf(self, terms: list[str]) -> dict[str, int]:
-        """Per-term total term frequency on this shard
-        (TotalTermFreqValueSource's per-segment contribution)."""
-        return {t: int(self._ttf[self._terms[t]])
-                for t in terms if t in self._terms}
 
     def local_termfreq(self, term: str, docs: np.ndarray) -> np.ndarray:
         """tf of ``term`` in each of ``docs`` (global ids on this shard),
@@ -530,19 +525,20 @@ class ShardSearcher:
     _CACHE_MAX = 1024
 
     def _postings(self, term: str):
-        i = self._terms.get(term)
-        if i is None:
-            return None
+        """(docs, freqs, term ordinal), or None if the shard lacks the
+        term. A cache hit skips the term dictionary probe."""
         cached = self._decode_cache.get(term)
         if cached is None:
+            i = self._terms.get(term)
+            if i is None:
+                return None
             docs = segment.decode_doc_ids(self._doc_enc[i], self.base,
                                          self._codec)
             freqs = segment.decode_freqs(self._freq_enc[i], self._codec)
             if len(self._decode_cache) >= self._CACHE_MAX:
                 self._decode_cache.pop(next(iter(self._decode_cache)))
-            cached = (docs, freqs)
-            self._decode_cache[term] = cached
-        return cached[0], cached[1], i
+            cached = self._decode_cache[term] = (docs, freqs, i)
+        return cached
 
     def _live(self, docs: np.ndarray, scores: np.ndarray):
         """Drop tombstoned docs (liveDocs mask)."""
@@ -551,7 +547,7 @@ class ShardSearcher:
         keep = ~self._deleted[docs - self.base]
         return docs[keep], scores[keep]
 
-    # --- phase 2: scoring with global stats ---
+    # --- scoring with global stats ---
     def _score_term(self, q: TermQuery, df_map: dict[str, int]):
         p = self._postings(q.term)
         if p is None:

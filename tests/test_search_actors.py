@@ -303,3 +303,33 @@ def test_killed_actor_gives_same_result_or_raises(built):
         assert dist.search_batch(queries, k=10) == want
     finally:
         dist.close()
+
+
+def test_call_deadline_raises_without_partial_result(built, monkeypatch):
+    """A group call that outlasts CALL_TIMEOUT_S raises TimeoutError
+    naming the method and the group, within the deadline plus a margin,
+    and returns no hits."""
+    import time
+
+    import ray
+
+    from lucene_solr_ray.search import actors
+
+    class SlowGroup(actors.ShardGroup):
+        def search_batch(self, *args):
+            time.sleep(60)
+            return super().search_batch(*args)
+
+    monkeypatch.setattr(actors, "SearchActor", ray.remote(SlowGroup))
+    dist = DistributedSearcher(built, num_actors=2)
+    try:
+        monkeypatch.setattr(actors, "CALL_TIMEOUT_S", 1.0)
+        hits = None
+        t0 = time.perf_counter()
+        with pytest.raises(TimeoutError,
+                           match=r"search_batch on group \d"):
+            hits = dist.search("ray", k=10)
+        assert time.perf_counter() - t0 < 1.0 + 5.0
+        assert hits is None
+    finally:
+        dist.close()
