@@ -63,6 +63,7 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -147,8 +148,6 @@ def _fast_tokens(text: pa.Array, analyzer) -> tuple[pa.Array, np.ndarray,
     first) and docs holding a token over ``max_token_length`` are flagged
     slow, with no tokens here: ``analyze()`` owns those rules.
     """
-    import pyarrow.compute as pc
-
     from ..analysis.tokenizer import _ascii_classes, _ascii_scanner
 
     c = _ascii_classes()
@@ -333,8 +332,8 @@ class SegmentWriter:
             return _manifest_row_table([row])
 
         # sort by (term, doc_id) without materializing per-row strings:
-        # dictionary-encode the term column (per-shard vocab is small), rank
-        # the vocab lexicographically, then one numeric lexsort
+        # dictionary-encode the term column, rank the vocab in Arrow (UTF-8
+        # byte order is code-point order), then one numeric sort
         term_col = group.column("term")
         if isinstance(term_col, pa.ChunkedArray):
             term_col = term_col.combine_chunks()
@@ -343,8 +342,8 @@ class SegmentWriter:
         else:
             dict_arr = term_col.dictionary_encode()
         codes = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int32)
-        vocab = np.asarray(dict_arr.dictionary.to_pylist(), dtype=object)
-        vocab_order = np.argsort(vocab, kind="stable")
+        vocab = dict_arr.dictionary
+        vocab_order = pc.array_sort_indices(vocab).to_numpy()
         rank_of_code = np.empty(len(vocab), dtype=np.int32)
         rank_of_code[vocab_order] = np.arange(len(vocab), dtype=np.int32)
         ranks = rank_of_code[codes]
@@ -373,7 +372,8 @@ class SegmentWriter:
             if len(ranks_sorted) else np.empty(0, dtype=bool)
         t_starts = np.nonzero(bounds)[0]
         term_offsets = np.concatenate((t_starts, [len(ranks_sorted)]))
-        uniq_terms = vocab[vocab_order][ranks_sorted[t_starts]]
+        uniq_terms = vocab.take(vocab_order[ranks_sorted[t_starts]]) \
+            .to_numpy(zero_copy_only=False)
         if len(uniq_terms) > 1 and bool(
                 np.any(uniq_terms[1:] == uniq_terms[:-1])):
             raise ValueError("duplicate term strings in unified dictionary")

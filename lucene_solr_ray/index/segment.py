@@ -13,9 +13,11 @@ doc-shard holding one row per term:
     positions_enc:   binary — per-doc delta-encoded positions, concatenated
                      in doc order (counts given by freqs)
 
-There is no skip list and no per-block score metadata: every query shape
-decodes whole posting lists (cached per searcher) and scores them
-exhaustively, as the reference does for disjunctions.
+There is no skip list and no per-block score metadata: a searcher decodes
+every posting list of its shard once, at open, as whole columns
+(``decode_segment``; the DirectPostingsFormat memory-for-decode trade), and
+every query shape scores whole lists exhaustively, as the reference does
+for disjunctions.
 
 A companion ``norms.parquet`` per shard holds (doc_id, norm_byte, doc_len,
 conv_id, turn_idx) for the shard's contiguous doc_id range.
@@ -240,6 +242,91 @@ def decode_positions(positions_enc: bytes, freqs: np.ndarray,
     base[doc_starts[1:]] = abs_pos[doc_starts[1:] - 1]
     abs_pos = abs_pos - np.maximum.accumulate(base)
     return abs_pos, offsets
+
+
+#: postings per ``decode_segment`` chunk: bounds the codec's temporaries
+#: (the varint decode holds ~60 B per value), which would otherwise stay
+#: in the process heap long after the open
+_DECODE_CHUNK = 1 << 16
+
+
+def _binary_rows(col) -> tuple[np.ndarray, memoryview]:
+    """(row offsets, data buffer) of a binary column: row ``i``'s bytes
+    are ``data[offsets[i]:offsets[i + 1]]``."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if len(arr) == 0:
+        return np.zeros(1, dtype=np.int64), memoryview(b"")
+    off_type = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], dtype=off_type)
+    return offs[arr.offset:arr.offset + len(arr) + 1], \
+        memoryview(arr.buffers()[2])
+
+
+def _sum_runs(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Running sum of ``deltas`` restarted at each run (runs of lengths
+    ``counts``), in place."""
+    vals = np.cumsum(deltas, out=deltas)
+    if len(vals):
+        run_starts = np.cumsum(counts) - counts
+        prior = vals[np.maximum(run_starts - 1, 0)]
+        prior[run_starts == 0] = 0
+        vals -= np.repeat(prior, counts)
+    return vals
+
+
+def decode_segment(table: pa.Table, shard_base: int,
+                   codec: str = "varint"):
+    """Decode a whole term table into flat columns:
+    ``(term_docs, term_pos, docs, freqs, positions)``.
+
+    Term ``i``'s postings are ``docs[term_docs[i]:term_docs[i + 1]]``
+    (int64 doc ids) and the aligned int32 ``freqs``; its positions are
+    ``positions[term_pos[i]:term_pos[i + 1]]`` (int32, absolute within
+    each doc, doc-major). ``term_docs`` is ``cumsum(df)`` and ``term_pos``
+    ``cumsum(ttf)``, each with a leading 0.
+
+    There is no per-term loop: a column's rows are contiguous in the
+    Arrow data buffer and each row's encoding delimits itself, so one
+    codec decode over the bytes of a run of terms yields all their
+    values, and a running sum with resets per term (doc ids) or per
+    posting (positions) restores them. Runs hold about ``_DECODE_CHUNK``
+    postings."""
+    df = table.column("df").to_numpy().astype(np.int64)
+    ttf = table.column("ttf").to_numpy().astype(np.int64)
+    term_docs = np.concatenate(([0], np.cumsum(df)))
+    term_pos = np.concatenate(([0], np.cumsum(ttf)))
+    docs = np.empty(term_docs[-1], dtype=np.int64)
+    freqs = np.empty(term_docs[-1], dtype=np.int32)
+    positions = np.empty(term_pos[-1], dtype=np.int32)
+    cdc = get_codec(codec)
+    cols = [_binary_rows(table.column(c)) for c in
+            ("doc_ids_enc", "freqs_enc", "positions_enc")]
+
+    def values(col: int, a: int, b: int) -> np.ndarray:
+        offs, data = cols[col]
+        lo, hi = int(offs[a]), int(offs[b])
+        return cdc.decode(data[lo:hi]) if hi > lo else \
+            np.empty(0, dtype=np.int64)
+
+    cuts = np.searchsorted(
+        term_docs, np.arange(_DECODE_CHUNK, term_docs[-1], _DECODE_CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts, [len(df)])))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        d0, d1 = term_docs[a], term_docs[b]
+        p0, p1 = term_pos[a], term_pos[b]
+        d, f, p = values(0, a, b), values(1, a, b), values(2, a, b)
+        if len(d) != d1 - d0 or len(f) != d1 - d0:
+            raise ValueError(
+                f"terms {a}..{b - 1} hold {len(d)} doc ids and {len(f)} "
+                f"freqs, their df sums to {d1 - d0}")
+        if len(p) != int(f.sum()) or len(p) != p1 - p0:
+            raise ValueError(
+                f"terms {a}..{b - 1} hold {len(p)} positions, their freqs "
+                f"sum to {int(f.sum())} and their ttf to {p1 - p0}")
+        docs[d0:d1] = _sum_runs(d, df[a:b]) + shard_base
+        freqs[d0:d1] = f
+        positions[p0:p1] = _sum_runs(p, f)
+    return term_docs, term_pos, docs, freqs, positions
 
 
 def decode_block(doc_ids_enc: bytes, freqs_enc: bytes,

@@ -53,31 +53,19 @@ def _decode_segment_to_postings(terms_file: Path, base: int,
                                 codec: str = "varint") -> pa.Table:
     """Existing segment -> posting rows (term, doc_id, freq, positions)."""
     t = pq.read_table(terms_file)
-    terms_out, docs_out, freqs_out, pos_lists = [], [], [], []
-    for i in range(t.num_rows):
-        docs = segment.decode_doc_ids(t.column("doc_ids_enc")[i].as_py(),
-                                      base, codec)
-        freqs = segment.decode_freqs(t.column("freqs_enc")[i].as_py(), codec)
-        flat, offs = segment.decode_positions(
-            t.column("positions_enc")[i].as_py(), freqs, codec)
-        term = t.column("term")[i].as_py()
-        terms_out.extend([term] * len(docs))
-        docs_out.append(docs)
-        freqs_out.append(freqs)
-        pos_lists.append((flat, offs))
-    if not terms_out:
+    term_docs, _, docs, freqs, flat = segment.decode_segment(t, base, codec)
+    if len(docs) == 0:
         return None
-    docs_np = np.concatenate(docs_out)
-    freqs_np = np.concatenate(freqs_out)
-    flat_all = np.concatenate([f for f, _ in pos_lists]) if pos_lists else np.empty(0)
-    pos_offsets = np.concatenate(([0], np.cumsum(freqs_np)))
+    term_ids = np.repeat(np.arange(t.num_rows, dtype=np.int32),
+                         np.diff(term_docs))
+    pos_offsets = np.zeros(len(freqs) + 1, dtype=np.int64)
+    np.cumsum(freqs, out=pos_offsets[1:])
     return pa.table({
-        "term": pa.array(terms_out, type=pa.string()).dictionary_encode(),
-        "doc_id": pa.array(docs_np, type=pa.int64()),
-        "freq": pa.array(freqs_np, type=pa.int64()),
-        "positions": pa.LargeListArray.from_arrays(
-            pos_offsets.astype(np.int64),
-            pa.array(flat_all.astype(np.int32), type=pa.int32())),
+        "term": pa.DictionaryArray.from_arrays(
+            term_ids, t.column("term").combine_chunks()),
+        "doc_id": pa.array(docs, type=pa.int64()),
+        "freq": pa.array(freqs, type=pa.int64()),
+        "positions": pa.LargeListArray.from_arrays(pos_offsets, flat),
     })
 
 

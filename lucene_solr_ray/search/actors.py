@@ -2,12 +2,13 @@
 
 A *shard group* (``ShardGroup``) is a list of ``ShardSearcher``s over one
 index plus a doc base. It answers the shard side of every query method:
-its term table (``term_table``), per-group top-k (``search_batch``),
-``explain``, and the ``*_partial`` aggregates behind facets, stats, block
-join, collapse/expand, rerank, function boosts, terms and suggestions.
-Doc ids cross the group boundary as coordinator ids (doc base + the
-index's own doc id). The same class runs in-process, or as the Ray actor
-``SearchActor`` that pins its shards (postings + norms) in memory.
+its term table (``term_table``), one top-k over the matches of all its
+shards (``search_batch``), ``explain``, and the ``*_partial`` aggregates
+behind facets, stats, block join, collapse/expand, rerank, function
+boosts, terms and suggestions. Doc ids cross the group boundary as
+coordinator ids (doc base + the index's own doc id). The same class runs
+in-process, or as the Ray actor ``SearchActor`` that pins its shards
+(postings decoded at open, norms) in memory.
 
 ``SearchCoordinator`` implements every query method once, in SolrCloud's
 scatter/gather shape (SURVEY.md §3.3, QueryComponent.distributedProcess):
@@ -74,6 +75,23 @@ def _top(hits: list[tuple], k: int, sort=None) -> list[tuple]:
     return hits[:k]
 
 
+def _sort_key(vals: np.ndarray, desc: bool) -> np.ndarray:
+    """float64 lexsort key of one sort field's doc values (strings by
+    rank); missing values sort last in either direction (pinned
+    missingValue semantics, matching ``_merge_sort_key``)."""
+    missing = vals == None  # noqa: E711 — elementwise object cmp
+    filled = vals.copy()
+    filled[missing] = 0.0
+    try:
+        key = filled.astype(np.float64)
+    except (TypeError, ValueError):
+        _, inv = np.unique(filled.astype(str), return_inverse=True)
+        key = inv.astype(np.float64)
+    key = -key if desc else key
+    key[missing] = np.inf
+    return key
+
+
 def _sum_by_term(tables: list) -> pa.Table:
     """One (term, df, ttf) row per distinct term of ``tables``, df and ttf
     summed."""
@@ -133,8 +151,8 @@ class ShardGroup:
         shards: the group's part of the coordinator's term table."""
         return _sum_by_term([pa.table({
             "term": sh._terms._arr,
-            "df": pa.array(sh._df, type=pa.int64()),
-            "ttf": pa.array(sh._ttf, type=pa.int64())})
+            "df": pa.array(np.diff(sh._term_docs), type=pa.int64()),
+            "ttf": pa.array(np.diff(sh._term_pos), type=pa.int64())})
             for sh in self.searchers])
 
     def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
@@ -151,17 +169,46 @@ class ShardGroup:
     def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
                      k: int, sort=None, filter_range=None, after=None
                      ) -> list[list[tuple]]:
+        """Per query, the group's top-k over the matches of all its
+        shards (one TopScoreDocCollector over every leaf): (doc, score)
+        by (score desc, doc asc), or (doc, score, sort values) by
+        ``sort``."""
         if after is not None:
             after = (after[0], int(after[1]) - self.base)
         results = []
         for q, df_map in zip(queries, df_maps):
-            hits: list[tuple] = []
+            docs, scores = [np.empty(0, dtype=np.int64)], \
+                [np.empty(0, dtype=np.float32)]
             for sh in self.searchers:
-                for h in sh.search(q, df_map, k, sort=sort,
-                                   filter_range=filter_range, after=after):
-                    hits.append((h[0] + self.base, float(h[1])) + h[2:])
-            results.append(_top(hits, k, sort))
+                d, sc = sh.search(q, df_map, filter_range=filter_range,
+                                  after=after)
+                docs.append(d)
+                scores.append(sc.astype(np.float32, copy=False))
+            results.append(self._top_k(np.concatenate(docs),
+                                       np.concatenate(scores), k, sort))
         return results
+
+    def _top_k(self, docs: np.ndarray, scores: np.ndarray, k: int,
+               sort) -> list[tuple]:
+        if sort:
+            vals = []
+            for fld, _ in sort:
+                col = self.docvalues.column(fld)
+                vals.append(np.full(len(docs), None, dtype=object)
+                            if col is None else col[docs])
+            order = np.lexsort(tuple(
+                [docs] + [_sort_key(v, desc)
+                          for v, (_, desc) in zip(vals, sort)][::-1]))[:k]
+            return [(int(docs[i]) + self.base, float(scores[i]),
+                     tuple(v[i] for v in vals)) for i in order]
+        if len(docs) > k:
+            # partial selection; keep every doc tied with the k-th score so
+            # the lower-doc_id tie-break stays exact, then sort the slice
+            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+            cand = scores >= kth
+            docs, scores = docs[cand], scores[cand]
+        order = np.lexsort((docs, -scores))[:k]
+        return [(int(docs[i]) + self.base, float(scores[i])) for i in order]
 
     def explain(self, query: Query, doc_id: int, df_map: dict[str, int]):
         """Explanation of a doc this group owns; None otherwise."""
@@ -477,7 +524,7 @@ class ShardGroup:
             if bounded:  # sort=index: the shard's first-N
                 hi = min(hi, limit)
             terms = sh._terms._arr.slice(lo, hi - lo).to_pylist()
-            for t, d in zip(terms, sh._df[lo:hi]):
+            for t, d in zip(terms, np.diff(sh._term_docs[lo:hi + 1])):
                 if rx is None or rx.fullmatch(t):
                     out[t] = out.get(t, 0) + int(d)
         return dict(sorted(out.items())[:limit]) if bounded else out
@@ -489,7 +536,7 @@ class ShardGroup:
         for sh in self.searchers:
             for t in expand_multi_term(mtq, sh._terms.seq()):
                 if t != skip:
-                    out[t] = out.get(t, 0) + int(sh._df[sh._terms[t]])
+                    out[t] = out.get(t, 0) + len(sh._postings(t)[0])
         return out
 
     def spellcheck_partial(self, term: str, max_edits: int
@@ -664,6 +711,10 @@ class SearchCoordinator:
         {field: (lo, hi)} inclusive docvalue ranges composed with the
         query; ``after``: (score, doc_id) cursor (IndexSearcher.
         searchAfter)."""
+        if after is not None and sort is not None:
+            raise ValueError("after paging is defined on the score "
+                             "ranking; combine field sort with "
+                             "filter_range paging instead")
         parsed, df_maps, rows = self._prepare(queries)
         groups = self._candidate_groups(parsed, df_maps, rows)
         if not groups:

@@ -1,7 +1,8 @@
 """Shard-level query engine over the sharded segment layout.
 
-- ``ShardSearcher``: in-process search over one doc-shard (terms table +
-  norms loaded once, term -> row dict — the stand-in for the FST term
+- ``ShardSearcher``: in-process search over one doc-shard (terms table
+  decoded once at open into resident doc/freq/position columns, norms,
+  and a sorted term dictionary — the stand-in for the FST term
   dictionary, BlockTreeTermsWriter.java:174-189). Scoring is vectorized
   float32 BM25 (SURVEY.md §3.2) using *global* term statistics supplied by
   the coordinator (Solr ExactStatsCache analog — required for
@@ -161,10 +162,10 @@ class _TermDict:
     resident memory per shard at 10^7-term vocabularies, identical API
     surface (get / in / [] / iteration in sorted order / items).
 
-    Lookup is a vectorized ``np.searchsorted`` over an 8-byte big-endian
-    prefix key per term (one uint64 each, built once from the Arrow
-    buffers) followed by at most a short bytes-level bisect among terms
-    sharing the prefix — no per-probe ``pa.Scalar``/``as_py`` boxing
+    Lookup is one ``searchsorted`` over an 8-byte big-endian prefix key
+    per term (one uint64 each, built once from the Arrow buffers)
+    followed by a short bytes-level walk over the terms sharing the
+    prefix — no per-probe ``pa.Scalar``/``as_py`` boxing
     (r3 verdict, What's wrong #4)."""
 
     __slots__ = ("_arr", "_n", "_pfx", "_offs", "_data")
@@ -194,20 +195,17 @@ class _TermDict:
         return self._data[self._offs[i]:self._offs[i + 1]].tobytes()
 
     def get(self, term, default=None):
-        if self._n == 0:
-            return default
         tb = term.encode() if isinstance(term, str) else bytes(term)
-        key = int.from_bytes(tb[:8].ljust(8, b"\0"), "big")
-        lo = int(np.searchsorted(self._pfx, key, side="left"))
-        hi = int(np.searchsorted(self._pfx, key, side="right"))
-        while lo < hi:  # bisect among same-prefix terms (usually 0-2)
-            mid = (lo + hi) // 2
-            if self._term_bytes(mid) < tb:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self._n and self._term_bytes(lo) == tb:
-            return lo
+        key = np.uint64(int.from_bytes(tb[:8].ljust(8, b"\0"), "big"))
+        i = int(self._pfx.searchsorted(key))
+        # walk the terms sharing the prefix (usually 0-2), in byte order
+        while i < self._n and self._pfx[i] == key:
+            cur = self._term_bytes(i)
+            if cur == tb:
+                return i
+            if cur > tb:
+                break
+            i += 1
         return default
 
     def __contains__(self, term):
@@ -285,7 +283,9 @@ class DocValues:
 
 
 class ShardSearcher:
-    """Search over one shard; all postings/norms held in memory."""
+    """Search over one shard; all postings/norms held in memory, the
+    postings decoded at open (DirectPostingsFormat's trade: memory for
+    no per-query decode)."""
 
     def __init__(self, index_dir: str, shard_id: int,
                  manifest: dict | None = None, similarity: str = "bm25",
@@ -316,18 +316,21 @@ class ShardSearcher:
         if terms_file.exists():
             t = pq.read_table(terms_file)
             self._terms = _TermDict(t.column("term").combine_chunks())
-            self._df = t.column("df").to_numpy(zero_copy_only=False)
-            self._ttf = t.column("ttf").to_numpy(zero_copy_only=False)
-            self._doc_enc = t.column("doc_ids_enc").to_pylist()
-            self._freq_enc = t.column("freqs_enc").to_pylist()
-            self._pos_enc = t.column("positions_enc").to_pylist()
+            # term i: _docs/_freqs[_term_docs[i]:_term_docs[i + 1]],
+            # _flat_pos[_term_pos[i]:_term_pos[i + 1]]
+            (self._term_docs, self._term_pos, self._docs, self._freqs,
+             self._flat_pos) = segment.decode_segment(t, self.base,
+                                                      self._codec)
         else:  # empty shard
             self._terms = _TermDict(pa.array([], type=pa.string()))
-            self._df = np.empty(0, dtype=np.int64)
-            self._ttf = np.empty(0, dtype=np.int64)
-            self._doc_enc = []
-            self._freq_enc = []
-            self._pos_enc = []
+            self._term_docs = self._term_pos = np.zeros(1, dtype=np.int64)
+            self._docs = np.empty(0, dtype=np.int64)
+            self._freqs = self._flat_pos = np.empty(0, dtype=np.int32)
+        # queries get views of these: a write through one would corrupt
+        # the shard for every later query
+        for a in (self._term_docs, self._term_pos, self._docs, self._freqs,
+                  self._flat_pos):
+            a.flags.writeable = False
 
         # live-docs mask (tombstones from delete/overwrite-by-id;
         # IndexWriter.deleteDocuments analog — deleted docs are masked out
@@ -343,8 +346,6 @@ class ShardSearcher:
                 self._deleted = np.zeros(self.docs_per_shard, dtype=bool)
                 self._deleted[local - self.base] = True
 
-        # term -> (docs, freqs, ordinal)
-        self._decode_cache: dict[str, tuple] = {}
         # Heal a crashed atomic-update partition swap BEFORE loading
         # norms: a .dvold-* aside with a missing live partition would
         # otherwise read as all-zero norms / all-None docvalues and
@@ -456,7 +457,8 @@ class ShardSearcher:
 
     def local_df(self, terms: list[str]) -> dict[str, int]:
         """This shard's docFreq of the ``terms`` it holds."""
-        return {t: int(self._df[self._terms[t]]) for t in terms if t in self._terms}
+        return {t: len(p[0]) for t in terms
+                if (p := self._postings(t)) is not None}
 
     def local_termfreq(self, term: str, docs: np.ndarray) -> np.ndarray:
         """tf of ``term`` in each of ``docs`` (global ids on this shard),
@@ -477,68 +479,59 @@ class ShardSearcher:
         (``solr/core/.../handler/component/TermVectorComponent.java:79``).
 
         The index is postings-only (no forward term-vector file, unlike
-        Lucene's optional .tvd), so this inverts the shard's term
-        dictionary for one doc: every term's decoded doc list is
-        binary-searched for it. O(vocab) per call — a debugging/feature
-        API; a production variant at 10^12 docs would persist a forward
-        vector file at build time.
+        Lucene's optional .tvd), so this inverts the shard's resident
+        postings for one doc: one scan of the doc-id column. O(postings)
+        per call — a debugging/feature API; a production variant at
+        10^12 docs would persist a forward vector file at build time.
         """
         if self._deleted is not None and self._deleted[doc_id - self.base]:
             return []
+        terms = self._terms.seq()
         out = []
-        for term, i in self._terms.items():
-            p = self._postings(term)
-            docs, freqs = p[0], p[1]
-            j = int(np.searchsorted(docs, doc_id))
-            if j >= len(docs) or docs[j] != doc_id:
-                continue
-            flat, offs = segment.decode_positions(self._pos_enc[i], freqs, self._codec)
-            out.append((term, int(freqs[j]),
-                        [int(x) for x in flat[offs[j]:offs[j + 1]]]))
-        out.sort()
+        # postings of the doc, in term order
+        for j in np.flatnonzero(self._docs == doc_id):
+            i = int(np.searchsorted(self._term_docs, j, side="right")) - 1
+            f = int(self._freqs[j])
+            a = int(self._term_pos[i]
+                    + self._freqs[self._term_docs[i]:j].sum())
+            out.append((terms[i], f, self._flat_pos[a:a + f].tolist()))
         return out
 
     def positions_of(self, term: str, doc_id: int) -> list[int]:
-        """Positions of one TERM in one DOC (a single term-dict probe +
-        postings decode — candidate-scale, unlike term_vector's
-        O(vocab) inversion). The offsets-based highlighter maps these
-        through the build-time offsets sidecar to char spans without
-        re-analyzing the text (PostingsHighlighter.java:100)."""
+        """Positions of one TERM in one DOC (a single term-dict probe —
+        candidate-scale, unlike term_vector's O(postings) inversion). The
+        offsets-based highlighter maps these through the build-time
+        offsets sidecar to char spans without re-analyzing the text
+        (PostingsHighlighter.java:100)."""
         if self._deleted is not None and self._deleted[doc_id - self.base]:
-            return []
-        i = self._terms.get(term)
-        if i is None:
             return []
         p = self._postings(term)
         if p is None:
             return []
-        docs, freqs = p[0], p[1]
+        docs, _, i = p
         j = int(np.searchsorted(docs, doc_id))
         if j >= len(docs) or docs[j] != doc_id:
             return []
-        flat, offs = segment.decode_positions(self._pos_enc[i], freqs,
-                                              self._codec)
+        flat, offs = self._positions(i)
         return [int(x) for x in flat[offs[j]:offs[j + 1]]]
 
-    # --- postings access (decode results cached: LRUQueryCache analog,
-    # search/LRUQueryCache.java) ---
-    _CACHE_MAX = 1024
-
+    # --- postings access: views of the resident columns ---
     def _postings(self, term: str):
         """(docs, freqs, term ordinal), or None if the shard lacks the
-        term. A cache hit skips the term dictionary probe."""
-        cached = self._decode_cache.get(term)
-        if cached is None:
-            i = self._terms.get(term)
-            if i is None:
-                return None
-            docs = segment.decode_doc_ids(self._doc_enc[i], self.base,
-                                         self._codec)
-            freqs = segment.decode_freqs(self._freq_enc[i], self._codec)
-            if len(self._decode_cache) >= self._CACHE_MAX:
-                self._decode_cache.pop(next(iter(self._decode_cache)))
-            cached = self._decode_cache[term] = (docs, freqs, i)
-        return cached
+        term."""
+        i = self._terms.get(term)
+        if i is None:
+            return None
+        a, b = self._term_docs[i], self._term_docs[i + 1]
+        return self._docs[a:b], self._freqs[a:b], i
+
+    def _positions(self, i: int):
+        """(flat positions, per-doc offsets into them) of term ordinal
+        ``i``, as ``segment.decode_positions`` returns them."""
+        freqs = self._freqs[self._term_docs[i]:self._term_docs[i + 1]]
+        offs = np.zeros(len(freqs) + 1, dtype=np.int64)
+        np.cumsum(freqs, out=offs[1:])
+        return self._flat_pos[self._term_pos[i]:self._term_pos[i + 1]], offs
 
     def _live(self, docs: np.ndarray, scores: np.ndarray):
         """Drop tombstoned docs (liveDocs mask)."""
@@ -582,8 +575,7 @@ class ShardSearcher:
         # vectorized exact-phrase counting across ALL candidate docs at once
         # (ExactPhraseScorer semantics): composite (local_doc << 32 | pos)
         # keys make per-doc position membership a single global searchsorted.
-        flat0, offs0 = segment.decode_positions(
-            self._pos_enc[plists[0][2]], plists[0][1], self._codec)
+        flat0, offs0 = self._positions(plists[0][2])
         ix0 = idxs[0]
         starts, ends = offs0[ix0], offs0[ix0 + 1]
         lens = (ends - starts).astype(np.int64)
@@ -596,8 +588,7 @@ class ShardSearcher:
         mask = np.ones(total, dtype=bool)
         for t_i in range(1, len(plists)):
             d_i, f_i, row_i = plists[t_i]
-            flat_i, _ = segment.decode_positions(self._pos_enc[row_i], f_i,
-                                                    self._codec)
+            flat_i, _ = self._positions(row_i)
             doc_of_pi = np.repeat(d_i - self.base, f_i).astype(np.int64)
             keys_i = (doc_of_pi << 32) | flat_i.astype(np.int64)
             tpos = p0 - rel[0] + rel[t_i]
@@ -631,11 +622,7 @@ class ShardSearcher:
         from .query import sloppy_phrase_freq
 
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-        decoded = []
-        for t_i, (d_i, f_i, row_i) in enumerate(plists):
-            flat_i, offs_i = segment.decode_positions(
-                self._pos_enc[row_i], f_i, self._codec)
-            decoded.append((flat_i, offs_i))
+        decoded = [self._positions(row_i) for _, _, row_i in plists]
         rel = list(q.positions)
         pf = np.zeros(len(docs), dtype=np.float64)
         for j in range(len(docs)):
@@ -672,9 +659,8 @@ class ShardSearcher:
                 p = self._postings(t)
                 if p is None:
                     continue
-                d_i, f_i, row_i = p
-                flat, offs = segment.decode_positions(
-                    self._pos_enc[row_i], f_i, self._codec)
+                d_i, _, row_i = p
+                flat, offs = self._positions(row_i)
                 entries.append((d_i, flat, offs))
                 docs_union.append(d_i)
             if not entries:
@@ -869,9 +855,8 @@ class ShardSearcher:
             if p is None:
                 leaf[t] = None
                 continue
-            d_i, f_i, row_i = p
-            flat, offs = segment.decode_positions(self._pos_enc[row_i], f_i,
-                                                    self._codec)
+            d_i, _, row_i = p
+            flat, offs = self._positions(row_i)
             leaf[t] = (d_i, flat, offs)
         freqs = np.zeros(len(docs), dtype=np.float64)
         for j, d in enumerate(docs):
@@ -910,9 +895,8 @@ class ShardSearcher:
         p = self._postings(q.term)
         if p is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        docs, freqs, row = p
-        flat, offs = segment.decode_positions(self._pos_enc[row], freqs,
-                                                self._codec)
+        docs, _, row = p
+        flat, offs = self._positions(row)
         hits = (flat < q.end).astype(np.int64)
         f = np.add.reduceat(hits, offs[:-1]) if len(flat) else \
             np.zeros(len(docs), dtype=np.int64)
@@ -1016,63 +1000,25 @@ class ShardSearcher:
             docs, scores = docs[keep], scores[keep]
         return docs, scores
 
-    def search(self, query: Query, df_map: dict[str, int], k: int = 10,
-               sort=None, filter_range=None,
-               after: tuple[float, int] | None = None):
-        """Top-k for this shard: (doc_id, score) ranked by score, or
-        (doc_id, score, sort_key_tuple) ranked by ``sort`` — a list of
-        (docvalue_field, descending) pairs (TopFieldCollector.java:1), tie
-        -> lower doc_id. ``filter_range`` = {field: (lo, hi)} intersects
-        the hit set with inclusive docvalue ranges (IntPoint /
-        PointRangeQuery analog) BEFORE ranking."""
+    def search(self, query: Query, df_map: dict[str, int],
+               filter_range=None, after: tuple[float, int] | None = None):
+        """This shard's matches ``(docs, scores)`` in doc order, before
+        any ranking. ``filter_range`` = {field: (lo, hi)} intersects them
+        with inclusive docvalue ranges (IntPoint / PointRangeQuery
+        analog); ``after`` = (score, doc_id) keeps only the hits strictly
+        after that cursor in (score desc, doc asc) order
+        (IndexSearcher.searchAfter / cursorMark). The group ranks the
+        matches of all its shards at once (``ShardGroup.search_batch``)."""
         docs, scores = self._score_clause(query, df_map)
         if filter_range:
             docs, scores = self._apply_filter(docs, scores, filter_range)
         if after is not None:
-            # searchAfter (IndexSearcher.searchAfter / cursorMark over the
-            # default score-desc, doc-asc sort): keep hits strictly after
-            # the cursor in rank order
-            if sort is not None:
-                raise ValueError("after paging is defined on the score "
-                                 "ranking; combine field sort with "
-                                 "filter_range paging instead")
             a_score = np.float32(after[0])
             a_doc = np.int64(after[1])
             s32 = scores.astype(np.float32)
             keep = (s32 < a_score) | ((s32 == a_score) & (docs > a_doc))
             docs, scores = docs[keep], scores[keep]
-        if len(docs) == 0:
-            return []
-        if sort:
-            val_arrays = [self.docvalues_local(fld, docs)
-                          for fld, _ in sort]
-            lex_keys = []
-            for (fld, desc), vals in zip(sort, val_arrays):
-                missing = vals == None  # noqa: E711 — elementwise object cmp
-                filled = vals.copy()
-                filled[missing] = 0.0
-                try:
-                    key = filled.astype(np.float64)
-                except (TypeError, ValueError):
-                    _, inv = np.unique(filled.astype(str),
-                                       return_inverse=True)
-                    key = inv.astype(np.float64)
-                key = -key if desc else key
-                # missing docvalues sort last in either direction
-                # (pinned missingValue semantics, matching _merge_sort_key)
-                key[missing] = np.inf
-                lex_keys.append(key)
-            order = np.lexsort(tuple([docs] + lex_keys[::-1]))[:k]
-            return [(int(docs[i]), np.float32(scores[i]),
-                     tuple(v[i] for v in val_arrays)) for i in order]
-        if len(docs) > k:
-            # partial selection; keep every doc tied with the k-th score so
-            # the lower-doc_id tie-break stays exact, then sort the slice
-            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-            cand = scores >= kth
-            docs, scores = docs[cand], scores[cand]
-        order = np.lexsort((docs, -scores.astype(np.float32)))[:k]
-        return [(int(docs[i]), np.float32(scores[i])) for i in order]
+        return docs, scores
 
 
 def __getattr__(name):

@@ -98,8 +98,8 @@ class SpellingIndex:
         never become suggestions)."""
         agg: dict[str, int] = {}
         for sh in searcher.shards:
-            for t, i in sh._terms.items():
-                agg[t] = agg.get(t, 0) + int(sh._df[i])
+            for t, d in zip(sh._terms, np.diff(sh._term_docs)):
+                agg[t] = agg.get(t, 0) + int(d)
         num_docs = max(1, int(searcher.manifest["stats"]["num_docs"]))
         items = sorted((t, f) for t, f in agg.items()
                        if f / num_docs >= threshold_token_frequency)

@@ -1,6 +1,7 @@
 """Segment codec roundtrips: encode a shard's postings, decode, compare."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lucene_solr_ray.index import segment
@@ -93,3 +94,107 @@ def test_block_boundary_dfs(df):
     flat, offs = segment.decode_positions(d["positions_enc"][0], freqs)
     np.testing.assert_array_equal(flat, pos_flat)
     np.testing.assert_array_equal(offs, np.concatenate(([0], np.cumsum(freqs))))
+
+
+# --- whole-shard decode: decode_segment against the per-term decoders ---
+
+def _assert_decode_matches_per_term(index_dir):
+    import json
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    manifest = json.loads((Path(index_dir) / "manifest.json").read_text())
+    codec = manifest["params"]["postings_codec"]
+    dps = manifest["params"]["docs_per_shard"]
+    files = sorted(Path(index_dir).glob("shards/shard=*/terms.parquet"))
+    assert files
+    for f in files:
+        base = int(f.parent.name.split("=")[1]) * dps
+        t = pq.read_table(f)
+        term_docs, term_pos, docs, freqs, flat = segment.decode_segment(
+            t, base, codec)
+        assert docs.dtype == np.int64
+        assert freqs.dtype == flat.dtype == np.int32
+        assert len(term_docs) == len(term_pos) == t.num_rows + 1
+        for i in range(t.num_rows):
+            d = segment.decode_doc_ids(t["doc_ids_enc"][i].as_py(), base,
+                                       codec)
+            fr = segment.decode_freqs(t["freqs_enc"][i].as_py(), codec)
+            p, _ = segment.decode_positions(t["positions_enc"][i].as_py(),
+                                            fr, codec)
+            a, b = term_docs[i], term_docs[i + 1]
+            np.testing.assert_array_equal(docs[a:b], d)
+            np.testing.assert_array_equal(freqs[a:b], fr)
+            np.testing.assert_array_equal(
+                flat[term_pos[i]:term_pos[i + 1]], p)
+
+
+@pytest.mark.parametrize("codec", ["varint", "raw32"])
+def test_decode_segment_matches_per_term_decode(ray_session, tmp_path,
+                                                codec):
+    """On a fresh 8-shard build, after update_index (a merged tail
+    shard) and after expunge_deletes (rewritten shards)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.data.transcripts import generate_transcripts
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.index.update import (delete_documents,
+                                              expunge_deletes, update_index)
+
+    table = generate_transcripts(60, seed=5)
+    cut = sorted(set(table.column("conv_id").to_pylist()))[45]
+    conv = table.column("conv_id")
+    pq.write_table(table.filter(pc.less(conv, cut)), tmp_path / "a.parquet")
+    pq.write_table(table.filter(pc.greater_equal(conv, cut)),
+                   tmp_path / "b.parquet")
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "a.parquet"), idx, num_shards=8,
+                postings_codec=codec)
+    _assert_decode_matches_per_term(idx)
+    update_index(idx, str(tmp_path / "b.parquet"))
+    _assert_decode_matches_per_term(idx)
+    delete_documents(idx, doc_ids=[0, 3, 40, 41, 200])
+    assert expunge_deletes(idx)["expunged_now"] == 5
+    _assert_decode_matches_per_term(idx)
+
+
+def test_decode_segment_rejects_short_positions():
+    terms, doc_ids, freqs, pos_flat = build_inputs(
+        np.random.default_rng(3), n_terms=5, n_docs=50)
+    t = segment.encode_shard_postings(terms, doc_ids, freqs, pos_flat, 1000)
+    segment.decode_segment(t, 1000)  # intact: decodes
+    short = t.to_pydict()
+    # one byte fewer is one position fewer (a dangling varint byte
+    # decodes to nothing)
+    short["positions_enc"][-1] = short["positions_enc"][-1][:-1]
+    bad = pa.table(short, schema=t.schema)
+    with pytest.raises(ValueError, match="positions"):
+        segment.decode_segment(bad, 1000)
+
+
+def test_resident_postings_memory_bound(ray_session, tmp_path):
+    """A searcher's decoded postings take at most 12 B per posting (int64
+    doc id + int32 freq), 4 B per position (int32) and 16 B per term (two
+    int64 offsets), plus one leading offset each: widening any column
+    breaks the bound."""
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.data.transcripts import transcripts_path
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.search.searcher import ShardSearcher
+
+    idx = tmp_path / "idx"
+    build_index(transcripts_path("tiny"), str(idx), num_shards=2)
+    for sid in (0, 1):
+        t = pq.read_table(idx / "shards" / f"shard={sid:05d}" /
+                          "terms.parquet", columns=["df", "ttf"])
+        n_terms = t.num_rows
+        n_post = int(t["df"].to_numpy().sum())
+        n_pos = int(t["ttf"].to_numpy().sum())
+        sh = ShardSearcher(str(idx), sid)
+        resident = sum(a.nbytes for a in (
+            sh._term_docs, sh._term_pos, sh._docs, sh._freqs, sh._flat_pos))
+        assert n_post > 0 and n_pos >= n_post
+        assert resident <= 12 * n_post + 4 * n_pos + 16 * (n_terms + 1)
