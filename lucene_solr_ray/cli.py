@@ -279,7 +279,8 @@ def main(argv=None) -> int:
         manifest = update_index(args.index_dir, args.source,
                                 overwrite=args.overwrite)
         print(json.dumps({"version": manifest["version"],
-                          "stats": manifest["stats"]}))
+                          "stats": manifest["stats"],
+                          "phases": manifest["phases"]}))
     elif args.cmd == "delete":
         from .index.update import delete_documents
 

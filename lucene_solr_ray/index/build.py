@@ -50,6 +50,15 @@ user's file; the copy is removed with the runs.
     counts and lineage (segments_N generation protocol,
     SegmentInfos.java:55-140). ``resume=True`` skips completed shards and
     reuses completed runs.
+
+Appends run the same two tasks (update.py; the IndexWriter.addDocument /
+addIndexes analog — one indexing chain). ``update_index`` plans its delta
+from the manifest's ``num_docs`` and runs wave A into a work dir; wave B
+starts only once the driver's checks pass, and its task for a shard the
+manifest already lists folds the live segment in ahead of the new rows
+(``_rewrite_shard``: the old segment is set aside, never deleted, until
+its replacement is written). ``add_indexes`` feeds the same fold task a
+source index's decoded, shifted postings instead of runs.
 """
 
 from __future__ import annotations
@@ -99,25 +108,8 @@ def _limit_worker_threads() -> None:
 
 
 # --------------------------------------------------------------------------
-# tokenize: text -> per-doc postings rows (wave A; TokenizeStage is
-# update.py's actor-pool form)
+# tokenize: text -> per-doc postings rows (wave A)
 # --------------------------------------------------------------------------
-
-class TokenizeStage:
-    """Actor-pool callable: text -> per-doc postings row.
-
-    Output row: doc_id, doc_shard, conv_id, turn_idx, doc_len, norm_byte,
-    terms (list<dictionary<string>>, in term-code order), freqs
-    (list<int32>), pos_flat (list<int32>, positions concatenated in term
-    order).
-    """
-
-    def __init__(self, analyzer_name: str = "standard"):
-        self.analyzer = get_analyzer(analyzer_name)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return tokenize_table(batch, self.analyzer)
-
 
 #: inner chunking for the vectorized tokenize back-end: bounds the flat
 #: token stream each encode/sort touches (a 140k-doc fused task would
@@ -308,12 +300,13 @@ def _explode_runs(batch: pa.Table) -> pa.Table:
 
 
 class SegmentWriter:
-    """Encode + write one shard from its posting rows (wave B; update.py's
-    merge runs it as a map_groups fn over groupby(doc_shard)).
+    """Encode + write one shard from its (non-empty) posting rows (wave B);
+    returns the shard's manifest row.
 
     Writes atomically (temp dir + rename); a shard directory containing
     ``_SUCCESS`` is skipped on resume, making the encode restartable at
-    shard granularity.
+    shard granularity. An append rewrites a live shard through
+    ``_rewrite_shard``, which sets the old segment aside first.
     """
 
     def __init__(self, index_dir: str, docs_per_shard: int,
@@ -322,14 +315,11 @@ class SegmentWriter:
         self.docs_per_shard = docs_per_shard
         self.codec = codec
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _manifest_row_table([])
+    def __call__(self, group: pa.Table) -> dict:
         shard_id = int(group.column("doc_shard")[0].as_py())
         shard_dir = Path(self.index_dir) / "shards" / f"shard={shard_id:05d}"
         if (shard_dir / "_SUCCESS").exists():
-            row = json.loads((shard_dir / "_SUCCESS").read_text())
-            return _manifest_row_table([row])
+            return json.loads((shard_dir / "_SUCCESS").read_text())
 
         # sort by (term, doc_id) without materializing per-row strings:
         # dictionary-encode the term column, rank the vocab in Arrow (UTF-8
@@ -404,41 +394,73 @@ class SegmentWriter:
         finally:
             if tmp.exists() and tmp != shard_dir:
                 shutil.rmtree(tmp, ignore_errors=True)
-        return _manifest_row_table([row])
+        return row
 
 
-def _manifest_row_table(rows: list[dict]) -> pa.Table:
+def _decode_segment_to_postings(terms_file: Path, shard_id: int,
+                                docs_per_shard: int,
+                                codec: str = "varint") -> pa.Table | None:
+    """A live segment -> its posting rows, in ``_explode_runs``'s columns
+    (doc_shard, term, doc_id, freq, positions); None when it has none."""
+    t = pq.read_table(terms_file)
+    term_docs, _, docs, freqs, flat = segment.decode_segment(
+        t, shard_id * docs_per_shard, codec)
+    if len(docs) == 0:
+        return None
+    term_ids = np.repeat(np.arange(t.num_rows, dtype=np.int32),
+                         np.diff(term_docs))
+    pos_offsets = np.concatenate(([0], np.cumsum(freqs, dtype=np.int64)))
     return pa.table({
-        "shard_id": pa.array([r["shard_id"] for r in rows], type=pa.int64()),
-        "doc_lo": pa.array([r["doc_lo"] for r in rows], type=pa.int64()),
-        "doc_hi": pa.array([r["doc_hi"] for r in rows], type=pa.int64()),
-        "term_count": pa.array([r["term_count"] for r in rows], type=pa.int64()),
-        "posting_count": pa.array([r["posting_count"] for r in rows], type=pa.int64()),
-        "doc_count": pa.array([r["doc_count"] for r in rows], type=pa.int64()),
+        "doc_shard": pa.array(np.full(len(docs), shard_id, dtype=np.int32)),
+        "term": pa.DictionaryArray.from_arrays(
+            term_ids, t.column("term").combine_chunks()),
+        "doc_id": pa.array(docs, type=pa.int64()),
+        "freq": pa.array(freqs, type=pa.int64()),
+        "positions": pa.LargeListArray.from_arrays(pos_offsets, flat),
     })
 
 
-# --------------------------------------------------------------------------
-# global statistics of update.py's runs (partial per batch + tiny global sum)
-# --------------------------------------------------------------------------
+def _rewrite_shard(index_dir: str, shard_id: int, docs_per_shard: int,
+                   codec: str, rows_fn) -> dict | None:
+    """Rewrite one live shard segment, crash-safe: the append fold and
+    ``expunge_deletes`` both go through here.
 
-def _partial_stats(batch: pa.Table) -> pa.Table:
-    doc_len = batch.column("doc_len").to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table({
-        "num_docs": pa.array([len(doc_len)], type=pa.int64()),
-        "doc_count": pa.array([int((doc_len > 0).sum())], type=pa.int64()),
-        "sum_ttf": pa.array([int(doc_len.sum())], type=pa.int64()),
-    })
-
-
-def compute_stats(runs: rd.Dataset) -> dict:
-    partials = runs.map_batches(_partial_stats, batch_format="pyarrow")
-    agg = partials.sum(["num_docs", "doc_count", "sum_ttf"])
-    return {
-        "num_docs": int(agg["sum(num_docs)"]),
-        "doc_count": int(agg["sum(doc_count)"]),
-        "sum_total_term_freq": int(agg["sum(sum_ttf)"]),
-    }
+    ``rows_fn(terms_file)`` gets the live segment's ``terms.parquet`` (None
+    when the shard has no segment) and returns the posting rows the shard
+    should hold, or None to leave it untouched. The old segment is set
+    ASIDE (one atomic rename) rather than deleted before its replacement
+    is written: a crash in that window would otherwise lose a shard the
+    manifest still lists. A leftover aside from a crashed rewrite is the
+    authoritative pristine segment: the shard dir beside it may be partial
+    or may already hold the new rows (rewriting into it would duplicate
+    postings), so it is restored first and the rewrite redone from it.
+    Returns the shard's manifest row, or None when untouched."""
+    shard_dir = Path(index_dir) / "shards" / f"shard={shard_id:05d}"
+    aside = shard_dir.parent / f".merging-shard={shard_id:05d}"
+    if aside.exists():
+        shutil.rmtree(shard_dir, ignore_errors=True)
+        os.rename(aside, shard_dir)
+    terms_file = shard_dir / "terms.parquet"
+    rows = rows_fn(terms_file if terms_file.exists() else None)
+    if rows is None:
+        return None
+    if shard_dir.exists():
+        os.rename(shard_dir, aside)
+    try:
+        if rows.num_rows:
+            row = SegmentWriter(index_dir, docs_per_shard, codec)(rows)
+        else:
+            # every posting is gone: the shard is empty, with no segment
+            base = shard_id * docs_per_shard
+            row = {"shard_id": shard_id, "doc_lo": base,
+                   "doc_hi": base + docs_per_shard, "term_count": 0,
+                   "posting_count": 0, "doc_count": 0}
+    except BaseException:
+        if aside.exists() and not shard_dir.exists():
+            os.rename(aside, shard_dir)  # roll back
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
+    return row
 
 
 # --------------------------------------------------------------------------
@@ -470,11 +492,13 @@ def _read_footers(source: str):
     return files, rg_rows
 
 
-def _assemble_plan(files, rg_rows, target_rows: int):
+def _assemble_plan(files, rg_rows, concurrency: int, base: int = 0):
     """(file, [row_group_idx...], doc_id_offset, n_rows) tasks from the
-    pre-read footer metadata."""
+    pre-read footer metadata, doc ids starting at ``base`` (an append
+    starts at the manifest's ``num_docs``)."""
+    target_rows = max(8192, sum(map(sum, rg_rows)) // max(1, concurrency * 3))
     tasks = []
-    offset = 0
+    offset = base
     for f, rows in zip(files, rg_rows):
         cur_rgs: list[int] = []
         cur_rows = 0
@@ -488,7 +512,7 @@ def _assemble_plan(files, rg_rows, target_rows: int):
                 cur_rgs, cur_rows, cur_offset = [], 0, offset
         if cur_rgs:
             tasks.append((f, cur_rgs, cur_offset, cur_rows))
-    return tasks, offset
+    return tasks, offset - base
 
 
 def _token_spans(texts: list, analyzer):
@@ -620,28 +644,94 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
 
 
 @ray.remote
-def _encode_shard_dir_task(runs_dir: str, shard_id: int, index_dir: str,
-                           docs_per_shard: int, codec: str,
-                           *wave_a_deps) -> list[dict]:
+def _encode_shard_dir_task(runs_dir: str | None, shard_id: int,
+                           index_dir: str, docs_per_shard: int, codec: str,
+                           fold: bool, *deps) -> list[dict]:
     """Wave B: encode one shard from exactly its runs/shard=K files.
 
-    ``wave_a_deps`` carries the ObjectRefs of the wave-A tasks covering
-    this shard's doc range — Ray's arg dependency is the scheduling
-    barrier, so shard encoding starts as soon as ITS inputs exist and
-    overlaps the rest of wave A."""
+    ``deps`` are ObjectRef args. In the build they are the wave-A tasks
+    covering this shard's doc range: Ray's arg dependency is the
+    scheduling barrier, so shard encoding starts as soon as ITS inputs
+    exist and overlaps the rest of wave A. In ``add_indexes`` they are
+    shifted posting tables (no runs), of which the shard takes its rows.
+
+    ``fold`` (an append to a shard the manifest lists) puts the live
+    segment's postings ahead of the new rows through ``_rewrite_shard``;
+    without it a shard dir holding ``_SUCCESS`` (a resumed build) is kept."""
     _limit_worker_threads()
-    shard_runs = Path(runs_dir) / f"shard={shard_id:05d}"
-    if not shard_runs.exists():
+    parts = [d.filter(pc.equal(d.column("doc_shard"), shard_id))
+             for d in deps if isinstance(d, pa.Table)]
+    runs = sorted(Path(runs_dir).glob(f"shard={shard_id:05d}/*.parquet")) \
+        if runs_dir else []
+    if runs:
+        cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
+        parts.append(_explode_runs(pa.concat_tables(
+            [pq.read_table(p, columns=cols) for p in runs])))
+    parts = [p for p in parts if p.num_rows]
+    if not parts:
         return []
-    cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
-    tables = [pq.read_table(p, columns=cols)
-              for p in sorted(shard_runs.glob("*.parquet"))]
-    t = pa.concat_tables(tables)
-    if t.num_rows == 0:
-        return []
-    group = _explode_runs(t)
-    result = SegmentWriter(index_dir, docs_per_shard, codec)(group)
-    return result.to_pylist()
+    group = pa.concat_tables(parts)
+    if not fold:
+        return [SegmentWriter(index_dir, docs_per_shard, codec)(group)]
+
+    def live_then_new(terms_file):
+        if terms_file is None:
+            return group
+        old = _decode_segment_to_postings(terms_file, shard_id,
+                                          docs_per_shard, codec)
+        return group if old is None else pa.concat_tables([old, group])
+
+    return [_rewrite_shard(index_dir, shard_id, docs_per_shard, codec,
+                           live_then_new)]
+
+
+def _launch_wave_a(tasks, docs_per_shard: int, analyzer: str,
+                   runs_dir: Path, norms_dir: Path,
+                   offsets_dir: Path | None) -> list:
+    """Wave A: one ``_fused_tokenize_task`` per planned span."""
+    return [
+        _fused_tokenize_task.remote(
+            f, rgs, off, int(docs_per_shard), analyzer, str(runs_dir),
+            str(norms_dir), i, str(offsets_dir) if offsets_dir else None)
+        for i, (f, rgs, off, nr) in enumerate(tasks)]
+
+
+def _covering(tasks, docs_per_shard: int) -> dict[int, list[int]]:
+    """shard id -> indexes of the planned tasks whose doc range reaches
+    into that shard, in shard order."""
+    covering: dict[int, list[int]] = {}
+    for i, (f, rgs, off, nr) in enumerate(tasks):
+        lo = off // docs_per_shard
+        hi = (off + max(nr - 1, 0)) // docs_per_shard
+        for sid in range(int(lo), int(hi) + 1):
+            covering.setdefault(sid, []).append(i)
+    return dict(sorted(covering.items()))
+
+
+def _merge_partials(partials: list[dict]) -> tuple:
+    """Wave-A partials -> (summed stats, first key, last key). Checks that
+    the tasks' key ranges follow each other in order (tasks are
+    offset-ordered)."""
+    first = prev_last = None
+    for p in partials:
+        if p["first_key"] is None:
+            continue
+        if prev_last is not None and tuple(p["first_key"]) <= tuple(prev_last):
+            raise ValueError("source files out of (conv_id, turn_idx) order")
+        first = first or p["first_key"]
+        prev_last = p["last_key"]
+    stats = {
+        "num_docs": sum(p["num_docs"] for p in partials),
+        "doc_count": sum(p["doc_count"] for p in partials),
+        "sum_total_term_freq": sum(p["sum_ttf"] for p in partials),
+    }
+    return stats, first, prev_last
+
+
+def _lineage(tasks) -> list[dict]:
+    return [{"task_id": i, "file": f, "row_groups": list(map(int, rgs)),
+             "doc_lo": int(off), "doc_hi": int(off + nr)}
+            for i, (f, rgs, off, nr) in enumerate(tasks)]
 
 
 def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
@@ -663,8 +753,7 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
         num_shards = num_shards or 8
         docs_per_shard = max(1, -(-probe_total // num_shards))
     actual_shards = max(1, -(-probe_total // docs_per_shard))
-    target_rows = max(8192, probe_total // max(1, concurrency * 3))
-    tasks, total_docs = _assemble_plan(files, rg_rows, target_rows)
+    tasks, total_docs = _assemble_plan(files, rg_rows, concurrency)
     params_file = index_path / "_BUILD_PARAMS.json"
     plan = {"docs_per_shard": int(docs_per_shard),
             "total_docs": int(total_docs),
@@ -702,62 +791,31 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
     if store_offsets:
         offsets_dir = index_path / "offsets"
         offsets_dir.mkdir(parents=True, exist_ok=True)
-    a_futures = [
-        _fused_tokenize_task.remote(
-            f, rgs, off, int(docs_per_shard), analyzer,
-            str(runs_dir), str(norms_dir), i,
-            str(offsets_dir) if offsets_dir else None)
-        for i, (f, rgs, off, nr) in enumerate(tasks)
-    ]
+    a_futures = _launch_wave_a(tasks, docs_per_shard, analyzer, runs_dir,
+                               norms_dir, offsets_dir)
     # wave B: per-shard encode, each task gated ONLY on the wave-A tasks
     # covering its doc range (ObjectRef args are the barrier) — shard
     # encoding overlaps the remainder of tokenization
-    covering: dict[int, list] = {}
-    for i, (f, rgs, off, nr) in enumerate(tasks):
-        lo = off // docs_per_shard
-        hi = (off + max(nr - 1, 0)) // docs_per_shard
-        for sid in range(int(lo), int(hi) + 1):
-            covering.setdefault(sid, []).append(a_futures[i])
-    b_futures = {
-        sid: _encode_shard_dir_task.remote(
+    b_futures = [
+        _encode_shard_dir_task.remote(
             str(runs_dir), sid, str(index_path), int(docs_per_shard),
-            codec, *deps)
-        for sid, deps in sorted(covering.items())
-    }
-    partials = ray.get(a_futures)
-    # cross-task order check (tasks are offset-ordered)
-    prev_last = None
-    for p in partials:
-        if p["first_key"] is None:
-            continue
-        if prev_last is not None and tuple(p["first_key"]) <= tuple(prev_last):
-            raise ValueError("source files out of (conv_id, turn_idx) order")
-        prev_last = p["last_key"]
-    stats = {
-        "num_docs": sum(p["num_docs"] for p in partials),
-        "doc_count": sum(p["doc_count"] for p in partials),
-        "sum_total_term_freq": sum(p["sum_ttf"] for p in partials),
-    }
+            codec, False, *(a_futures[i] for i in deps))
+        for sid, deps in _covering(tasks, docs_per_shard).items()]
+    stats, _, checkpoint = _merge_partials(ray.get(a_futures))
     avgdl = float(bm25.avg_field_length(
         stats["sum_total_term_freq"], max(stats["doc_count"], 1)))
     _phase("tokenize_runs")
 
-    manifest_rows = [r for rows in ray.get(list(b_futures.values()))
-                     for r in rows]
+    manifest_rows = [r for rows in ray.get(b_futures) for r in rows]
     _phase("term_group_encode")
-    lineage = [
-        {"task_id": i, "file": f, "row_groups": list(map(int, rgs)),
-         "doc_lo": int(off), "doc_hi": int(off + nr)}
-        for i, (f, rgs, off, nr) in enumerate(tasks)
-    ]
     return {
         "stats": stats,
         "avgdl": avgdl,
         "manifest_rows": manifest_rows,
         "docs_per_shard": int(docs_per_shard),
         "actual_shards": int(actual_shards),
-        "checkpoint": prev_last,
-        "lineage": lineage,
+        "checkpoint": checkpoint,
+        "lineage": _lineage(tasks),
     }
 
 
@@ -799,6 +857,20 @@ def _materialize_source(source: str | rd.Dataset, index_path: Path,
     return str(src_dir)
 
 
+def _phase_clock():
+    """-> (phases, mark): ``mark(name)`` records in ``phases`` the seconds
+    since the previous mark (or since the clock was made)."""
+    phases: dict[str, float] = {}
+    last = [time.time()]
+
+    def mark(name: str) -> None:
+        now = time.time()
+        phases[name] = round(now - last[0], 3)
+        last[0] = now
+
+    return phases, mark
+
+
 def build_index(
     source: str | rd.Dataset,
     index_dir: str,
@@ -837,14 +909,7 @@ def build_index(
                 f"({DEFAULT_MAX_TOKEN_LENGTH}); analyzer {analyzer!r} "
                 f"uses {mtl}")
     t0 = time.time()
-    phases: dict[str, float] = {}
-    _last = [t0]
-
-    def _phase(name: str) -> None:
-        now = time.time()
-        phases[name] = round(now - _last[0], 3)
-        _last[0] = now
-
+    phases, _phase = _phase_clock()
     index_path = Path(index_dir)
     index_path.mkdir(parents=True, exist_ok=True)
     if not resume:

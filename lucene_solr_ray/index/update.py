@@ -2,19 +2,21 @@
 
 Reference semantics re-expressed (SURVEY.md §2.10, §1.5): new documents
 arrive append-only past a checkpoint (TopicStream's ``_version_``
-watermark, ``solr/solrj/.../io/stream/TopicStream.java``); they are
-tokenized into new runs, and the term shuffle touches ONLY the shards the
-new doc_id range lands in. A partially-filled tail shard is merged with
-its existing segment — the log-structured merge (TieredMergePolicy /
-mtree-merge analog, MapReduceIndexerTool.java:330-338) — and the manifest
-generation is bumped (SegmentInfos.java:55-140 two-phase publish). Global
-statistics are recomputed exactly, so post-update scores equal a
+watermark, ``solr/solrj/.../io/stream/TopicStream.java``). An append runs
+the build's own two tasks (build.py; one indexing chain, as
+``IndexWriter.addDocument`` shares the first build's flush): the delta's
+doc ids continue from the manifest's ``num_docs``, so range sharding
+sends it only to the shards its doc range lands in, with no shuffle. A
+partly filled tail shard folds its live segment in — the log-structured
+merge (TieredMergePolicy / mtree-merge analog,
+MapReduceIndexerTool.java:330-338) — and the manifest generation is
+bumped (SegmentInfos.java:55-140 two-phase publish). Global statistics
+are the old ones plus the delta's, so post-update scores equal a
 from-scratch build's (asserted in tests).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import shutil
@@ -32,93 +34,35 @@ from ..search import bm25
 from . import segment
 from .build import (
     MANIFEST_NAME,
-    SegmentWriter,
-    TokenizeStage,
-    _explode_runs,
-    _manifest_row_table,
-    compute_stats,
+    _assemble_plan,
+    _covering,
+    _decode_segment_to_postings,
+    _encode_shard_dir_task,
+    _launch_wave_a,
+    _lineage,
+    _materialize_source,
+    _merge_partials,
+    _phase_clock,
+    _read_footers,
+    _rewrite_shard,
     read_manifest,
 )
 
 
-@ray.remote
-def _add_doc_ids_from(block: pa.Table, offset: int, docs_per_shard: int) -> pa.Table:
-    doc_id = np.arange(offset, offset + block.num_rows, dtype=np.int64)
-    block = block.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
-    return block.append_column(
-        "doc_shard", pa.array(doc_id // docs_per_shard, type=pa.int32()))
-
-
-def _decode_segment_to_postings(terms_file: Path, base: int,
-                                codec: str = "varint") -> pa.Table:
-    """Existing segment -> posting rows (term, doc_id, freq, positions)."""
-    t = pq.read_table(terms_file)
-    term_docs, _, docs, freqs, flat = segment.decode_segment(t, base, codec)
-    if len(docs) == 0:
-        return None
-    term_ids = np.repeat(np.arange(t.num_rows, dtype=np.int32),
-                         np.diff(term_docs))
-    pos_offsets = np.zeros(len(freqs) + 1, dtype=np.int64)
-    np.cumsum(freqs, out=pos_offsets[1:])
-    return pa.table({
-        "term": pa.DictionaryArray.from_arrays(
-            term_ids, t.column("term").combine_chunks()),
-        "doc_id": pa.array(docs, type=pa.int64()),
-        "freq": pa.array(freqs, type=pa.int64()),
-        "positions": pa.LargeListArray.from_arrays(pos_offsets, flat),
-    })
-
-
-class MergingSegmentWriter(SegmentWriter):
-    """SegmentWriter that first folds in an existing shard segment."""
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _manifest_row_table([])
-        shard_id = int(group.column("doc_shard")[0].as_py())
-        shard_dir = Path(self.index_dir) / "shards" / f"shard={shard_id:05d}"
-        aside = shard_dir.parent / f".merging-shard={shard_id:05d}"
-        if aside.exists():
-            # a previous merge crashed after set-aside. The aside copy is
-            # the authoritative pristine segment: shard_dir (if present)
-            # may be partial or already contain the incoming group (a
-            # re-merge into it would duplicate postings), so it is
-            # discarded and the aside restored before redoing the merge —
-            # the merge is idempotent from the pristine old segment.
-            shutil.rmtree(shard_dir, ignore_errors=True)
-            os.rename(aside, shard_dir)
-        terms_file = shard_dir / "terms.parquet"
-        if terms_file.exists():
-            base = shard_id * self.docs_per_shard
-            old = _decode_segment_to_postings(terms_file, base, self.codec)
-            if old is not None:
-                old = old.append_column(
-                    "doc_shard",
-                    pa.array(np.full(old.num_rows, shard_id, dtype=np.int32),
-                             type=pa.int32()))
-                group = pa.concat_tables(
-                    [old.select(group.column_names), group])
-            # set the old segment ASIDE (atomic rename, recoverable above)
-            # rather than deleting it before the replacement is written —
-            # a crash in that window would otherwise lose the shard while
-            # the manifest still references it
-            shutil.rmtree(aside, ignore_errors=True)
-            os.rename(shard_dir, aside)
-        try:
-            out = super().__call__(group)
-        except BaseException:
-            if aside.exists() and not shard_dir.exists():
-                os.rename(aside, shard_dir)  # roll back
-            raise
-        shutil.rmtree(aside, ignore_errors=True)
-        return out
-
-
 def update_index(index_dir: str, source: str | rd.Dataset, *,
-                 batch_size: int = 4096, concurrency: int | None = None,
-                 overwrite: bool = False,
+                 concurrency: int | None = None, overwrite: bool = False,
                  manifest_extra: dict | None = None) -> dict:
-    """Append new documents to an existing index.
+    """Append new documents to an existing index; returns the manifest.
+
+    The delta goes through the build's two waves. Wave A tokenizes it
+    into the work dir ``index_dir/runs_update_<v>/`` (runs, norms, and
+    offsets when the index stores them). Nothing live is touched until
+    every check has passed: each task's sortedness, the key order across
+    tasks, and (append-only) the checkpoint. Then wave B encodes each
+    shard the delta reaches, folding in the live segment of a shard the
+    manifest lists; the norms and offsets files move into the live
+    partitions as ``u<v>-run-NNNNN.parquet``, and the manifest is
+    published last. The work dir is removed whether or not it succeeds.
 
     ``manifest_extra`` (optional) is merged into the FINAL manifest
     publish only — one atomic rename records both the new index state
@@ -134,174 +78,100 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
     unreachable. With overwrite the doc_id order no longer mirrors global
     key order, so tie-breaks may differ from a from-scratch rebuild
     (same as the reference, where updated docs get new docIDs)."""
+    t0 = time.time()
+    phases, _phase = _phase_clock()
     index_path = Path(index_dir)
     manifest = read_manifest(index_dir)
     params = manifest["params"]
-    docs_per_shard = params["docs_per_shard"]
-    base_doc = manifest["stats"]["num_docs"]
+    dps = int(params["docs_per_shard"])
+    work = index_path / f"runs_update_{manifest['version'] + 1}"
+    shutil.rmtree(work, ignore_errors=True)
+    (work / "runs").mkdir(parents=True)
+    try:
+        if not isinstance(source, str):
+            source = _materialize_source(source, work, True, False)
+            _phase("materialize_source")
+        if concurrency is None:
+            concurrency = max(
+                2, int(ray.cluster_resources().get("CPU", 4)) - 1)
+        tasks, _ = _assemble_plan(*_read_footers(source), concurrency,
+                                  base=int(manifest["stats"]["num_docs"]))
+        _phase("plan")
 
-    from .build import ds_select
+        delta, first_key, last_key = _merge_partials(ray.get(_launch_wave_a(
+            tasks, dps, params["analyzer"], work / "runs", work / "norms",
+            work / "offsets" if params.get("offsets") else None)))
+        checkpoint = manifest.get("checkpoint")
+        if (not overwrite and None not in (checkpoint, first_key)
+                and tuple(first_key) <= tuple(checkpoint)):
+            raise ValueError(f"update must be past checkpoint {checkpoint}, "
+                             f"got {tuple(first_key)}")
+        _phase("tokenize_runs")
 
-    if isinstance(source, str):
-        import pyarrow.dataset as _pads
-
-        from .build import DOCVALUE_FIELDS
-
-        src_fields = {f.name for f in _pads.dataset(source).schema}
-        extra = [c for c in DOCVALUE_FIELDS if c in src_fields]
-        ds = rd.read_parquet(source,
-                             columns=["conv_id", "turn_idx", "text"] + extra)
-    else:
-        ds = ds_select(source)
-
-    # append-only checkpoint check (TopicStream watermark semantics)
-    checkpoint = manifest.get("checkpoint")
-    if checkpoint is not None and not overwrite:
-        first = ds.take(1)[0]
-        if (first["conv_id"], int(first["turn_idx"])) <= tuple(checkpoint):
-            raise ValueError(
-                f"update must be past checkpoint {checkpoint}, got "
-                f"({first['conv_id']}, {first['turn_idx']})")
-
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    metas = ray.get([_block_meta_update.remote(r) for r in refs])
-    counts = [m["rows"] for m in metas]
-    # the doc_id == rank invariant requires the update batch itself to be
-    # (conv_id, turn_idx)-sorted, same as the build's per-block check —
-    # unsorted input would silently diverge from a from-scratch rebuild
-    prev_last = None
-    for m in metas:
-        if m["rows"] == 0:
-            continue
-        if not m["sorted_within"]:
-            raise ValueError("update rows not sorted by (conv_id, turn_idx)")
-        if prev_last is not None and tuple(m["first"]) < tuple(prev_last):
-            raise ValueError(
-                "update blocks out of (conv_id, turn_idx) order")
-        prev_last = m["last"]
-    if overwrite:
-        # updateDocument: tombstone the existing versions of incoming keys
-        incoming = [k for ks in ray.get([_block_keys.remote(r)
-                                         for r in refs]) for k in ks]
-        if incoming:
-            delete_documents(index_dir, keys=incoming)
+        if overwrite and first_key is not None:
+            # updateDocument: tombstone the live versions of incoming keys
+            keys = pq.read_table(work / "norms",
+                                 columns=["conv_id", "turn_idx"])
+            delete_documents(index_dir, keys=list(zip(
+                keys.column("conv_id").to_pylist(),
+                keys.column("turn_idx").to_pylist())))
             manifest = read_manifest(index_dir)  # version bumped
-    offsets = np.concatenate(([0], np.cumsum(counts))) + base_doc
-    new_refs = [
-        _add_doc_ids_from.remote(r, int(offsets[i]), docs_per_shard)
-        for i, r in enumerate(refs)
-    ]
-    ds = rd.from_arrow_refs(new_refs)
-
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-
-    runs_dir = index_path / f"runs_update_{manifest['version'] + 1}"
-    tokenized = ds.map_batches(
-        TokenizeStage,
-        fn_constructor_kwargs={"analyzer_name": params["analyzer"]},
-        batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True, concurrency=concurrency)
-    tokenized.write_parquet(str(runs_dir))
-
-    # exact updated global stats
-    delta = compute_stats(rd.read_parquet(str(runs_dir), columns=["doc_len"]))
-    stats = manifest["stats"]
-    new_stats = {
-        "num_docs": stats["num_docs"] + delta["num_docs"],
-        "doc_count": stats["doc_count"] + delta["doc_count"],
-        "sum_total_term_freq":
-            stats["sum_total_term_freq"] + delta["sum_total_term_freq"],
-    }
-    new_stats["avgdl"] = float(bm25.avg_field_length(
-        new_stats["sum_total_term_freq"], max(new_stats["doc_count"], 1)))
-
-    # append norms for the new docs
-    import pyarrow.dataset as _pads
-
-    from .build import DOCVALUE_FIELDS
-
-    runs_fields = {f.name for f in _pads.dataset(str(runs_dir)).schema}
-    ncols = (["doc_id", "doc_shard", "conv_id", "turn_idx"]
-             + [c for c in DOCVALUE_FIELDS if c in runs_fields]
-             + ["doc_len", "norm_byte"])
-    rd.read_parquet(str(runs_dir), columns=ncols).write_parquet(
-        str(index_path / "norms"), partition_cols=["doc_shard"])
-
-    # term shuffle over the NEW postings only; tail shard merges its old data
-    runs = rd.read_parquet(
-        str(runs_dir),
-        columns=["doc_id", "doc_shard", "terms", "freqs", "pos_flat"])
-    postings = runs.map_batches(_explode_runs, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    writer = functools.partial(
-        _merge_segment_group, index_dir=str(index_path),
-        docs_per_shard=int(docs_per_shard),
-        codec=manifest["params"].get("postings_codec", "varint"))
-    new_rows = (postings.groupby("doc_shard")
-                .map_groups(writer, batch_format="pyarrow").take_all())
+        version = manifest["version"] + 1
+        listed = {s["shard_id"] for s in manifest["shards"]}
+        rows = ray.get([
+            _encode_shard_dir_task.remote(
+                str(work / "runs"), sid, str(index_path), dps,
+                params.get("postings_codec", "varint"), sid in listed)
+            for sid in _covering(tasks, dps)])
+        # versioned names: a partition's base-build or expunge file is
+        # never overwritten
+        for sub in ("norms", "offsets"):
+            for f in sorted((work / sub).glob("*/*.parquet")):
+                part = index_path / sub / f.parent.name
+                part.mkdir(parents=True, exist_ok=True)
+                os.replace(f, part / f"u{version}-{f.name}")
+        _phase("term_group_encode")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
     shards = {s["shard_id"]: s for s in manifest["shards"]}
-    for r in new_rows:
-        shards[r["shard_id"]] = {k: int(v) for k, v in r.items()}
-
-    # checkpoint = last key of the updated input (last non-empty block's
-    # order metadata); never moves backward (overwrite batches may carry
-    # old keys)
-    checkpoint = list(prev_last) if prev_last is not None else None
-    old_cp = manifest.get("checkpoint")
-    if old_cp is not None and (checkpoint is None
-                               or tuple(old_cp) > tuple(checkpoint)):
-        checkpoint = list(old_cp)
-
-    new_manifest = {
+    shards.update((r["shard_id"], r) for rs in rows for r in rs)
+    # never moves backward (overwrite batches may carry old keys)
+    checkpoint = max((tuple(c) for c in (checkpoint, last_key)
+                      if c is not None), default=None)
+    return _publish(index_path, {
         **manifest,
         **(manifest_extra or {}),
-        "version": manifest["version"] + 1,
+        "version": version,
         "created_unix": time.time(),
-        "stats": new_stats,
-        "checkpoint": checkpoint,
+        "build_seconds": time.time() - t0,
+        "phases": phases,
+        "stats": _with_avgdl({k: manifest["stats"][k] + v
+                              for k, v in delta.items()}),
+        "checkpoint": list(checkpoint) if checkpoint else None,
+        "lineage": (manifest.get("lineage") or []) + _lineage(tasks),
         "shards": [shards[k] for k in sorted(shards)],
-    }
+    })
+
+
+def _with_avgdl(stats: dict) -> dict:
+    return {**stats, "avgdl": float(bm25.avg_field_length(
+        stats["sum_total_term_freq"], max(stats["doc_count"], 1)))}
+
+
+def _publish(index_path: Path, manifest: dict) -> dict:
+    """Write the manifest atomically (temp file + rename); returns it."""
     tmp = index_path / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(new_manifest, indent=1))
+    tmp.write_text(json.dumps(manifest, indent=1))
     os.replace(tmp, index_path / MANIFEST_NAME)
-    shutil.rmtree(runs_dir, ignore_errors=True)
-    return new_manifest
+    return manifest
 
 
-@ray.remote
-def _count_rows(block: pa.Table) -> int:
-    return block.num_rows
-
-
-@ray.remote
-def _block_meta_update(block: pa.Table) -> dict:
-    """Row count + (conv_id, turn_idx) order metadata for one block."""
-    n = block.num_rows
-    if n == 0:
-        return {"rows": 0, "first": None, "last": None,
-                "sorted_within": True}
-    cids = np.asarray(block.column("conv_id").to_pylist(), dtype=object)
-    turns = block.column("turn_idx").to_numpy(zero_copy_only=False)
-    if n > 1:
-        a, b = cids[:-1], cids[1:]
-        ok = bool(np.all((a < b) | ((a == b) & (turns[:-1] <= turns[1:]))))
-    else:
-        ok = True
-    return {
-        "rows": n,
-        "first": (str(cids[0]), int(turns[0])),
-        "last": (str(cids[-1]), int(turns[-1])),
-        "sorted_within": ok,
-    }
-
-
-def _merge_segment_group(group: pa.Table, index_dir: str,
-                         docs_per_shard: int,
-                         codec: str = "varint") -> pa.Table:
-    return MergingSegmentWriter(index_dir, docs_per_shard, codec)(group)
+def _write_ids(path: Path, doc_ids: list[int]) -> None:
+    """Write a ``{"doc_ids": [...]}`` id-set file atomically."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps({"doc_ids": doc_ids}))
+    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------
@@ -349,18 +219,13 @@ def delete_documents(index_dir: str, doc_ids=None, keys=None,
                 resolved.add(int(r["doc_id"]))
     newly = resolved - dels
     all_dels = sorted(dels | resolved)
-    tmp = index_path / (DELETES_NAME + ".tmp")
-    tmp.write_text(json.dumps({"doc_ids": all_dels}))
-    os.replace(tmp, index_path / DELETES_NAME)
+    _write_ids(index_path / DELETES_NAME, all_dels)
 
-    new_manifest = {**manifest,
-                    **(manifest_extra or {}),
-                    "version": manifest["version"] + 1,
-                    "created_unix": time.time(),
-                    "deleted_count": len(all_dels)}
-    mtmp = index_path / (MANIFEST_NAME + ".tmp")
-    mtmp.write_text(json.dumps(new_manifest, indent=1))
-    os.replace(mtmp, index_path / MANIFEST_NAME)
+    _publish(index_path, {**manifest,
+                          **(manifest_extra or {}),
+                          "version": manifest["version"] + 1,
+                          "created_unix": time.time(),
+                          "deleted_count": len(all_dels)})
     return {"deleted_now": sorted(newly), "total_deleted": len(all_dels)}
 
 
@@ -373,20 +238,18 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
 
     Source doc ids shift by the destination's maxDoc (the reference
     renumbers against the growing writer the same way); the shifted
-    postings stream through the SAME per-target-shard merge machinery
-    incremental updates use: decode tasks fan out per source shard, and
-    ONE groupby on doc_shard merges into the destination segments (at
+    postings go through the SAME per-shard fold task ``update_index``
+    uses: one decode task per source shard, and one fold task per
+    destination shard, which takes as arguments the decode tasks whose
+    shifted doc range overlaps it (range sharding: no shuffle). At
     100-TB scale the decode wave would stage parquet runs instead of
-    returning in-memory tables; the merge shuffle is identical).
-    Norms/docvalue rows append shifted into the hive partitions; stats
-    sum exactly; source tombstone/expunged sets shift and union in.
-    The two layouts may differ in docs_per_shard (the source's layout
-    only drives decoding; placement uses the destination's); the
-    ANALYZER must match — mixed analysis chains would blend
-    incompatible token streams (the reference's compatible-schema
-    requirement)."""
-    import functools
-
+    returning in-memory tables. Norms/docvalue rows append shifted into
+    the hive partitions; stats sum exactly; source tombstone/expunged
+    sets shift and union in. The two layouts may differ in
+    docs_per_shard (the source's layout only drives decoding; placement
+    uses the destination's); the ANALYZER must match — mixed analysis
+    chains would blend incompatible token streams (the reference's
+    compatible-schema requirement)."""
     dst_path, src_path = Path(dst_dir), Path(src_dir)
     dstm, srcm = read_manifest(dst_dir), read_manifest(src_dir)
     if dstm["params"]["analyzer"] != srcm["params"]["analyzer"]:
@@ -404,74 +267,43 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
                       / "terms.parquet")
         if not terms_file.exists():
             return None
-        src_base = shard_id * src_dps
         t = _decode_segment_to_postings(
-            terms_file, src_base,
+            terms_file, shard_id, src_dps,
             srcm["params"].get("postings_codec", "varint"))
         if t is None:
             return None
-        docs = t.column("doc_id").to_numpy(zero_copy_only=False) + base
-        out = t.drop_columns(["doc_id"])
-        out = out.append_column("doc_id", pa.array(docs, type=pa.int64()))
-        return out.append_column(
-            "doc_shard", pa.array((docs // dps).astype(np.int32),
-                                  type=pa.int32()))
+        return _shift_docs(t, base, dps)
 
     src_shards = sorted(s["shard_id"] for s in srcm["shards"])
     refs = [decode_shift.remote(sid) for sid in src_shards]
-    tables = [r for r in ray.get(refs) if r is not None]
-    new_rows = []
-    if tables:
-        postings = rd.from_arrow_refs([ray.put(t) for t in tables])
-        writer = functools.partial(
-            _merge_segment_group, index_dir=str(dst_path),
-            docs_per_shard=dps,
-            codec=dstm["params"].get("postings_codec", "varint"))
-        new_rows = (postings.groupby("doc_shard")
-                    .map_groups(writer, batch_format="pyarrow").take_all())
+    # each source shard's doc span, shifted, in the plan's task shape
+    spans = [(sid, [], base + sid * src_dps,
+              min(src_dps, int(srcm["stats"]["num_docs"]) - sid * src_dps))
+             for sid in src_shards]
+    listed = {s["shard_id"] for s in dstm["shards"]}
+    new_rows = [r for rows in ray.get([
+        _encode_shard_dir_task.remote(
+            None, sid, str(dst_path), dps,
+            dstm["params"].get("postings_codec", "varint"), sid in listed,
+            *(refs[i] for i in deps))
+        for sid, deps in _covering(spans, dps).items()]) for r in rows]
 
     # norms/docvalue rows: shift and append into the hive partitions
-    def shift_norms(t: pa.Table) -> pa.Table:
-        docs = t.column("doc_id").to_numpy(zero_copy_only=False) + base
-        t = t.drop_columns(["doc_id"] + (["doc_shard"]
-                                         if "doc_shard" in t.column_names
-                                         else []))
-        t = t.append_column("doc_id", pa.array(docs, type=pa.int64()))
-        return t.append_column(
-            "doc_shard", pa.array((docs // dps).astype(np.int32),
-                                  type=pa.int32()))
-
     rd.read_parquet(str(src_path / "norms")).map_batches(
-        shift_norms, batch_format="pyarrow").write_parquet(
-        str(dst_path / "norms"), partition_cols=["doc_shard"])
+        _shift_docs, fn_args=(base, dps), batch_format="pyarrow"
+    ).write_parquet(str(dst_path / "norms"), partition_cols=["doc_shard"])
 
     # tombstones / expunged shift and union
-    src_dels = {d + base for d in read_deletes(src_dir)}
-    if src_dels:
-        all_dels = sorted(read_deletes(dst_dir) | src_dels)
-        tmp = dst_path / (DELETES_NAME + ".tmp")
-        tmp.write_text(json.dumps({"doc_ids": all_dels}))
-        os.replace(tmp, dst_path / DELETES_NAME)
-    src_exp = {d + base for d in read_expunged(src_dir)}
-    if src_exp:
-        all_exp = sorted(read_expunged(dst_dir) | src_exp)
-        etmp = dst_path / (EXPUNGED_NAME + ".tmp")
-        etmp.write_text(json.dumps({"doc_ids": all_exp}))
-        os.replace(etmp, dst_path / EXPUNGED_NAME)
+    for name, read_ids in ((DELETES_NAME, read_deletes),
+                           (EXPUNGED_NAME, read_expunged)):
+        src_ids = {d + base for d in read_ids(src_dir)}
+        if src_ids:
+            _write_ids(dst_path / name, sorted(read_ids(dst_dir) | src_ids))
 
-    d_stats, s_stats = dstm["stats"], srcm["stats"]
-    new_stats = {
-        "num_docs": d_stats["num_docs"] + s_stats["num_docs"],
-        "doc_count": d_stats["doc_count"] + s_stats["doc_count"],
-        "sum_total_term_freq": (d_stats["sum_total_term_freq"]
-                                + s_stats["sum_total_term_freq"]),
-    }
-    new_stats["avgdl"] = float(bm25.avg_field_length(
-        new_stats["sum_total_term_freq"], max(new_stats["doc_count"], 1)))
-
+    new_stats = _with_avgdl({k: dstm["stats"][k] + srcm["stats"][k] for k in
+                             ("num_docs", "doc_count", "sum_total_term_freq")})
     shards = {s["shard_id"]: s for s in dstm["shards"]}
-    for r in new_rows:
-        shards[int(r["shard_id"])] = {k: int(v) for k, v in r.items()}
+    shards.update((r["shard_id"], r) for r in new_rows)
     cp_d, cp_s = dstm.get("checkpoint"), srcm.get("checkpoint")
     checkpoint = max((tuple(c) for c in (cp_d, cp_s) if c is not None),
                      default=None)
@@ -481,12 +313,22 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
                     "stats": new_stats,
                     "checkpoint": list(checkpoint) if checkpoint else None,
                     "shards": [shards[k] for k in sorted(shards)]}
-    mtmp = dst_path / (MANIFEST_NAME + ".tmp")
-    mtmp.write_text(json.dumps(new_manifest, indent=1))
-    os.replace(mtmp, dst_path / MANIFEST_NAME)
-    return {"added_docs": int(s_stats["num_docs"]),
+    _publish(dst_path, new_manifest)
+    return {"added_docs": int(srcm["stats"]["num_docs"]),
             "num_docs": int(new_stats["num_docs"]),
             "version": new_manifest["version"]}
+
+
+def _shift_docs(t: pa.Table, base: int, docs_per_shard: int) -> pa.Table:
+    """Rows with ``doc_id`` shifted by ``base`` and ``doc_shard`` set for a
+    layout of ``docs_per_shard`` (in place; appended when absent)."""
+    docs = t.column("doc_id").to_numpy(zero_copy_only=False) + base
+    for name, col in (("doc_id", pa.array(docs, type=pa.int64())),
+                      ("doc_shard", pa.array(
+                          (docs // docs_per_shard).astype(np.int32)))):
+        t = (t.set_column(t.column_names.index(name), name, col)
+             if name in t.column_names else t.append_column(name, col))
+    return t
 
 
 def expire_documents(index_dir: str, expire_before, field: str = "ts",
@@ -505,7 +347,7 @@ def expire_documents(index_dir: str, expire_before, field: str = "ts",
     import pyarrow.dataset as pads
 
     index_path = Path(index_dir)
-    _recover_norms_partitions(index_path)
+    segment.recover_norms_partitions(index_path)
     cutoff = pa.scalar(np.datetime64(expire_before, "us")) \
         if not isinstance(expire_before, (int, float)) else \
         pa.scalar(expire_before)
@@ -537,52 +379,24 @@ def read_expunged(index_dir: str) -> set[int]:
 def _expunge_shard(index_dir: str, shard_id: int, docs_per_shard: int,
                    del_arr: np.ndarray,
                    codec: str = "varint") -> dict | None:
-    """Rewrite one shard segment without the tombstoned docs (atomic via
-    the merge machinery's aside-rename; crash-safe the same way).
+    """Rewrite one shard segment without the tombstoned docs, crash-safe
+    through ``_rewrite_shard`` (the append fold's set-aside + rollback).
     Returns the new manifest row, or None when the shard was untouched."""
-    from .build import SegmentWriter, _manifest_row_table  # noqa: F401
-
-    shard_dir = Path(index_dir) / "shards" / f"shard={shard_id:05d}"
-    aside = shard_dir.parent / f".merging-shard={shard_id:05d}"
-    if aside.exists():  # recover a crashed rewrite: aside is pristine
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        os.rename(aside, shard_dir)
-    terms_file = shard_dir / "terms.parquet"
-    if not terms_file.exists():
-        return None
     base = shard_id * docs_per_shard
-    lo, hi = base, base + docs_per_shard
-    local_dels = del_arr[(del_arr >= lo) & (del_arr < hi)]
-    if len(local_dels) == 0:
-        return None
-    old = _decode_segment_to_postings(terms_file, base, codec)
-    if old is None:
-        return None
-    docs = old.column("doc_id").to_numpy(zero_copy_only=False)
-    keep = ~np.isin(docs, local_dels)
-    if keep.all():
-        return None
-    filtered = old.filter(pa.array(keep))
-    filtered = filtered.append_column(
-        "doc_shard", pa.array(np.full(filtered.num_rows, shard_id,
-                                      dtype=np.int32), type=pa.int32()))
-    os.rename(shard_dir, aside)
-    try:
-        writer = SegmentWriter(index_dir, docs_per_shard, codec)
-        if filtered.num_rows:
-            out = writer(filtered)
-            row = {k: int(out.column(k)[0].as_py())
-                   for k in out.column_names}
-        else:
-            # every posting belonged to deleted docs: the shard is empty
-            row = {"shard_id": shard_id, "doc_lo": lo, "doc_hi": hi,
-                   "term_count": 0, "posting_count": 0, "doc_count": 0}
-    except BaseException:
-        if aside.exists() and not shard_dir.exists():
-            os.rename(aside, shard_dir)
-        raise
-    shutil.rmtree(aside, ignore_errors=True)
-    return row
+    local_dels = del_arr[(del_arr >= base) & (del_arr < base + docs_per_shard)]
+
+    def survivors(terms_file):
+        if terms_file is None or not len(local_dels):
+            return None
+        old = _decode_segment_to_postings(terms_file, shard_id,
+                                          docs_per_shard, codec)
+        if old is None:
+            return None
+        keep = ~np.isin(old.column("doc_id").to_numpy(), local_dels)
+        return None if keep.all() else old.filter(pa.array(keep))
+
+    return _rewrite_shard(index_dir, shard_id, docs_per_shard, codec,
+                          survivors)
 
 
 def _expunge_norms_partition(index_dir: str, doc_shard: int,
@@ -651,9 +465,7 @@ def expunge_deletes(index_dir: str) -> dict:
         for sid in shard_ids])
 
     shards = {s["shard_id"]: s for s in manifest["shards"]}
-    for row in seg_rows:
-        if row is not None:
-            shards[row["shard_id"]] = {k: int(v) for k, v in row.items()}
+    shards.update((r["shard_id"], r) for r in seg_rows if r is not None)
 
     # recompute collection stats from the surviving norms rows
     import pyarrow.dataset as pads
@@ -661,37 +473,23 @@ def expunge_deletes(index_dir: str) -> dict:
     nt = pads.dataset(str(index_path / "norms"), format="parquet",
                       partitioning="hive").to_table(columns=["doc_len"])
     doc_len = nt.column("doc_len").to_numpy(zero_copy_only=False)
-    stats = manifest["stats"]
-    new_stats = {
-        "num_docs": stats["num_docs"],  # maxDoc: layout, never shrinks
+    new_stats = _with_avgdl({
+        "num_docs": manifest["stats"]["num_docs"],  # maxDoc: never shrinks
         "doc_count": int((doc_len > 0).sum()),
         "sum_total_term_freq": int(doc_len.sum()),
-    }
-    new_stats["avgdl"] = float(bm25.avg_field_length(
-        new_stats["sum_total_term_freq"], max(new_stats["doc_count"], 1)))
+    })
 
     all_expunged = sorted(already | set(todo))
-    etmp = index_path / (EXPUNGED_NAME + ".tmp")
-    etmp.write_text(json.dumps({"doc_ids": all_expunged}))
-    os.replace(etmp, index_path / EXPUNGED_NAME)
+    _write_ids(index_path / EXPUNGED_NAME, all_expunged)
 
-    new_manifest = {**manifest,
-                    "version": manifest["version"] + 1,
-                    "created_unix": time.time(),
-                    "stats": new_stats,
-                    "expunged_count": len(all_expunged),
-                    "shards": [shards[k] for k in sorted(shards)]}
-    mtmp = index_path / (MANIFEST_NAME + ".tmp")
-    mtmp.write_text(json.dumps(new_manifest, indent=1))
-    os.replace(mtmp, index_path / MANIFEST_NAME)
+    _publish(index_path, {**manifest,
+                          "version": manifest["version"] + 1,
+                          "created_unix": time.time(),
+                          "stats": new_stats,
+                          "expunged_count": len(all_expunged),
+                          "shards": [shards[k] for k in sorted(shards)]})
     return {"expunged_now": len(todo), "removed_rows": int(sum(removed)),
             "total_expunged": len(all_expunged)}
-
-
-@ray.remote
-def _block_keys(block: pa.Table) -> list:
-    return list(zip(block.column("conv_id").to_pylist(),
-                    (int(x) for x in block.column("turn_idx").to_pylist())))
 
 
 # --------------------------------------------------------------------------
@@ -701,12 +499,6 @@ def _block_keys(block: pa.Table) -> list:
 # --------------------------------------------------------------------------
 
 _NORMS_SYSTEM_COLS = ("doc_id", "doc_shard", "doc_len", "norm_byte")
-
-
-def _recover_norms_partitions(index_path: Path) -> None:
-    """See segment.recover_norms_partitions — shared with every index
-    opener so searchers also heal a crashed partition swap."""
-    segment.recover_norms_partitions(index_path)
 
 
 def realtime_get(index_dir: str, keys=None, doc_ids=None) -> pa.Table:
@@ -723,7 +515,7 @@ def realtime_get(index_dir: str, keys=None, doc_ids=None) -> pa.Table:
     import pyarrow.dataset as pads
 
     index_path = Path(index_dir)
-    _recover_norms_partitions(index_path)
+    segment.recover_norms_partitions(index_path)
     manifest = read_manifest(index_dir)
     docs_per_shard = manifest["params"]["docs_per_shard"]
     dels = read_deletes(index_dir)
@@ -818,7 +610,7 @@ def atomic_update(index_dir: str, updates: list[dict],
     version). Manifest version bumps so NRT reopen sees the new values.
     """
     index_path = Path(index_dir)
-    _recover_norms_partitions(index_path)
+    segment.recover_norms_partitions(index_path)
     manifest = read_manifest(index_dir)
     if not updates:
         return manifest
@@ -891,14 +683,11 @@ def atomic_update(index_dir: str, updates: list[dict],
             os.rename(staging, part)
             shutil.rmtree(aside, ignore_errors=True)
         # the docvalue publish is FINAL only when no text re-index follows
-        new_manifest = {**manifest,
-                        **({} if text_docs else (manifest_extra or {})),
-                        "version": manifest["version"] + 1,
-                        "created_unix": time.time()}
-        mtmp = index_path / (MANIFEST_NAME + ".tmp")
-        mtmp.write_text(json.dumps(new_manifest, indent=1))
-        os.replace(mtmp, index_path / MANIFEST_NAME)
-        manifest = new_manifest
+        manifest = _publish(index_path, {
+            **manifest,
+            **({} if text_docs else (manifest_extra or {})),
+            "version": manifest["version"] + 1,
+            "created_unix": time.time()})
 
     # --- re-index path for text sets (tombstone + append) ---
     if text_docs:
@@ -1017,12 +806,9 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     parts = {side: ray.get(refs) for side, refs in norm_refs.items()}
 
     def side_stats(prt: list[dict], n: int) -> dict:
-        doc_count = sum(p["doc_count"] for p in prt)
-        sum_len = sum(p["sum_len"] for p in prt)
-        return {"num_docs": n, "doc_count": doc_count,
-                "sum_total_term_freq": sum_len,
-                "avgdl": float(bm25.avg_field_length(
-                    sum_len, max(doc_count, 1)))}
+        return _with_avgdl({
+            "num_docs": n, "doc_count": sum(p["doc_count"] for p in prt),
+            "sum_total_term_freq": sum(p["sum_len"] for p in prt)})
 
     def side_keys(prt: list[dict], which: str):
         ks = [p[which] for p in prt if p[which] is not None]
@@ -1047,11 +833,9 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
         side_dels = sorted(d - shift for d in dels if lo <= d < hi)
         side_exps = sorted(d - shift for d in exps if lo <= d < hi)
         if side_dels:
-            (Path(dst) / DELETES_NAME).write_text(
-                json.dumps({"doc_ids": side_dels}))
+            _write_ids(Path(dst) / DELETES_NAME, side_dels)
         if side_exps:
-            (Path(dst) / EXPUNGED_NAME).write_text(
-                json.dumps({"doc_ids": side_exps}))
+            _write_ids(Path(dst) / EXPUNGED_NAME, side_exps)
         hk = side_keys(prt, "hi_key")
         manifest = {
             "version": 1,
@@ -1068,9 +852,7 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
                 if shift else dict(s)
                 for s in shards if lo <= int(s["doc_lo"]) < hi],
         }
-        tmp = Path(dst) / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=1))
-        os.replace(tmp, Path(dst) / MANIFEST_NAME)
+        _publish(Path(dst), manifest)
         results[side] = {"num_docs": n, "deleted": len(side_dels)}
 
     a_hi = side_keys(parts["a"], "hi_key")

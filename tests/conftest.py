@@ -30,3 +30,24 @@ def ray_session():
         )
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def index_digest():
+    """-> fn(index_dir): SHA-256 over the manifest and every file under
+    shards/, norms/ and offsets/ (relative paths and bytes), for asserting
+    that an operation left a live index untouched."""
+    import hashlib
+
+    def digest(index_dir) -> str:
+        root = Path(index_dir)
+        h = hashlib.sha256()
+        files = [root / "manifest.json"] + sorted(
+            p for sub in ("shards", "norms", "offsets")
+            for p in (root / sub).rglob("*") if p.is_file())
+        for p in files:
+            h.update(str(p.relative_to(root)).encode())
+            h.update(p.read_bytes())
+        return h.hexdigest()
+
+    return digest

@@ -135,3 +135,28 @@ def test_cli_qop_rejected_with_non_classic_syntax(ray_session, tmp_path,
               "--syntax", "simple"])
     # classic + qop still works
     assert main(["search", idx, "ray data", "--qop", "AND"]) == 0
+
+
+def test_cli_update_prints_its_phases(ray_session, tmp_path, capsys):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.data.transcripts import generate_transcripts
+
+    t = generate_transcripts(20, seed=5)
+    cut = sorted(set(t.column("conv_id").to_pylist()))[14]
+    conv = t.column("conv_id")
+    pq.write_table(t.filter(pc.less(conv, pa.scalar(cut))),
+                   tmp_path / "a.parquet")
+    pq.write_table(t.filter(pc.greater_equal(conv, pa.scalar(cut))),
+                   tmp_path / "b.parquet")
+    idx = str(tmp_path / "idx")
+    assert main(["build", str(tmp_path / "a.parquet"), idx,
+                 "--num-shards", "2"]) == 0
+    capsys.readouterr()
+    assert main(["update", idx, str(tmp_path / "b.parquet")]) == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    assert out["version"] == 2 and out["stats"]["num_docs"] == t.num_rows
+    assert set(out["phases"]) == {"plan", "tokenize_runs",
+                                  "term_group_encode"}

@@ -115,7 +115,7 @@ def test_overwrite_replaces_document(built, tmp_path):
     assert (res[0]["conv_id"], res[0]["turn_idx"]) == (conv_id, turn_idx)
 
 
-def test_update_rejects_unsorted_input(built, tmp_path):
+def test_update_rejects_unsorted_input(built, tmp_path, index_digest):
     src, idx0 = built
     idx = _copy_index(idx0, tmp_path, "uns")
     # later-keyed rows but shuffled order
@@ -125,8 +125,11 @@ def test_update_rejects_unsorted_input(built, tmp_path):
         "text": pa.array(["a b", "c d", "e f"]),
     })
     pq.write_table(upd, tmp_path / "uns.parquet")
+    before = index_digest(idx)
     with pytest.raises(ValueError, match="sorted|order"):
         update_index(idx, str(tmp_path / "uns.parquet"))
+    assert index_digest(idx) == before
+    assert not list(Path(idx).glob("runs_update_*"))
 
 
 def test_resume_reuses_persisted_plan(ray_session, tmp_path):

@@ -163,10 +163,11 @@ def test_fragmenter_parity_with_overlong_tokens(off_index):
             assert got == want, (fs, r["doc_id"])
 
 
-def test_offsets_graceful_after_incremental_update(ray_session, tmp_path):
-    """update_index does not extend the offsets sidecar (documented):
-    pre-existing docs keep offsets-based snippets, appended docs get
-    empty snippets — never a crash, never a wrong span."""
+def test_offsets_after_incremental_update_match_rebuild(ray_session,
+                                                        tmp_path):
+    """update_index extends the offsets sidecar: every hit's snippets,
+    appended docs included, equal those of a ``store_offsets=True`` build
+    of the concatenated source."""
     import pyarrow as pa
 
     from lucene_solr_ray.data.transcripts import generate_transcripts
@@ -190,16 +191,23 @@ def test_offsets_graceful_after_incremental_update(ray_session, tmp_path):
     src2 = tmp_path / "b.parquet"
     pq.write_table(t2, src2)
     update_index(str(idx), str(src2))
-
-    s = IndexSearcher(str(idx))
-    rows = s.resolve_hits(s.search("ray", k=30))
     combined = tmp_path / "all.parquet"
     pq.write_table(pa.concat_tables([t, t2]), combined)
-    out = postings_highlight_hits(s, "ray", rows, str(combined))
-    old = [r for r in out if not str(r["conv_id"]).startswith("zz-")]
-    new = [r for r in out if str(r["conv_id"]).startswith("zz-")]
-    assert new and all(r["snippets"] == [] for r in new)
-    assert old and any("<b>" in sn for r in old for sn in r["snippets"])
+    full = tmp_path / "full"
+    build_index(str(combined), str(full), num_shards=2, store_offsets=True)
+
+    def snippets(index_dir):
+        s = IndexSearcher(str(index_dir))
+        rows = s.resolve_hits(s.search("ray", k=1000))
+        return {(r["conv_id"], int(r["turn_idx"])): r["snippets"]
+                for r in postings_highlight_hits(s, "ray", rows,
+                                                 str(combined))}
+
+    got, want = snippets(idx), snippets(full)
+    assert got == want
+    new = [v for (c, _), v in got.items() if c.startswith("zz-")]
+    assert len(new) == t2.num_rows
+    assert all(v == ["appended <b>ray</b> data doc"] for v in new)
 
 
 def test_offsets_refuse_non_default_max_token_length(ray_session, tmp_path,

@@ -38,8 +38,8 @@ def test_update_equals_rebuild(ray_session, split_sources, tmp_path):
     incr_dir = tmp_path / "incr"
     m_full = build_index(str(split_sources / "all.parquet"), str(full_dir),
                          docs_per_shard=150)
-    build_index(str(split_sources / "first.parquet"), str(incr_dir),
-                docs_per_shard=150)
+    m_first = build_index(str(split_sources / "first.parquet"),
+                          str(incr_dir), docs_per_shard=150)
     m_incr = update_index(str(incr_dir), str(split_sources / "second.parquet"))
 
     assert m_incr["stats"] == pytest.approx(m_full["stats"])
@@ -53,14 +53,99 @@ def test_update_equals_rebuild(ray_session, split_sources, tmp_path):
         ri = [(d, float(s)) for d, s in s_incr.search(q, k=10)]
         assert rf == ri, f"query={q!r}"
 
+    # the append writes the same bytes a rebuild of all rows does
+    assert m_incr["shards"] == m_full["shards"]
+    assert m_incr["stats"] == m_full["stats"]
+    assert _segment_bytes(incr_dir) == _segment_bytes(full_dir)
+    assert _norms_rows(incr_dir).equals(_norms_rows(full_dir))
+    assert not list(incr_dir.glob("runs_update_*"))
 
-def test_update_rejects_stale_input(ray_session, split_sources, tmp_path):
+    # the manifest tells the update's own story: its phases and timing,
+    # and lineage covering every doc exactly once, in order
+    assert set(m_incr["phases"]) == {"plan", "tokenize_runs",
+                                     "term_group_encode"}
+    assert m_incr["build_seconds"] != m_first["build_seconds"]
+    hi = 0
+    for entry in m_incr["lineage"]:
+        assert entry["doc_lo"] == hi
+        hi = entry["doc_hi"]
+    assert hi == m_incr["stats"]["num_docs"]
+    assert len(m_incr["lineage"]) > len(m_first["lineage"])
+
+
+def _segment_bytes(index_dir):
+    return {p.relative_to(index_dir).as_posix(): p.read_bytes()
+            for p in sorted(index_dir.glob("shards/*/terms.parquet"))}
+
+
+def _norms_rows(index_dir):
+    import pyarrow.dataset as pads
+
+    return pads.dataset(str(index_dir / "norms"), format="parquet",
+                        partitioning="hive").to_table().sort_by("doc_id")
+
+
+def test_update_after_expunge_keeps_expunged_partition(ray_session,
+                                                      split_sources,
+                                                      tmp_path):
+    """An append into a norms partition that ``expunge_deletes`` rewrote
+    (as one ``run-00000.parquet``) adds its rows beside that file instead
+    of overwriting it."""
+    from lucene_solr_ray.index.update import (delete_documents,
+                                              expunge_deletes,
+                                              read_expunged)
+
+    idx = tmp_path / "exp"
+    m = build_index(str(split_sources / "first.parquet"), str(idx),
+                    docs_per_shard=150)
+    tail = m["shards"][-1]
+    assert m["stats"]["num_docs"] < tail["doc_hi"]  # the delta lands here
+    delete_documents(str(idx), doc_ids=[tail["doc_lo"], tail["doc_lo"] + 1])
+    expunge_deletes(str(idx))
+    part = idx / "norms" / f"doc_shard={tail['shard_id']}"
+    assert [p.name for p in part.iterdir()] == ["run-00000.parquet"]
+
+    m2 = update_index(str(idx), str(split_sources / "second.parquet"))
+    assert check_index(str(idx))["status"] == "ok"
+    rows = _norms_rows(idx).num_rows
+    assert rows == m2["stats"]["num_docs"] - len(read_expunged(str(idx)))
+    assert rows == m2["stats"]["num_docs"] - 2
+
+
+def test_update_rejects_stale_input(ray_session, split_sources, tmp_path,
+                                    index_digest):
     incr_dir = tmp_path / "incr2"
     build_index(str(split_sources / "first.parquet"), str(incr_dir),
                 docs_per_shard=150)
     update_index(str(incr_dir), str(split_sources / "second.parquet"))
+    before = index_digest(incr_dir)
     with pytest.raises(ValueError, match="checkpoint"):
         update_index(str(incr_dir), str(split_sources / "second.parquet"))
+    assert index_digest(incr_dir) == before
+    assert not list(incr_dir.glob("runs_update_*"))
+
+
+def test_update_rejects_files_out_of_order(ray_session, split_sources,
+                                           tmp_path, index_digest):
+    """Two files, each sorted, the second starting before the first ends:
+    only the cross-task key check sees it, after wave A has run, so the
+    live index must still be untouched when it fails."""
+    idx = tmp_path / "ooo"
+    build_index(str(split_sources / "first.parquet"), str(idx),
+                docs_per_shard=150)
+    delta = tmp_path / "delta"
+    delta.mkdir()
+    for name, convs in (("a", ["zz-1", "zz-3"]), ("b", ["zz-2", "zz-4"])):
+        pq.write_table(pa.table({
+            "conv_id": pa.array(convs),
+            "turn_idx": pa.array([0, 0], type=pa.int32()),
+            "text": pa.array(["ray data", "index merge"]),
+        }), delta / f"{name}.parquet")
+    before = index_digest(idx)
+    with pytest.raises(ValueError, match="order"):
+        update_index(str(idx), str(delta))
+    assert index_digest(idx) == before
+    assert not list(idx.glob("runs_update_*"))
 
 
 def test_kill_and_resume_mid_build(ray_session, split_sources, tmp_path):
