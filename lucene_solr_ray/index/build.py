@@ -54,8 +54,9 @@ user's file; the copy is removed with the runs.
 Appends run the same two tasks (update.py; the IndexWriter.addDocument /
 addIndexes analog — one indexing chain). ``update_index`` plans its delta
 from the manifest's ``num_docs`` and runs wave A into a work dir; wave B
-starts only once the driver's checks pass, and its task for a shard the
-manifest already lists folds the live segment in ahead of the new rows
+starts only once the sortedness, key-order and checkpoint checks pass,
+and its task for a shard the manifest already lists folds the live
+segment in ahead of the new rows
 (``_rewrite_shard``: the old segment is set aside, never deleted, until
 its replacement is written). ``add_indexes`` feeds the same fold task a
 source index's decoded, shifted postings instead of runs.
