@@ -403,18 +403,16 @@ def _decode_segment_to_postings(terms_file: Path, shard_id: int,
                                 codec: str = "varint") -> pa.Table | None:
     """A live segment -> its posting rows, in ``_explode_runs``'s columns
     (doc_shard, term, doc_id, freq, positions); None when it has none."""
-    t = pq.read_table(terms_file)
-    term_docs, _, docs, freqs, flat = segment.decode_segment(
-        t, shard_id * docs_per_shard, codec)
+    terms, term_docs, _, docs, freqs, flat = segment.decode_segment(
+        [pq.read_table(terms_file)], [shard_id * docs_per_shard], codec)
     if len(docs) == 0:
         return None
-    term_ids = np.repeat(np.arange(t.num_rows, dtype=np.int32),
+    term_ids = np.repeat(np.arange(len(terms), dtype=np.int32),
                          np.diff(term_docs))
     pos_offsets = np.concatenate(([0], np.cumsum(freqs, dtype=np.int64)))
     return pa.table({
         "doc_shard": pa.array(np.full(len(docs), shard_id, dtype=np.int32)),
-        "term": pa.DictionaryArray.from_arrays(
-            term_ids, t.column("term").combine_chunks()),
+        "term": pa.DictionaryArray.from_arrays(term_ids, terms),
         "doc_id": pa.array(docs, type=pa.int64()),
         "freq": pa.array(freqs, type=pa.int64()),
         "positions": pa.LargeListArray.from_arrays(pos_offsets, flat),

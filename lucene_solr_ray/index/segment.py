@@ -14,10 +14,10 @@ doc-shard holding one row per term:
                      in doc order (counts given by freqs)
 
 There is no skip list and no per-block score metadata: a searcher decodes
-every posting list of its shard once, at open, as whole columns
-(``decode_segment``; the DirectPostingsFormat memory-for-decode trade), and
-every query shape scores whole lists exhaustively, as the reference does
-for disjunctions.
+every posting list of its run of contiguous shards once, at open, into one
+segment's whole columns (``decode_segment``; the DirectPostingsFormat
+memory-for-decode trade), and every query shape scores whole lists
+exhaustively, as the reference does for disjunctions.
 
 A companion ``norms.parquet`` per shard holds (doc_id, norm_byte, doc_len,
 conv_id, turn_idx) for the shard's contiguous doc_id range.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..util import varint
 
@@ -274,30 +275,51 @@ def _sum_runs(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def decode_segment(table: pa.Table, shard_base: int,
+def decode_segment(tables: list[pa.Table], shard_bases: list[int],
                    codec: str = "varint"):
-    """Decode a whole term table into flat columns:
-    ``(term_docs, term_pos, docs, freqs, positions)``.
+    """Decode the term tables of contiguous shards (ascending shard order,
+    each with its shard's base doc id) into one segment's flat columns:
+    ``(terms, term_docs, term_pos, docs, freqs, positions)``.
 
-    Term ``i``'s postings are ``docs[term_docs[i]:term_docs[i + 1]]``
-    (int64 doc ids) and the aligned int32 ``freqs``; its positions are
-    ``positions[term_pos[i]:term_pos[i + 1]]`` (int32, absolute within
-    each doc, doc-major). ``term_docs`` is ``cumsum(df)`` and ``term_pos``
-    ``cumsum(ttf)``, each with a leading 0.
+    ``terms`` is the sorted union vocabulary. Term ``i``'s postings are
+    ``docs[term_docs[i]:term_docs[i + 1]]`` (int64 doc ids, ascending:
+    the shards' lists concatenated in shard order) and the aligned int32
+    ``freqs``; its positions are ``positions[term_pos[i]:term_pos[i + 1]]``
+    (int32, absolute within each doc, doc-major). ``term_docs`` is
+    ``cumsum(df)`` and ``term_pos`` ``cumsum(ttf)``, each with a leading
+    0, df and ttf summed over the shards holding the term.
 
-    There is no per-term loop: a column's rows are contiguous in the
-    Arrow data buffer and each row's encoding delimits itself, so one
-    codec decode over the bytes of a run of terms yields all their
-    values, and a running sum with resets per term (doc ids) or per
-    posting (positions) restores them. Runs hold about ``_DECODE_CHUNK``
-    postings."""
+    The tables' rows are concatenated and sorted by (term, shard); there
+    is no per-term loop: each row's encoding delimits itself, so one
+    codec decode over the bytes of a run of rows yields all their values,
+    and a running sum with resets per row (doc ids, plus the row's shard
+    base) or per posting (positions) restores them. Runs hold about
+    ``_DECODE_CHUNK`` postings."""
+    if not tables:  # an empty segment
+        tables, shard_bases = [encode_shard_postings(
+            None, np.empty(0), np.empty(0), np.empty(0), 0)], [0]
+    table = pa.concat_tables(tables)
+    shard = np.repeat(np.arange(len(tables)), [t.num_rows for t in tables])
+    if len(tables) > 1:
+        order = pc.sort_indices(
+            pa.table({"term": table.column("term"), "shard": shard}),
+            sort_keys=[("term", "ascending"), ("shard", "ascending")])
+        table, shard = table.take(order), shard[order.to_numpy()]
+    row_base = np.asarray(shard_bases, dtype=np.int64)[shard]
     df = table.column("df").to_numpy().astype(np.int64)
     ttf = table.column("ttf").to_numpy().astype(np.int64)
-    term_docs = np.concatenate(([0], np.cumsum(df)))
-    term_pos = np.concatenate(([0], np.cumsum(ttf)))
-    docs = np.empty(term_docs[-1], dtype=np.int64)
-    freqs = np.empty(term_docs[-1], dtype=np.int32)
-    positions = np.empty(term_pos[-1], dtype=np.int32)
+    row_docs = np.concatenate(([0], np.cumsum(df)))
+    row_pos = np.concatenate(([0], np.cumsum(ttf)))
+    terms = table.column("term").combine_chunks()
+    first = np.ones(len(terms), dtype=bool)  # first row of each term
+    if len(terms) > 1:
+        first[1:] = pc.not_equal(terms.slice(1),
+                                 terms.slice(0, len(terms) - 1)).to_numpy(
+                                     zero_copy_only=False)
+    starts = np.append(np.flatnonzero(first), len(terms))
+    docs = np.empty(row_docs[-1], dtype=np.int64)
+    freqs = np.empty(row_docs[-1], dtype=np.int32)
+    positions = np.empty(row_pos[-1], dtype=np.int32)
     cdc = get_codec(codec)
     cols = [_binary_rows(table.column(c)) for c in
             ("doc_ids_enc", "freqs_enc", "positions_enc")]
@@ -309,24 +331,26 @@ def decode_segment(table: pa.Table, shard_base: int,
             np.empty(0, dtype=np.int64)
 
     cuts = np.searchsorted(
-        term_docs, np.arange(_DECODE_CHUNK, term_docs[-1], _DECODE_CHUNK))
+        row_docs, np.arange(_DECODE_CHUNK, row_docs[-1], _DECODE_CHUNK))
     bounds = np.unique(np.concatenate(([0], cuts, [len(df)])))
     for a, b in zip(bounds[:-1], bounds[1:]):
-        d0, d1 = term_docs[a], term_docs[b]
-        p0, p1 = term_pos[a], term_pos[b]
+        d0, d1 = row_docs[a], row_docs[b]
+        p0, p1 = row_pos[a], row_pos[b]
         d, f, p = values(0, a, b), values(1, a, b), values(2, a, b)
         if len(d) != d1 - d0 or len(f) != d1 - d0:
             raise ValueError(
-                f"terms {a}..{b - 1} hold {len(d)} doc ids and {len(f)} "
+                f"rows {a}..{b - 1} hold {len(d)} doc ids and {len(f)} "
                 f"freqs, their df sums to {d1 - d0}")
         if len(p) != int(f.sum()) or len(p) != p1 - p0:
             raise ValueError(
-                f"terms {a}..{b - 1} hold {len(p)} positions, their freqs "
+                f"rows {a}..{b - 1} hold {len(p)} positions, their freqs "
                 f"sum to {int(f.sum())} and their ttf to {p1 - p0}")
-        docs[d0:d1] = _sum_runs(d, df[a:b]) + shard_base
+        docs[d0:d1] = _sum_runs(d, df[a:b]) + np.repeat(row_base[a:b],
+                                                        df[a:b])
         freqs[d0:d1] = f
         positions[p0:p1] = _sum_runs(p, f)
-    return term_docs, term_pos, docs, freqs, positions
+    return (terms.filter(pa.array(first)), row_docs[starts], row_pos[starts],
+            docs, freqs, positions)
 
 
 def decode_block(doc_ids_enc: bytes, freqs_enc: bytes,

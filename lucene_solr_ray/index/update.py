@@ -245,7 +245,8 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
     100-TB scale the decode wave would stage parquet runs instead of
     returning in-memory tables. Norms/docvalue rows append shifted into
     the hive partitions; stats sum exactly; source tombstone/expunged
-    sets shift and union in. The two layouts may differ in
+    sets shift and union in, and the source's lineage rows append
+    shifted, so lineage still covers every doc. The two layouts may differ in
     docs_per_shard (the source's layout only drives decoding; placement
     uses the destination's); the ANALYZER must match — mixed analysis
     chains would blend incompatible token streams (the reference's
@@ -312,6 +313,10 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
                     "created_unix": time.time(),
                     "stats": new_stats,
                     "checkpoint": list(checkpoint) if checkpoint else None,
+                    "lineage": (dstm.get("lineage") or []) + [
+                        {**e, "doc_lo": e["doc_lo"] + base,
+                         "doc_hi": e["doc_hi"] + base}
+                        for e in srcm.get("lineage") or []],
                     "shards": [shards[k] for k in sorted(shards)]}
     _publish(dst_path, new_manifest)
     return {"added_docs": int(srcm["stats"]["num_docs"]),

@@ -1,9 +1,11 @@
 """Query serving: one coordinator over shard groups.
 
-A *shard group* (``ShardGroup``) is a list of ``ShardSearcher``s over one
-index plus a doc base. It answers the shard side of every query method:
-its term table (``term_table``), one top-k over the matches of all its
-shards (``search_batch``), ``explain``, and the ``*_partial`` aggregates
+A *shard group* (``ShardGroup``) is a run of contiguous shards of one
+index plus a doc base, merged at open into one segment (one
+``ShardSearcher`` over one doc range and the union vocabulary; Lucene's
+leaf slice). It answers the shard side of every query method: its term
+table (``term_table``), one top-k over its segment's matches
+(``search_batch``), ``explain``, and the ``*_partial`` aggregates
 behind facets, stats, block join, collapse/expand, rerank, function
 boosts, terms and suggestions. Doc ids cross the group boundary as
 coordinator ids (doc base + the index's own doc id). The same class runs
@@ -27,7 +29,13 @@ Three constructors choose the groups and nothing else:
 - ``IndexSearcher(dir)``: one in-process group holding every shard;
 - ``MultiIndexSearcher(dirs)``: one in-process group per sub-index, each
   at its doc base and scoring with the combined statistics (MultiReader);
-- ``DistributedSearcher(dir, num_actors)``: one actor per shard subset.
+- ``DistributedSearcher(dir, num_actors)``: one actor per run of
+  contiguous shards.
+
+Whatever the grouping, results are the same: a group's segment is one
+contiguous doc range, and every rewrite that reads a vocabulary
+(complex-phrase and surround truncations) runs on the coordinator over
+the global term table, as Lucene rewrites against the top-level reader.
 
 Group methods are read-only, so the actors are created with restarts and
 task retries: a killed actor is restarted and its calls are re-run, and a
@@ -46,7 +54,8 @@ import pyarrow.compute as pc
 
 import ray
 
-from .query import CommonTermsQuery, Query, parse_query, rewrite_common_terms
+from .query import (CommonTermsQuery, Query, parse_query,
+                    rewrite_common_terms, rewrite_expansions)
 from .searcher import (DocValues, ShardSearcher, _merge_sort_key, _TermDict,
                        collect_terms)
 
@@ -92,14 +101,6 @@ def _sort_key(vals: np.ndarray, desc: bool) -> np.ndarray:
     return key
 
 
-def _sum_by_term(tables: list) -> pa.Table:
-    """One (term, df, ttf) row per distinct term of ``tables``, df and ttf
-    summed."""
-    return (pa.concat_tables(tables).group_by("term")
-            .aggregate([("df", "sum"), ("ttf", "sum")])
-            .rename_columns(["term", "df", "ttf"]))
-
-
 def _add_counts(partials) -> dict:
     """Sum per-group {key: count} partials."""
     out: dict = {}
@@ -110,36 +111,30 @@ def _add_counts(partials) -> dict:
 
 
 class ShardGroup:
-    """Shards of one index at a doc base: the unit of scatter."""
+    """Contiguous shards of one index at a doc base, merged at open into
+    one segment (one ``ShardSearcher``): the unit of scatter."""
 
     def __init__(self, index_dir: str, shard_ids: list[int], manifest: dict,
                  similarity="bm25", base: int = 0):
         self.base = int(base)
         self.num_docs = int(manifest["stats"]["num_docs"])
         self.docvalues = DocValues(index_dir, self.num_docs, shard_ids)
-        self.searchers = [
-            ShardSearcher(index_dir, sid, manifest, similarity=similarity,
-                          docvalues=self.docvalues)
-            for sid in shard_ids
-        ]
+        self.segment = ShardSearcher(index_dir, shard_ids, manifest,
+                                     similarity=similarity,
+                                     docvalues=self.docvalues)
 
     # --- helpers ---
     def _hits(self, query: Query, df_map: dict[str, int]):
-        """(shard, docs, scores) of every shard with a match; docs are
-        index doc ids."""
-        for sh in self.searchers:
-            docs, scores = sh._score_clause(query, df_map)
-            if len(docs):
-                yield sh, docs, scores
+        """(docs, scores) of the segment's matches; docs are index doc
+        ids."""
+        return self.segment._score_clause(query, df_map)
 
-    def _shard_of(self, doc_id: int):
-        """(shard, index doc id) owning a coordinator doc id, or None."""
+    def _local(self, doc_id: int) -> int | None:
+        """The index doc id of a coordinator doc id the segment holds."""
         local = int(doc_id) - self.base
-        if 0 <= local < self.num_docs:
-            for sh in self.searchers:
-                if sh.base <= local < sh.base + sh.docs_per_shard:
-                    return sh, local
-        return None
+        seg = self.segment
+        return local if 0 <= local < self.num_docs \
+            and seg.base <= local < seg.base + seg.size else None
 
     def _require(self, field: str) -> None:
         if self.docvalues.column(field) is None:
@@ -147,13 +142,13 @@ class ShardGroup:
 
     # --- term statistics ---
     def term_table(self) -> pa.Table:
-        """(term, df, ttf) of every term the group holds, summed over its
-        shards: the group's part of the coordinator's term table."""
-        return _sum_by_term([pa.table({
-            "term": sh._terms._arr,
-            "df": pa.array(np.diff(sh._term_docs), type=pa.int64()),
-            "ttf": pa.array(np.diff(sh._term_pos), type=pa.int64())})
-            for sh in self.searchers])
+        """(term, df, ttf) of every term the group holds: the group's part
+        of the coordinator's term table."""
+        seg = self.segment
+        return pa.table({
+            "term": seg._terms._arr,
+            "df": pa.array(np.diff(seg._term_docs), type=pa.int64()),
+            "ttf": pa.array(np.diff(seg._term_pos), type=pa.int64())})
 
     def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
         """Distinct non-null values per field — partials the coordinator
@@ -169,23 +164,17 @@ class ShardGroup:
     def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
                      k: int, sort=None, filter_range=None, after=None
                      ) -> list[list[tuple]]:
-        """Per query, the group's top-k over the matches of all its
-        shards (one TopScoreDocCollector over every leaf): (doc, score)
-        by (score desc, doc asc), or (doc, score, sort values) by
-        ``sort``."""
+        """Per query, the group's top-k over its segment's matches:
+        (doc, score) by (score desc, doc asc), or (doc, score, sort
+        values) by ``sort``."""
         if after is not None:
             after = (after[0], int(after[1]) - self.base)
         results = []
         for q, df_map in zip(queries, df_maps):
-            docs, scores = [np.empty(0, dtype=np.int64)], \
-                [np.empty(0, dtype=np.float32)]
-            for sh in self.searchers:
-                d, sc = sh.search(q, df_map, filter_range=filter_range,
-                                  after=after)
-                docs.append(d)
-                scores.append(sc.astype(np.float32, copy=False))
-            results.append(self._top_k(np.concatenate(docs),
-                                       np.concatenate(scores), k, sort))
+            docs, scores = self.segment.search(
+                q, df_map, filter_range=filter_range, after=after)
+            results.append(self._top_k(
+                docs, scores.astype(np.float32, copy=False), k, sort))
         return results
 
     def _top_k(self, docs: np.ndarray, scores: np.ndarray, k: int,
@@ -212,42 +201,31 @@ class ShardGroup:
 
     def explain(self, query: Query, doc_id: int, df_map: dict[str, int]):
         """Explanation of a doc this group owns; None otherwise."""
-        owner = self._shard_of(doc_id)
-        return None if owner is None else \
-            owner[0].explain(query, owner[1], df_map)
+        local = self._local(doc_id)
+        return None if local is None else \
+            self.segment.explain(query, local, df_map)
 
     def term_vectors(self, doc_ids: list[int]) -> dict[int, list]:
-        out = {}
-        for d in doc_ids:
-            owner = self._shard_of(d)
-            if owner is not None:
-                out[int(d)] = owner[0].term_vector(owner[1])
-        return out
+        return {int(d): self.segment.term_vector(local) for d in doc_ids
+                if (local := self._local(d)) is not None}
 
     def hits_partial(self, query: Query, df_map: dict[str, int]):
         """(docs, scores) of every matching doc."""
-        docs, scores = [np.empty(0, dtype=np.int64)], \
-            [np.empty(0, dtype=np.float32)]
-        for _, d, s in self._hits(query, df_map):
-            docs.append(d + self.base)
-            scores.append(s)
-        return np.concatenate(docs), np.concatenate(scores)
+        docs, scores = self._hits(query, df_map)
+        return docs + self.base, scores
 
     def scores_for_docs(self, query: Query, df_map: dict[str, int],
                         doc_ids: list[int]) -> dict[int, float]:
         """Scores of the given docs that match ``query``: only the
         requested docs ship (rerank second pass, elevation)."""
-        wanted = np.asarray(doc_ids, dtype=np.int64) - self.base
-        out: dict[int, float] = {}
-        for _, docs, scores in self._hits(query, df_map):
-            mask = np.isin(docs, wanted)
-            for d, s in zip(docs[mask], scores[mask]):
-                out[int(d) + self.base] = float(s)
-        return out
+        docs, scores = self._hits(query, df_map)
+        mask = np.isin(docs, np.asarray(doc_ids, dtype=np.int64) - self.base)
+        return {int(d) + self.base: float(s)
+                for d, s in zip(docs[mask], scores[mask])}
 
     # --- counts ---
     def count_partial(self, query: Query, df_map: dict[str, int]) -> int:
-        return sum(len(d) for _, d, _ in self._hits(query, df_map))
+        return len(self._hits(query, df_map)[0])
 
     def query_counts(self, queries: list[Query],
                      df_maps: list[dict[str, int]]) -> list[int]:
@@ -262,98 +240,66 @@ class ShardGroup:
         never a per-value dict loop, so a high-cardinality field stays
         vectorized end to end."""
         self._require(field)
-        parts = []
-        for sh, docs, _ in self._hits(query, df_map):
-            vals = sh.docvalues_local(field, docs)
-            vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
-            if len(vals):
-                parts.append(vals.astype(str))
-        if not parts:
+        vals = self.segment.docvalues_local(field,
+                                            self._hits(query, df_map)[0])
+        vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
+        if not len(vals):
             return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
-        uniq, counts = np.unique(np.concatenate(parts), return_counts=True)
+        uniq, counts = np.unique(vals.astype(str), return_counts=True)
         return uniq, counts.astype(np.int64)
 
     def _numeric_hits(self, query: Query, df_map: dict[str, int],
                       field: str):
-        """Per shard with a match: (values present as float64, number of
-        hits missing the field)."""
+        """(values of the hits present as float64, number of hits missing
+        the field)."""
         self._require(field)
-        for sh, docs, _ in self._hits(query, df_map):
-            vals = sh.docvalues_local(field, docs)
-            v = np.asarray([x for x in vals if x is not None],
-                           dtype=np.float64)
-            yield v, len(vals) - len(v)
+        vals = self.segment.docvalues_local(field,
+                                            self._hits(query, df_map)[0])
+        v = np.asarray([x for x in vals if x is not None], dtype=np.float64)
+        return v, len(vals) - len(v)
 
     def stats_partial(self, query: Query, df_map: dict[str, int],
                       field: str) -> tuple:
         """(count, min, max, sum, sumsq, missing) of a docvalue over the
         full hit set (StatsValuesFactory accumulator shape)."""
-        count, sum_, sumsq, missing, mn, mx = 0, 0.0, 0.0, 0, None, None
-        for v, miss in self._numeric_hits(query, df_map, field):
-            missing += miss
-            if len(v) == 0:
-                continue
-            count += len(v)
-            sum_ += float(v.sum())
-            sumsq += float((v * v).sum())
-            mn = float(v.min()) if mn is None else min(mn, float(v.min()))
-            mx = float(v.max()) if mx is None else max(mx, float(v.max()))
-        return count, mn, mx, sum_, sumsq, missing
+        v, missing = self._numeric_hits(query, df_map, field)
+        if len(v) == 0:
+            return 0, None, None, 0.0, 0.0, missing
+        return (len(v), float(v.min()), float(v.max()), float(v.sum()),
+                float((v * v).sum()), missing)
 
     def range_facet_partial(self, query: Query, df_map: dict[str, int],
                             field: str, start: float, end: float,
                             gap: float, hardend: bool) -> list[int]:
-        """Range-facet bucket counts over the group's hits (one bincount
-        per shard; layout matches pipelines.relational.range_facet: n
-        buckets then before/after/between)."""
+        """Range-facet bucket counts over the group's hits (one bincount;
+        layout matches pipelines.relational.range_facet: n buckets then
+        before/after/between)."""
         n_buckets = int(np.ceil((end - start) / gap))
         actual_end = end if hardend else start + n_buckets * gap
-        counts = np.zeros(n_buckets + 3, dtype=np.int64)
-        for v, _ in self._numeric_hits(query, df_map, field):
-            below = v < start
-            above = v >= actual_end
-            mid = ~(below | above)
-            idx = np.floor((v[mid] - start) / gap).astype(np.int64)
-            np.clip(idx, 0, n_buckets - 1, out=idx)
-            counts[:n_buckets] += np.bincount(idx, minlength=n_buckets)
-            counts[n_buckets] += int(below.sum())
-            counts[n_buckets + 1] += int(above.sum())
-            counts[n_buckets + 2] += int(mid.sum())
-        return [int(c) for c in counts]
+        v, _ = self._numeric_hits(query, df_map, field)
+        below = v < start
+        above = v >= actual_end
+        mid = ~(below | above)
+        idx = np.floor((v[mid] - start) / gap).astype(np.int64)
+        np.clip(idx, 0, n_buckets - 1, out=idx)
+        return np.bincount(idx, minlength=n_buckets).tolist() + [
+            int(below.sum()), int(above.sum()), int(mid.sum())]
 
     # --- block join, collapse, expand ---
-    def _boundary_convs(self) -> np.ndarray:
-        """First/last conversation of every shard — the only
-        conversations whose group-local aggregate can differ from the
-        global one (conversations are doc-contiguous)."""
-        out: set[str] = set()
-        for sh in self.searchers:
-            out.update(sh.boundary_convs())
-        return np.asarray(sorted(out), dtype=object)
-
     def _conv_hits(self, query: Query, df_map: dict[str, int]):
         """(conv_ids:str, docs, float32 scores) over the group's hits."""
-        convs, docs, scores = [], [], []
-        for sh, d, s in self._hits(query, df_map):
-            convs.append(sh.docvalues_local("conv_id", d).astype(str))
-            docs.append(d + self.base)
-            scores.append(s.astype(np.float32))
-        if not convs:
-            return (np.empty(0, dtype=str), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float32))
-        return (np.concatenate(convs), np.concatenate(docs),
-                np.concatenate(scores))
+        d, s = self._hits(query, df_map)
+        return (self.segment.docvalues_local("conv_id", d).astype(str),
+                d + self.base, s.astype(np.float32))
 
     def _bounded(self, convs: np.ndarray, scores: np.ndarray,
                  limit: int | None) -> np.ndarray:
         """Keep-mask: the top-``limit`` entries by score, tie-inclusive at
-        the cut, plus every shard-boundary conversation."""
+        the cut, plus the segment's edge conversations."""
         keep = np.ones(len(convs), dtype=bool)
         if limit is not None and len(convs) > limit:
             keep = scores >= np.partition(scores, -limit)[-limit]
-            boundary = self._boundary_convs()
-            if len(boundary):
-                keep |= np.isin(convs, boundary)
+            keep |= np.isin(convs, self.segment.boundary_convs())
         return keep
 
     def conv_partial(self, query: Query, df_map: dict[str, int],
@@ -420,7 +366,7 @@ class ShardGroup:
         return out
 
     # --- function boosts ---
-    def _boost_column(self, sh, f: str, docs: np.ndarray,
+    def _boost_column(self, f: str, docs: np.ndarray,
                       ord_uniques: dict) -> np.ndarray:
         """One per-hit float64 input column of a bound boost AST."""
         from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
@@ -430,6 +376,7 @@ class ShardGroup:
                                              TF_PSEUDO_PREFIX)
         from ..util.smallfloat import NORM_TABLE
 
+        sh = self.segment
         if f == NORM_PSEUDO_FIELD:
             return NORM_TABLE[sh.norms[docs - sh.base]].astype(np.float64)
         if f.startswith(TF_PSEUDO_PREFIX):
@@ -475,33 +422,31 @@ class ShardGroup:
             if not f.startswith("__") and EXISTS_PSEUDO_PREFIX + f \
                     not in fields:
                 self._require(f)
-        hits: list[tuple[int, float]] = []
-        for sh, docs, scores in self._hits(query, df_map):
-            cols = {f: pa.array(self._boost_column(sh, f, docs,
-                                                   ord_uniques or {}),
-                                type=pa.float64()) for f in fields}
-            boost = eval_expr(ast, pa.table(
-                cols or {"__d": pa.array(np.zeros(len(docs)))}))
-            boost_np = (np.full(len(docs), boost.as_py())
-                        if isinstance(boost, pa.Scalar)
-                        else boost.to_numpy(zero_copy_only=False))
-            final = (scores.astype(np.float64) + boost_np if mode == "add"
-                     else scores.astype(np.float64) * boost_np)
-            order = np.lexsort((docs, -final))[:k]
-            hits.extend((int(docs[i]) + self.base, float(final[i]))
-                        for i in order)
-        return _top(hits, k)
+        docs, scores = self._hits(query, df_map)
+        if len(docs) == 0:
+            return []
+        cols = {f: pa.array(self._boost_column(f, docs, ord_uniques or {}),
+                            type=pa.float64()) for f in fields}
+        boost = eval_expr(ast, pa.table(
+            cols or {"__d": pa.array(np.zeros(len(docs)))}))
+        boost_np = (np.full(len(docs), boost.as_py())
+                    if isinstance(boost, pa.Scalar)
+                    else boost.to_numpy(zero_copy_only=False))
+        final = (scores.astype(np.float64) + boost_np if mode == "add"
+                 else scores.astype(np.float64) * boost_np)
+        order = np.lexsort((docs, -final))[:k]
+        return [(int(docs[i]) + self.base, float(final[i])) for i in order]
 
     # --- term dictionary ---
     def terms_partial(self, prefix: str, regex: str | None,
                       limit: int | None = None, sort: str = "count"
                       ) -> dict[str, int]:
         """Matching terms with the group's docFreq (TermsComponent shard
-        response). The prefix slice is a bisect range over each shard's
+        response). The prefix slice is a bisect range over the segment's
         sorted term dict. An unfiltered enumeration ships at most
         ``limit`` terms: the lexicographic first-N for sort=index (exact:
         a term in the global first-N precedes fewer than N terms, so it
-        is inside every holding shard's first-N), the group's top-N by df
+        is inside every holding group's first-N), the group's top-N by df
         for sort=count (the coordinator refines candidate counts to exact
         from its term table; like Solr's distributed TermsComponent, a
         term below every group's overfetched cut can be missed)."""
@@ -515,29 +460,25 @@ class ShardGroup:
             return dict(zip(top.column("term").to_pylist(),
                             top.column("df").to_pylist()))
         rx = re.compile(regex) if regex else None
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            seq = sh._terms.seq()
-            lo = bisect_left(seq, prefix) if prefix else 0
-            hi = bisect_left(seq, prefix + chr(0x10FFFF)) if prefix \
-                else len(seq)
-            if bounded:  # sort=index: the shard's first-N
-                hi = min(hi, limit)
-            terms = sh._terms._arr.slice(lo, hi - lo).to_pylist()
-            for t, d in zip(terms, np.diff(sh._term_docs[lo:hi + 1])):
-                if rx is None or rx.fullmatch(t):
-                    out[t] = out.get(t, 0) + int(d)
-        return dict(sorted(out.items())[:limit]) if bounded else out
+        seg = self.segment
+        seq = seg._terms.seq()
+        lo = bisect_left(seq, prefix) if prefix else 0
+        hi = bisect_left(seq, prefix + chr(0x10FFFF)) if prefix \
+            else len(seq)
+        if bounded:  # sort=index: the group's first-N
+            hi = min(hi, limit)
+        terms = seg._terms._arr.slice(lo, hi - lo).to_pylist()
+        return {t: int(d) for t, d in
+                zip(terms, np.diff(seg._term_docs[lo:hi + 1]))
+                if rx is None or rx.fullmatch(t)}
 
     def _expanded_df(self, mtq, skip: str | None = None) -> dict[str, int]:
         from .query import expand_multi_term
 
-        out: dict[str, int] = {}
-        for sh in self.searchers:
-            for t in expand_multi_term(mtq, sh._terms.seq()):
-                if t != skip:
-                    out[t] = out.get(t, 0) + len(sh._postings(t)[0])
-        return out
+        seg = self.segment
+        return {t: len(seg._postings(t)[0])
+                for t in expand_multi_term(mtq, seg._terms.seq())
+                if t != skip}
 
     def spellcheck_partial(self, term: str, max_edits: int
                            ) -> dict[str, int]:
@@ -608,7 +549,10 @@ class SearchCoordinator:
         self._offsets_files: dict = {}  # parquet handle cache (metadata)
         self.last_fanout: int | None = None
         parts = self._scatter("term_table")
-        table = _sum_by_term(parts).sort_by("term")
+        # one (term, df, ttf) row per distinct term, summed over groups
+        table = (pa.concat_tables(parts).group_by("term")
+                 .aggregate([("df", "sum"), ("ttf", "sum")])
+                 .rename_columns(["term", "df", "ttf"]).sort_by("term"))
         terms = table.column("term").combine_chunks()
         self._terms = _TermDict(terms)
         self._df = table.column("df").to_numpy()
@@ -644,12 +588,14 @@ class SearchCoordinator:
         return {t: i for t in terms if (i := get(t)) is not None}
 
     def _prepare(self, queries: list):
-        """Parse, global statistics for the whole batch, and the
-        CommonTermsQuery rewrite (its df split needs GLOBAL stats):
-        (parsed queries, per-query df maps, term-table rows of the
-        batch's terms)."""
-        parsed = [self.parse(q) if isinstance(q, str) else q
-                  for q in queries]
+        """Parse, rewrite the multi-term expansions of complex phrases and
+        span trees against the whole index's vocabulary, global statistics
+        for the whole batch, and the CommonTermsQuery rewrite (its df
+        split needs GLOBAL stats): (parsed queries, per-query df maps,
+        term-table rows of the batch's terms)."""
+        terms = self._terms.seq()
+        parsed = [rewrite_expansions(self.parse(q) if isinstance(q, str)
+                                     else q, terms) for q in queries]
         term_sets = [collect_terms(q) for q in parsed]
         rows = self._rows(set().union(*term_sets))
         global_df = {t: int(self._df[i]) for t, i in rows.items()}
@@ -1134,7 +1080,7 @@ class SearchCoordinator:
 
 
 class IndexSearcher(SearchCoordinator):
-    """In-process searcher: one group holding every shard."""
+    """In-process searcher: one group, every shard in one segment."""
 
     def __init__(self, index_dir: str, similarity="bm25"):
         manifest = _read_manifest(index_dir)
@@ -1143,7 +1089,7 @@ class IndexSearcher(SearchCoordinator):
         super().__init__(manifest, [(str(index_dir), 0, group.docvalues)],
                          [group])
         self.index_dir = str(index_dir)
-        self.shards = group.searchers
+        self.segment = group.segment
         self._docvalue_cache = group.docvalues.cache
 
 
@@ -1192,8 +1138,9 @@ class MultiIndexSearcher(SearchCoordinator):
 
 
 class DistributedSearcher(SearchCoordinator):
-    """Coordinator over a SearchActor pool: one actor per shard subset
-    (shards dealt round-robin)."""
+    """Coordinator over a SearchActor pool: one actor per run of
+    contiguous shards (``np.array_split``: run sizes differ by at most
+    one), so each actor holds one segment over one doc range."""
 
     def __init__(self, index_dir: str, num_actors: int = 4,
                  similarity="bm25"):
@@ -1201,8 +1148,8 @@ class DistributedSearcher(SearchCoordinator):
         manifest = _read_manifest(index_dir)
         shard_ids = _shard_ids(manifest)
         num_actors = max(1, min(num_actors, len(shard_ids)))
-        self.actor_shards = [shard_ids[i::num_actors]
-                             for i in range(num_actors)]
+        self.actor_shards = [[int(s) for s in run] for run in
+                             np.array_split(shard_ids, num_actors)]
         # similarity ships to the actors (a name string, or a cloudpickled
         # factory callable for parameterized similarities)
         self.actors = [SearchActor.remote(self.index_dir, sids, manifest,

@@ -287,9 +287,9 @@ def decoded_norms(searcher, docs):
 
     from ..util.smallfloat import NORM_TABLE
 
-    all_norms = np.concatenate([sh.norms for sh in searcher.shards])
-    return NORM_TABLE[all_norms[np.asarray(docs, dtype=np.int64)]] \
-        .astype(np.float64)
+    seg = searcher.segment
+    return NORM_TABLE[seg.norms[np.asarray(docs, dtype=np.int64)
+                                - seg.base]].astype(np.float64)
 
 
 # --- offsets-based highlighting (PostingsHighlighter.java:100) ----------
@@ -417,21 +417,19 @@ def postings_highlight_hits(searcher, query: Query | str, rows: list[dict],
                                 t.column("text").to_pylist())
              if (str(c), int(i)) in want}
     offsets = searcher.term_offsets([int(r["doc_id"]) for r in rows])
-    by_shard = {sh.shard_id: sh for sh in searcher.shards}
-    dps = searcher.shards[0].docs_per_shard
+    seg = searcher.segment
     out = []
     for r in rows:
         d = int(r["doc_id"])
         text = texts.get((str(r["conv_id"]), int(r["turn_idx"])), "")
-        sh = by_shard.get(d // dps)
         row_off = offsets.get(d)
-        if sh is None or row_off is None:
+        if row_off is None:
             out.append({**r, "snippets": []})
             continue
         starts, ends = row_off
         matched_pos: dict[int, str] = {}
         for term in wanted:
-            for p in sh.positions_of(term, d):
+            for p in seg.positions_of(term, d):
                 matched_pos[int(p)] = term
         fr = best_fragments_from_offsets(
             text, starts, ends, matched_pos,

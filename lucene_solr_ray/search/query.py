@@ -604,8 +604,8 @@ def span_terms(q: Query) -> set[str]:
     if isinstance(q, SpanNotQuery):
         return span_terms(q.include) | span_terms(q.exclude)
     if isinstance(q, MultiTermQuery):
-        # unrewritten expansion leaf (surround/complex-phrase): stats
-        # resolve shard-locally after rewrite
+        # unrewritten expansion leaf (surround/complex-phrase): its terms
+        # exist only after rewrite_expansions
         return set()
     raise TypeError(f"not a span query: {type(q)}")
 
@@ -915,6 +915,38 @@ def rewrite_complex_phrase(q: ComplexPhraseQuery, sorted_terms) -> Query:
                                 in_order=q.in_order)
     exclude = SpanNearQuery(all_spans, slop=q.slop, in_order=q.in_order)
     return SpanNotQuery(include=include, exclude=exclude, boost=q.boost)
+
+
+def rewrite_expansions(q: Query, sorted_terms) -> Query:
+    """IndexSearcher.rewrite against the top-level reader: every
+    ComplexPhraseQuery, and every span tree holding MultiTermQuery leaves,
+    anywhere in ``q`` is rewritten against ``sorted_terms`` (the whole
+    index's vocabulary), so the expanded terms, and their global df, do
+    not depend on how the index is split into segments. Other nodes are
+    returned as they are."""
+    from dataclasses import fields, is_dataclass, replace
+
+    if isinstance(q, ComplexPhraseQuery):
+        return rewrite_complex_phrase(q, sorted_terms)
+    if isinstance(q, (SpanNearQuery, SpanOrQuery, SpanNotQuery,
+                      SpanFirstQuery)):
+        return rewrite_span_multiterms(q, sorted_terms) \
+            if span_has_multiterm(q) else q
+    if not is_dataclass(q):
+        return q
+    changes = {}
+    for f in fields(q):
+        v = getattr(q, f.name)
+        if isinstance(v, Query):
+            new = rewrite_expansions(v, sorted_terms)
+        elif isinstance(v, (list, tuple)) and any(isinstance(c, Query)
+                                                  for c in v):
+            new = type(v)(rewrite_expansions(c, sorted_terms) for c in v)
+        else:
+            continue
+        if new != v:
+            changes[f.name] = new
+    return replace(q, **changes) if changes else q
 
 
 #: ExtendableQueryParser registry (``lucene/queryparser/src/java/org/

@@ -1,9 +1,10 @@
 """Shard-level query engine over the sharded segment layout.
 
-- ``ShardSearcher``: in-process search over one doc-shard (terms table
-  decoded once at open into resident doc/freq/position columns, norms,
-  and a sorted term dictionary — the stand-in for the FST term
-  dictionary, BlockTreeTermsWriter.java:174-189). Scoring is vectorized
+- ``ShardSearcher``: in-process search over one segment, the contiguous
+  doc-shards of a shard group merged at open (their term tables decoded
+  once into resident doc/freq/position columns, norms, and one sorted
+  term dictionary over their union vocabulary — the stand-in for the FST
+  term dictionary, BlockTreeTermsWriter.java:174-189). Scoring is vectorized
   float32 BM25 (SURVEY.md §3.2) using *global* term statistics supplied by
   the coordinator (Solr ExactStatsCache analog — required for
   rank-identity with a single-node index).
@@ -26,7 +27,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..index import segment
@@ -146,8 +146,8 @@ def collect_terms(q: Query) -> set[str]:
     from .query import ComplexPhraseQuery
 
     if isinstance(q, ComplexPhraseQuery):
-        # plain-term phrase elements only: multi-term expansions are
-        # per-shard (rewrite time), their stats resolve shard-locally
+        # plain-term phrase elements only: the coordinator rewrites the
+        # multi-term ones first (query.rewrite_expansions)
         out = set()
         for _, c in q.clauses:
             out |= collect_terms(c)
@@ -283,27 +283,31 @@ class DocValues:
 
 
 class ShardSearcher:
-    """Search over one shard; all postings/norms held in memory, the
-    postings decoded at open (DirectPostingsFormat's trade: memory for
-    no per-query decode)."""
+    """Search over one segment: a run of contiguous shards merged at open
+    into one doc range ``[base, base + size)`` (a leaf slice of Lucene's
+    IndexSearcher), its postings/norms held in memory, decoded once
+    (DirectPostingsFormat's trade: memory for no per-query decode)."""
 
-    def __init__(self, index_dir: str, shard_id: int,
+    def __init__(self, index_dir: str, shard_ids: list[int],
                  manifest: dict | None = None, similarity: str = "bm25",
                  docvalues: DocValues | None = None):
         index_path = Path(index_dir)
         if manifest is None:
             manifest = json.loads((index_path / "manifest.json").read_text())
-        self.shard_id = shard_id
+        self.shard_ids = [int(s) for s in shard_ids]
         self.index_dir = str(index_dir)
         params = manifest["params"]
         stats = manifest["stats"]
-        self.docs_per_shard = params["docs_per_shard"]
+        dps = params["docs_per_shard"]
         self._codec = params.get("postings_codec", "varint")
-        self.base = shard_id * self.docs_per_shard
+        first, last = (self.shard_ids[0], self.shard_ids[-1]) \
+            if self.shard_ids else (0, -1)
+        self.base = first * dps
+        self.size = (last + 1 - first) * dps
         self.doc_count = stats["doc_count"]
         self.num_docs_total = stats["num_docs"]
         self.docvalues = docvalues or DocValues(
-            index_dir, self.num_docs_total, [shard_id])
+            index_dir, self.num_docs_total, self.shard_ids)
         self.avgdl = np.float32(stats["avgdl"])
         self.cache = bm25.norm_cache(self.avgdl)
         # query-time pluggable scoring (Similarity SPI: IndexSearcher.
@@ -312,24 +316,20 @@ class ShardSearcher:
         self.sim = similarity(self.avgdl) if callable(similarity) \
             else bm25.make_similarity(similarity, self.avgdl)
 
-        terms_file = index_path / "shards" / f"shard={shard_id:05d}" / "terms.parquet"
-        if terms_file.exists():
-            t = pq.read_table(terms_file)
-            self._terms = _TermDict(t.column("term").combine_chunks())
-            # term i: _docs/_freqs[_term_docs[i]:_term_docs[i + 1]],
-            # _flat_pos[_term_pos[i]:_term_pos[i + 1]]
-            (self._term_docs, self._term_pos, self._docs, self._freqs,
-             self._flat_pos) = segment.decode_segment(t, self.base,
-                                                      self._codec)
-        else:  # empty shard
-            self._terms = _TermDict(pa.array([], type=pa.string()))
-            self._term_docs = self._term_pos = np.zeros(1, dtype=np.int64)
-            self._docs = np.empty(0, dtype=np.int64)
-            self._freqs = self._flat_pos = np.empty(0, dtype=np.int32)
+        files = {sid: index_path / "shards" / f"shard={sid:05d}"
+                 / "terms.parquet" for sid in self.shard_ids}
+        held = [sid for sid, f in files.items() if f.exists()]
+        terms, *cols = segment.decode_segment(
+            [pq.read_table(files[sid]) for sid in held],
+            [sid * dps for sid in held], self._codec)
+        self._terms = _TermDict(terms)
+        # term i: _docs/_freqs[_term_docs[i]:_term_docs[i + 1]],
+        # _flat_pos[_term_pos[i]:_term_pos[i + 1]]
+        (self._term_docs, self._term_pos, self._docs, self._freqs,
+         self._flat_pos) = cols
         # queries get views of these: a write through one would corrupt
-        # the shard for every later query
-        for a in (self._term_docs, self._term_pos, self._docs, self._freqs,
-                  self._flat_pos):
+        # the segment for every later query
+        for a in cols:
             a.flags.writeable = False
 
         # live-docs mask (tombstones from delete/overwrite-by-id;
@@ -341,9 +341,9 @@ class ShardSearcher:
             dels = np.asarray(json.loads(deletes_file.read_text())["doc_ids"],
                               dtype=np.int64)
             local = dels[(dels >= self.base)
-                         & (dels < self.base + self.docs_per_shard)]
+                         & (dels < self.base + self.size)]
             if len(local):
-                self._deleted = np.zeros(self.docs_per_shard, dtype=bool)
+                self._deleted = np.zeros(self.size, dtype=bool)
                 self._deleted[local - self.base] = True
 
         # Heal a crashed atomic-update partition swap BEFORE loading
@@ -351,18 +351,20 @@ class ShardSearcher:
         # otherwise read as all-zero norms / all-None docvalues and
         # silently corrupt BM25 scores, sorts, facets and stats.
         segment.recover_norms_partitions(index_path)
-        norms_part = index_path / "norms" / f"doc_shard={shard_id}"
-        self.norms = np.zeros(self.docs_per_shard, dtype=np.uint8)
-        if terms_file.exists() and not norms_part.exists():
-            raise FileNotFoundError(
-                f"norms partition missing for doc_shard={shard_id} "
-                f"(postings present) — index corrupt beyond .dvold "
-                f"recovery: {norms_part}")
-        if norms_part.exists():
-            nt = pq.read_table(norms_part, columns=["doc_id", "norm_byte"])
-            ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-            vals = nt.column("norm_byte").to_numpy(zero_copy_only=False)
-            self.norms[ids - self.base] = vals
+        self.norms = np.zeros(self.size, dtype=np.uint8)
+        for sid in self.shard_ids:
+            norms_part = index_path / "norms" / f"doc_shard={sid}"
+            if sid in held and not norms_part.exists():
+                raise FileNotFoundError(
+                    f"norms partition missing for doc_shard={sid} "
+                    f"(postings present) — index corrupt beyond .dvold "
+                    f"recovery: {norms_part}")
+            if norms_part.exists():
+                nt = pq.read_table(norms_part,
+                                   columns=["doc_id", "norm_byte"])
+                ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
+                self.norms[ids - self.base] = nt.column(
+                    "norm_byte").to_numpy(zero_copy_only=False)
 
     def explain(self, q: Query, doc_id: int,
                 df_map: dict[str, int]) -> dict | None:
@@ -440,16 +442,15 @@ class ShardSearcher:
         return col[docs]
 
     def boundary_convs(self) -> list[str]:
-        """conv_id of this shard's first and last doc — the only
-        conversations that can straddle a shard edge. doc_id is rank
+        """conv_id of this segment's first and last doc — the only
+        conversations that can straddle a segment edge. doc_id is rank
         under the stable (conv_id, turn_idx) sort (BASELINE.json
         input_hint), so each conversation is doc-contiguous and at most
-        these two can have turns in a neighbouring shard. Used by the
+        these two can have turns in a neighbouring segment. Used by the
         bounded conv/collapse partials (actors.py) to ship split
         conversations unconditionally."""
         arr = self.docvalues_local("conv_id", np.arange(
-            self.base, min(self.base + self.docs_per_shard,
-                           self.num_docs_total)))
+            self.base, min(self.base + self.size, self.num_docs_total)))
         present = np.flatnonzero(arr != None)  # noqa: E711
         if len(present) == 0:
             return []
@@ -479,18 +480,29 @@ class ShardSearcher:
         (``solr/core/.../handler/component/TermVectorComponent.java:79``).
 
         The index is postings-only (no forward term-vector file, unlike
-        Lucene's optional .tvd), so this inverts the shard's resident
-        postings for one doc: one scan of the doc-id column. O(postings)
-        per call — a debugging/feature API; a production variant at
-        10^12 docs would persist a forward vector file at build time.
+        Lucene's optional .tvd), so this inverts the segment's resident
+        postings for one doc: a binary search of every term's sorted doc
+        ids at once, O(terms * log df) per call — a debugging/feature
+        API; a production variant at 10^12 docs would persist a forward
+        vector file at build time.
         """
         if self._deleted is not None and self._deleted[doc_id - self.base]:
             return []
+        lo, end = self._term_docs[:-1].copy(), self._term_docs[1:]
+        hi = end.copy()
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            below = live & (self._docs[np.minimum(mid, len(self._docs) - 1)]
+                            < doc_id)
+            lo, hi = np.where(below, mid + 1, lo), \
+                np.where(live & ~below, mid, hi)
+        hit = lo < end
+        hit[hit] = self._docs[lo[hit]] == doc_id
         terms = self._terms.seq()
         out = []
         # postings of the doc, in term order
-        for j in np.flatnonzero(self._docs == doc_id):
-            i = int(np.searchsorted(self._term_docs, j, side="right")) - 1
+        for i in np.flatnonzero(hit):
+            j = lo[i]
             f = int(self._freqs[j])
             a = int(self._term_pos[i]
                     + self._freqs[self._term_docs[i]:j].sum())
@@ -774,7 +786,7 @@ class ShardSearcher:
         from .query import MatchAllDocsQuery
 
         if isinstance(q, MatchAllDocsQuery):
-            # norms is padded to docs_per_shard; clamp to real docs
+            # norms spans whole shards; clamp to real docs
             n = min(len(self.norms),
                     max(0, self.num_docs_total - self.base))
             docs = self.base + np.arange(n, dtype=np.int64)
@@ -797,13 +809,8 @@ class ShardSearcher:
                                  dtype=np.float32)
         if isinstance(q, DisMaxQuery):
             return self._score_dismax(q, df_map)
-        from .query import ComplexPhraseQuery, rewrite_complex_phrase
-
-        if isinstance(q, ComplexPhraseQuery):
-            # ComplexPhraseQuery.rewrite against THIS shard's term dict
-            # (the reference rewrites per IndexReader the same way)
-            return self._score_clause(
-                rewrite_complex_phrase(q, self._terms.seq()), df_map)
+        # ComplexPhraseQuery and span multi-term leaves arrive rewritten
+        # against the whole index's vocabulary (query.rewrite_expansions)
         raise TypeError(f"unsupported query node: {type(q)}")
 
     def _span_candidates(self, q) -> np.ndarray:
@@ -837,13 +844,8 @@ class ShardSearcher:
         freq = sum of 1/(1+width) per match (computeSlopFactor), weight =
         summed idf of the query's term contexts
         (SpanWeight.buildSimWeight)."""
-        from .query import (rewrite_span_multiterms, span_freq,
-                            span_has_multiterm, span_terms)
+        from .query import span_freq, span_terms
 
-        if span_has_multiterm(q):
-            # SpanMultiTermQueryWrapper rewrite against THIS shard's
-            # term dictionary (surround truncations)
-            q = rewrite_span_multiterms(q, self._terms.seq())
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         docs = self._span_candidates(q)
         if len(docs) == 0:
@@ -877,14 +879,8 @@ class ShardSearcher:
         docs, f = docs[keep], freqs[keep]
         sum_idf = np.float32(0.0)
         for t in sorted(span_terms(q)):
-            df = df_map.get(t)
-            if df is None:
-                # term came from a rewrite-time expansion (complex
-                # phrase): resolve its stats shard-locally
-                p = self._postings(t)
-                df = len(p[0]) if p is not None else 0
             sum_idf = np.float32(
-                sum_idf + self.sim.idf(df, self.doc_count))
+                sum_idf + self.sim.idf(df_map.get(t, 0), self.doc_count))
         w = self.sim.weight(sum_idf, q.boost)
         scores = self.sim.score(f, self.norms[docs - self.base], w)
         return self._live(docs, scores)

@@ -15,10 +15,11 @@ with ``thresholdTokenFrequency`` (minimum RELATIVE doc frequency);
 
 Ray-native mapping: the dictionary is vocabulary-scale (tiny next to
 the corpus), so the spelling index is a driver-side structure built
-from the searcher's per-shard (term, df) partials — one pass, no
-shuffle — or from a file; gram postings are numpy int32 arrays and
-candidate scoring is one ``np.bincount`` per query (no per-term Python
-during retrieval). Persistence: one parquet sidecar, atomic publish.
+from the searcher's term table (sorted terms with global df, built at
+open; any coordinator) — no shuffle — or from a file; gram postings are
+numpy int32 arrays and candidate scoring is one ``np.bincount`` per
+query (no per-term Python during retrieval). Persistence: one parquet
+sidecar, atomic publish.
 """
 
 from __future__ import annotations
@@ -96,15 +97,11 @@ class SpellingIndex:
         dictionary, keeping terms whose RELATIVE docFreq >= threshold
         (HighFrequencyDictionary semantics — low-frequency garbage terms
         never become suggestions)."""
-        agg: dict[str, int] = {}
-        for sh in searcher.shards:
-            for t, d in zip(sh._terms, np.diff(sh._term_docs)):
-                agg[t] = agg.get(t, 0) + int(d)
         num_docs = max(1, int(searcher.manifest["stats"]["num_docs"]))
-        items = sorted((t, f) for t, f in agg.items()
-                       if f / num_docs >= threshold_token_frequency)
-        return cls([t for t, _ in items],
-                   np.asarray([f for _, f in items], dtype=np.int64))
+        keep = searcher._df / num_docs >= threshold_token_frequency
+        # the coordinator's term table: sorted terms with global df
+        terms = searcher._terms._arr.filter(pa.array(keep)).to_pylist()
+        return cls(terms, searcher._df[keep].astype(np.int64))
 
     @classmethod
     def from_file(cls, path: str) -> "SpellingIndex":

@@ -89,3 +89,37 @@ def test_add_indexes_layouts_may_differ_but_analyzers_must_match(pair):
                 analyzer="standard_nostop")
     with pytest.raises(ValueError, match="analyzer"):
         add_indexes(str(tmp_path / "idx_a"), str(tmp_path / "idx_d"))
+
+
+def test_add_indexes_extends_lineage(ray_session, tmp_path):
+    """The source's lineage rows follow the destination's, shifted by its
+    num_docs, so lineage covers [0, num_docs) once and in order."""
+    import json
+
+    import pyarrow.compute as pc
+
+    t = generate_transcripts(300, seed=4)
+    conv = t.column("conv_id")
+    cut = sorted(set(conv.to_pylist()))[150]
+    for name, half in (("a", t.filter(pc.less(conv, cut))),
+                       ("b", t.filter(pc.greater_equal(conv, cut)))):
+        pq.write_table(half, tmp_path / f"{name}.parquet")
+        build_index(str(tmp_path / f"{name}.parquet"),
+                    str(tmp_path / f"idx_{name}"), num_shards=4)
+
+    def manifest(name):
+        return json.loads((tmp_path / f"idx_{name}" /
+                           "manifest.json").read_text())
+
+    dst, src = manifest("a"), manifest("b")
+    base = dst["stats"]["num_docs"]
+    add_indexes(str(tmp_path / "idx_a"), str(tmp_path / "idx_b"))
+    out = manifest("a")
+    assert out["stats"]["num_docs"] == base + src["stats"]["num_docs"]
+    assert out["lineage"] == dst["lineage"] + [
+        {**e, "doc_lo": e["doc_lo"] + base, "doc_hi": e["doc_hi"] + base}
+        for e in src["lineage"]]
+    spans = [(e["doc_lo"], e["doc_hi"]) for e in out["lineage"]]
+    assert spans[0][0] == 0 and spans[-1][1] == out["stats"]["num_docs"]
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert check_index(str(tmp_path / "idx_a"))["status"] == "ok"

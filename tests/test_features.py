@@ -147,7 +147,7 @@ def test_valuesource_stats_accessors_recompute(built_index):
     s = IndexSearcher(built_index)
     st = index_stats(s, {"ray", "zzzmissing"})
     # recompute df by walking shard postings
-    want_df = sum(sh.local_df(["ray"]).get("ray", 0) for sh in s.shards)
+    want_df = s.segment.local_df(["ray"]).get("ray", 0)
     assert st["docfreq"]["ray"] == want_df > 0
     assert st["docfreq"].get("zzzmissing", 0) == 0
     assert st["maxdoc"] == s.manifest["stats"]["num_docs"]
@@ -163,7 +163,7 @@ def test_valuesource_stats_accessors_recompute(built_index):
         assert abs(got[int(d)] - want) < 1e-6 * max(1.0, abs(want))
     # norm() equals the SmallFloat-decoded byte for each hit doc
     for d in docs[:20]:
-        sh = s.shards[int(d) // s.shards[0].docs_per_shard]
+        sh = s.segment
         assert norms[list(docs).index(d)] == \
             NORM_TABLE[sh.norms[int(d) - sh.base]]
 
@@ -259,7 +259,7 @@ def test_termfreq_accessors_recompute(built_index):
     st = index_stats(s, {"ray", "zzzmissing"})
     # ttf recompute: sum of postings freqs per shard
     want_ttf = 0
-    for sh in s.shards:
+    for sh in (s.segment,):
         p = sh._postings("ray")
         if p is not None:
             want_ttf += int(p[1].sum())
@@ -271,7 +271,7 @@ def test_termfreq_accessors_recompute(built_index):
     got = dict(s.boosted_search("ray", "sum(1,termfreq(ray))", k=1 << 20))
     docs, scores = s.all_hits("ray")
     tf_of = {}
-    for sh in s.shards:
+    for sh in (s.segment,):
         p = sh._postings("ray")
         if p is not None:
             for d, f in zip(p[0], p[1]):

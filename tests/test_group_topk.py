@@ -1,6 +1,8 @@
-"""One top-k per shard group: ties at the k-th score that span shards of
-one group resolve to the lowest doc ids, equal to the oracle rank for
-rank, in process and over a 2-actor pool (shards 0 and 2 share a group)."""
+"""One top-k per shard group: ties at the k-th score that span shards
+resolve to the lowest doc ids, equal to the oracle rank for rank, in
+process (shards 0 and 2 in one segment) and over a 2-actor pool (shards
+dealt in contiguous runs, so shards 0 and 2 sit in different groups and
+the coordinator merges the tie)."""
 
 import numpy as np
 import pyarrow as pa
@@ -41,7 +43,7 @@ def setup(ray_session, tmp_path_factory):
     turn_idx = np.asarray(table.column("turn_idx").to_pylist())
     local = IndexSearcher(idx)
     dist = DistributedSearcher(idx, num_actors=2)
-    assert dist.actor_shards[0] == [0, 2]
+    assert dist.actor_shards == [[0, 1], [2, 3]]
     yield local, dist, oracle, turn_idx
     dist.close()
 

@@ -32,11 +32,9 @@ def _offsets_fragments(s, doc_id, text, parsed, **kw):
     from lucene_solr_ray.search.searcher import collect_terms
 
     starts, ends = s.term_offsets([doc_id])[doc_id]
-    sh = {x.shard_id: x for x in s.shards}[
-        doc_id // s.shards[0].docs_per_shard]
     matched = {}
     for term in sorted(collect_terms(parsed)):
-        for p in sh.positions_of(term, doc_id):
+        for p in s.segment.positions_of(term, doc_id):
             matched[int(p)] = term
     return best_fragments_from_offsets(text, starts, ends, matched, **kw)
 
@@ -118,10 +116,9 @@ def test_offsets_align_under_stopword_holes(ray_session, tmp_path):
     d = int(s.resolve_hits(s.search('"data and the ray"', k=1)
                            or s.search("ray AND data", k=1))[0]["doc_id"])
     starts, ends = s.term_offsets([d])[d]
-    sh = {x.shard_id: x for x in s.shards}[d // s.shards[0].docs_per_shard]
     text = texts[0]
     for term in ("data", "ray", "index"):
-        pos = sh.positions_of(term, d)
+        pos = s.segment.positions_of(term, d)
         assert pos, term
         for p in pos:
             assert text[starts[p]:ends[p]].lower() == term

@@ -88,6 +88,5 @@ def test_icu_index_build_end_to_end(ray_session, tmp_path):
     assert {d for d, _ in hits} == {0, 1}
     # offsets sidecar aligns: matched bigram's span maps to the surface
     starts, ends = s.term_offsets([0])[0]
-    sh = {x.shard_id: x for x in s.shards}[0]
-    for p in sh.positions_of("分布", 0):
+    for p in s.segment.positions_of("分布", 0):
         assert texts[0][starts[p]:ends[p]] == "分布"

@@ -91,9 +91,9 @@ def test_partition_count_equivalence(ray_session, tiny_index, oracle, tmp_path):
 def test_norms_match_oracle(tiny_index, oracle):
     _, out, _ = tiny_index
     searcher = IndexSearcher(out)
-    for sh in searcher.shards:
+    for sh in (searcher.segment,):
         lo = sh.base
-        hi = min(sh.base + sh.docs_per_shard, len(oracle.doc_lengths))
+        hi = min(sh.base + sh.size, len(oracle.doc_lengths))
         for d in range(lo, hi):
             assert int(sh.norms[d - lo]) == oracle.norms[d], f"doc {d}"
 

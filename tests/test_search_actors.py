@@ -251,7 +251,7 @@ def test_unfiltered_terms_enumeration_is_bounded(dist_pair):
     import ray as _ray
 
     local, dist = dist_pair
-    vocab = sum(len(sh._terms) for sh in local.shards)
+    vocab = len(local.segment._terms)
     for sort in ("count", "index"):
         partials = _ray.get([
             a.terms_partial.remote("", None, 10 if sort == "index" else 56,

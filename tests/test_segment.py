@@ -96,9 +96,12 @@ def test_block_boundary_dfs(df):
     np.testing.assert_array_equal(offs, np.concatenate(([0], np.cumsum(freqs))))
 
 
-# --- whole-shard decode: decode_segment against the per-term decoders ---
+# --- segment decode: decode_segment against the per-term decoders ---
 
 def _assert_decode_matches_per_term(index_dir):
+    """Each shard decoded alone, and all shards merged into one segment
+    (each term's postings the shards' lists in shard order), equal the
+    per-term decoders."""
     import json
     from pathlib import Path
 
@@ -108,14 +111,16 @@ def _assert_decode_matches_per_term(index_dir):
     codec = manifest["params"]["postings_codec"]
     dps = manifest["params"]["docs_per_shard"]
     files = sorted(Path(index_dir).glob("shards/shard=*/terms.parquet"))
-    assert files
+    assert len(files) > 1
+    tables, bases, merged = [], [], {}
     for f in files:
         base = int(f.parent.name.split("=")[1]) * dps
         t = pq.read_table(f)
-        term_docs, term_pos, docs, freqs, flat = segment.decode_segment(
-            t, base, codec)
+        terms, term_docs, term_pos, docs, freqs, flat = \
+            segment.decode_segment([t], [base], codec)
         assert docs.dtype == np.int64
         assert freqs.dtype == flat.dtype == np.int32
+        assert terms.to_pylist() == t["term"].to_pylist()
         assert len(term_docs) == len(term_pos) == t.num_rows + 1
         for i in range(t.num_rows):
             d = segment.decode_doc_ids(t["doc_ids_enc"][i].as_py(), base,
@@ -128,6 +133,18 @@ def _assert_decode_matches_per_term(index_dir):
             np.testing.assert_array_equal(freqs[a:b], fr)
             np.testing.assert_array_equal(
                 flat[term_pos[i]:term_pos[i + 1]], p)
+            merged.setdefault(terms[i].as_py(), []).append((d, fr, p))
+        tables.append(t)
+        bases.append(base)
+    terms, term_docs, term_pos, docs, freqs, flat = \
+        segment.decode_segment(tables, bases, codec)
+    assert terms.to_pylist() == sorted(merged)
+    for i, term in enumerate(terms.to_pylist()):
+        d, fr, p = (np.concatenate(x) for x in zip(*merged[term]))
+        np.testing.assert_array_equal(docs[term_docs[i]:term_docs[i + 1]], d)
+        np.testing.assert_array_equal(freqs[term_docs[i]:term_docs[i + 1]],
+                                      fr)
+        np.testing.assert_array_equal(flat[term_pos[i]:term_pos[i + 1]], p)
 
 
 @pytest.mark.parametrize("codec", ["varint", "raw32"])
@@ -164,21 +181,23 @@ def test_decode_segment_rejects_short_positions():
     terms, doc_ids, freqs, pos_flat = build_inputs(
         np.random.default_rng(3), n_terms=5, n_docs=50)
     t = segment.encode_shard_postings(terms, doc_ids, freqs, pos_flat, 1000)
-    segment.decode_segment(t, 1000)  # intact: decodes
+    segment.decode_segment([t], [1000])  # intact: decodes
     short = t.to_pydict()
     # one byte fewer is one position fewer (a dangling varint byte
     # decodes to nothing)
     short["positions_enc"][-1] = short["positions_enc"][-1][:-1]
     bad = pa.table(short, schema=t.schema)
     with pytest.raises(ValueError, match="positions"):
-        segment.decode_segment(bad, 1000)
+        segment.decode_segment([bad], [1000])
 
 
 def test_resident_postings_memory_bound(ray_session, tmp_path):
     """A searcher's decoded postings take at most 12 B per posting (int64
     doc id + int32 freq), 4 B per position (int32) and 16 B per term (two
     int64 offsets), plus one leading offset each: widening any column
-    breaks the bound."""
+    breaks the bound. Checked per shard and for the 4 shards merged into
+    one group segment (terms counted once over the union vocabulary)."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.data.transcripts import transcripts_path
@@ -186,14 +205,16 @@ def test_resident_postings_memory_bound(ray_session, tmp_path):
     from lucene_solr_ray.search.searcher import ShardSearcher
 
     idx = tmp_path / "idx"
-    build_index(transcripts_path("tiny"), str(idx), num_shards=2)
-    for sid in (0, 1):
-        t = pq.read_table(idx / "shards" / f"shard={sid:05d}" /
-                          "terms.parquet", columns=["df", "ttf"])
-        n_terms = t.num_rows
+    build_index(transcripts_path("tiny"), str(idx), num_shards=4)
+    for sids in ([0], [1], [2], [3], [0, 1, 2, 3]):
+        t = pa.concat_tables([pq.read_table(
+            idx / "shards" / f"shard={sid:05d}" / "terms.parquet",
+            columns=["term", "df", "ttf"]) for sid in sids])
+        n_terms = len(set(t["term"].to_pylist()))
         n_post = int(t["df"].to_numpy().sum())
         n_pos = int(t["ttf"].to_numpy().sum())
-        sh = ShardSearcher(str(idx), sid)
+        sh = ShardSearcher(str(idx), sids)
+        assert len(sh._terms) == n_terms
         resident = sum(a.nbytes for a in (
             sh._term_docs, sh._term_pos, sh._docs, sh._freqs, sh._flat_pos))
         assert n_post > 0 and n_pos >= n_post

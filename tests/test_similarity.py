@@ -35,7 +35,7 @@ def test_classic_term_scores_match_recount(idx):
         idf = np.float32(math.log((doc_count + 1) / float(df + 1)) + 1.0)
         w = np.float32(idf * idf)
         want = {}
-        for sh in s.shards:
+        for sh in (s.segment,):
             p = sh._postings(term)
             if p is None:
                 continue
@@ -136,7 +136,7 @@ def test_sweetspot_searches(idx):
     df = s.global_df(TermQuery("ray"))["ray"]
     w = sim.weight(sim.idf(df, doc_count), 1.0)
     want = {}
-    for sh in s.shards:
+    for sh in (s.segment,):
         p = sh._postings("ray")
         if p is None:
             continue
