@@ -1,16 +1,17 @@
 """Query serving: one coordinator over shard groups.
 
-A *shard group* (``ShardGroup``) is a run of contiguous shards of one
-index plus a doc base, merged at open into one segment (one
-``ShardSearcher`` over one doc range and the union vocabulary; Lucene's
-leaf slice). It answers the shard side of every query method: its term
+A *shard group* is one ``searcher.ShardSearcher``: a run of contiguous
+shards of one index, merged at open into one segment over one doc range
+with one term dictionary over their union vocabulary (Lucene's leaf at
+its docBase). It answers the shard side of every query method: its term
 table (``term_table``), one top-k over its segment's matches
 (``search_batch``), ``explain``, and the ``*_partial`` aggregates
 behind facets, stats, block join, collapse/expand, rerank, function
-boosts, terms and suggestions. Doc ids cross the group boundary as
-coordinator ids (doc base + the index's own doc id). The same class runs
-in-process, or as the Ray actor ``SearchActor`` that pins its shards
-(postings decoded at open, norms) in memory.
+boosts, terms and suggestions. Doc ids enter and leave it as coordinator
+ids: its one doc base, ``ShardSearcher.base``, is the coordinator id of
+its first doc. The same class runs in-process, or as the Ray actor
+``SearchActor`` that pins its segment (postings decoded at open, norms)
+in memory.
 
 ``SearchCoordinator`` implements every query method once, in SolrCloud's
 scatter/gather shape (SURVEY.md §3.3, QueryComponent.distributedProcess):
@@ -56,7 +57,7 @@ import ray
 
 from .query import (CommonTermsQuery, Query, parse_query,
                     rewrite_common_terms, rewrite_expansions)
-from .searcher import (DocValues, ShardSearcher, _merge_sort_key, _TermDict,
+from .searcher import (DocValues, ShardSearcher, _sort_key, _TermDict,
                        collect_terms)
 
 # actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
@@ -78,27 +79,15 @@ def _shard_ids(manifest: dict) -> list[int]:
 
 def _top(hits: list[tuple], k: int, sort=None) -> list[tuple]:
     """The first ``k`` hits by (score desc, doc_id asc), or by the
-    field-sort key (TopDocs.merge / TopFieldCollector merge)."""
-    hits.sort(key=(lambda h: _merge_sort_key(h, sort)) if sort
-              else (lambda h: (-h[1], h[0])))
-    return hits[:k]
-
-
-def _sort_key(vals: np.ndarray, desc: bool) -> np.ndarray:
-    """float64 lexsort key of one sort field's doc values (strings by
-    rank); missing values sort last in either direction (pinned
-    missingValue semantics, matching ``_merge_sort_key``)."""
-    missing = vals == None  # noqa: E711 — elementwise object cmp
-    filled = vals.copy()
-    filled[missing] = 0.0
-    try:
-        key = filled.astype(np.float64)
-    except (TypeError, ValueError):
-        _, inv = np.unique(filled.astype(str), return_inverse=True)
-        key = inv.astype(np.float64)
-    key = -key if desc else key
-    key[missing] = np.inf
-    return key
+    field-sort key of their values then doc_id asc (TopDocs.merge /
+    TopFieldCollector merge)."""
+    if not sort:
+        hits.sort(key=lambda h: (-h[1], h[0]))
+        return hits[:k]
+    keys = [_sort_key(np.array([h[2][i] for h in hits], dtype=object), desc)
+            for i, (_, desc) in enumerate(sort)]
+    docs = np.array([h[0] for h in hits], dtype=np.int64)
+    return [hits[i] for i in np.lexsort([docs] + keys[::-1])[:k]]
 
 
 def _add_counts(partials) -> dict:
@@ -110,395 +99,11 @@ def _add_counts(partials) -> dict:
     return out
 
 
-class ShardGroup:
-    """Contiguous shards of one index at a doc base, merged at open into
-    one segment (one ``ShardSearcher``): the unit of scatter."""
-
-    def __init__(self, index_dir: str, shard_ids: list[int], manifest: dict,
-                 similarity="bm25", base: int = 0):
-        self.base = int(base)
-        self.num_docs = int(manifest["stats"]["num_docs"])
-        self.docvalues = DocValues(index_dir, self.num_docs, shard_ids)
-        self.segment = ShardSearcher(index_dir, shard_ids, manifest,
-                                     similarity=similarity,
-                                     docvalues=self.docvalues)
-
-    # --- helpers ---
-    def _hits(self, query: Query, df_map: dict[str, int]):
-        """(docs, scores) of the segment's matches; docs are index doc
-        ids."""
-        return self.segment._score_clause(query, df_map)
-
-    def _local(self, doc_id: int) -> int | None:
-        """The index doc id of a coordinator doc id the segment holds."""
-        local = int(doc_id) - self.base
-        seg = self.segment
-        return local if 0 <= local < self.num_docs \
-            and seg.base <= local < seg.base + seg.size else None
-
-    def _require(self, field: str) -> None:
-        if self.docvalues.column(field) is None:
-            raise KeyError(f"field {field!r} was not indexed as a doc value")
-
-    # --- term statistics ---
-    def term_table(self) -> pa.Table:
-        """(term, df, ttf) of every term the group holds: the group's part
-        of the coordinator's term table."""
-        seg = self.segment
-        return pa.table({
-            "term": seg._terms._arr,
-            "df": pa.array(np.diff(seg._term_docs), type=pa.int64()),
-            "ttf": pa.array(np.diff(seg._term_pos), type=pa.int64())})
-
-    def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
-        """Distinct non-null values per field — partials the coordinator
-        merges into the global ordinal table for ord()/rord()."""
-        out = {}
-        for f in fields:
-            col = self.docvalues.column(f)
-            out[f] = [] if col is None else sorted(
-                {x for x in col if x is not None})
-        return out
-
-    # --- top-k, explain, per-doc scores ---
-    def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
-                     k: int, sort=None, filter_range=None, after=None
-                     ) -> list[list[tuple]]:
-        """Per query, the group's top-k over its segment's matches:
-        (doc, score) by (score desc, doc asc), or (doc, score, sort
-        values) by ``sort``."""
-        if after is not None:
-            after = (after[0], int(after[1]) - self.base)
-        results = []
-        for q, df_map in zip(queries, df_maps):
-            docs, scores = self.segment.search(
-                q, df_map, filter_range=filter_range, after=after)
-            results.append(self._top_k(
-                docs, scores.astype(np.float32, copy=False), k, sort))
-        return results
-
-    def _top_k(self, docs: np.ndarray, scores: np.ndarray, k: int,
-               sort) -> list[tuple]:
-        if sort:
-            vals = []
-            for fld, _ in sort:
-                col = self.docvalues.column(fld)
-                vals.append(np.full(len(docs), None, dtype=object)
-                            if col is None else col[docs])
-            order = np.lexsort(tuple(
-                [docs] + [_sort_key(v, desc)
-                          for v, (_, desc) in zip(vals, sort)][::-1]))[:k]
-            return [(int(docs[i]) + self.base, float(scores[i]),
-                     tuple(v[i] for v in vals)) for i in order]
-        if len(docs) > k:
-            # partial selection; keep every doc tied with the k-th score so
-            # the lower-doc_id tie-break stays exact, then sort the slice
-            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-            cand = scores >= kth
-            docs, scores = docs[cand], scores[cand]
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]) + self.base, float(scores[i])) for i in order]
-
-    def explain(self, query: Query, doc_id: int, df_map: dict[str, int]):
-        """Explanation of a doc this group owns; None otherwise."""
-        local = self._local(doc_id)
-        return None if local is None else \
-            self.segment.explain(query, local, df_map)
-
-    def term_vectors(self, doc_ids: list[int]) -> dict[int, list]:
-        return {int(d): self.segment.term_vector(local) for d in doc_ids
-                if (local := self._local(d)) is not None}
-
-    def hits_partial(self, query: Query, df_map: dict[str, int]):
-        """(docs, scores) of every matching doc."""
-        docs, scores = self._hits(query, df_map)
-        return docs + self.base, scores
-
-    def scores_for_docs(self, query: Query, df_map: dict[str, int],
-                        doc_ids: list[int]) -> dict[int, float]:
-        """Scores of the given docs that match ``query``: only the
-        requested docs ship (rerank second pass, elevation)."""
-        docs, scores = self._hits(query, df_map)
-        mask = np.isin(docs, np.asarray(doc_ids, dtype=np.int64) - self.base)
-        return {int(d) + self.base: float(s)
-                for d, s in zip(docs[mask], scores[mask])}
-
-    # --- counts ---
-    def count_partial(self, query: Query, df_map: dict[str, int]) -> int:
-        return len(self._hits(query, df_map)[0])
-
-    def query_counts(self, queries: list[Query],
-                     df_maps: list[dict[str, int]]) -> list[int]:
-        """facet.query partials: hit count per sub-query."""
-        return [self.count_partial(q, df) for q, df in zip(queries, df_maps)]
-
-    # --- facets and stats over the full hit set ---
-    def facet_partial(self, query: Query, df_map: dict[str, int],
-                      field: str):
-        """(uniq:str-array, counts:int64-array) of ``field`` over the
-        group's hits. Merging is np.unique over concatenated arrays,
-        never a per-value dict loop, so a high-cardinality field stays
-        vectorized end to end."""
-        self._require(field)
-        vals = self.segment.docvalues_local(field,
-                                            self._hits(query, df_map)[0])
-        vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
-        if not len(vals):
-            return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
-        uniq, counts = np.unique(vals.astype(str), return_counts=True)
-        return uniq, counts.astype(np.int64)
-
-    def _numeric_hits(self, query: Query, df_map: dict[str, int],
-                      field: str):
-        """(values of the hits present as float64, number of hits missing
-        the field)."""
-        self._require(field)
-        vals = self.segment.docvalues_local(field,
-                                            self._hits(query, df_map)[0])
-        v = np.asarray([x for x in vals if x is not None], dtype=np.float64)
-        return v, len(vals) - len(v)
-
-    def stats_partial(self, query: Query, df_map: dict[str, int],
-                      field: str) -> tuple:
-        """(count, min, max, sum, sumsq, missing) of a docvalue over the
-        full hit set (StatsValuesFactory accumulator shape)."""
-        v, missing = self._numeric_hits(query, df_map, field)
-        if len(v) == 0:
-            return 0, None, None, 0.0, 0.0, missing
-        return (len(v), float(v.min()), float(v.max()), float(v.sum()),
-                float((v * v).sum()), missing)
-
-    def range_facet_partial(self, query: Query, df_map: dict[str, int],
-                            field: str, start: float, end: float,
-                            gap: float, hardend: bool) -> list[int]:
-        """Range-facet bucket counts over the group's hits (one bincount;
-        layout matches pipelines.relational.range_facet: n buckets then
-        before/after/between)."""
-        n_buckets = int(np.ceil((end - start) / gap))
-        actual_end = end if hardend else start + n_buckets * gap
-        v, _ = self._numeric_hits(query, df_map, field)
-        below = v < start
-        above = v >= actual_end
-        mid = ~(below | above)
-        idx = np.floor((v[mid] - start) / gap).astype(np.int64)
-        np.clip(idx, 0, n_buckets - 1, out=idx)
-        return np.bincount(idx, minlength=n_buckets).tolist() + [
-            int(below.sum()), int(above.sum()), int(mid.sum())]
-
-    # --- block join, collapse, expand ---
-    def _conv_hits(self, query: Query, df_map: dict[str, int]):
-        """(conv_ids:str, docs, float32 scores) over the group's hits."""
-        d, s = self._hits(query, df_map)
-        return (self.segment.docvalues_local("conv_id", d).astype(str),
-                d + self.base, s.astype(np.float32))
-
-    def _bounded(self, convs: np.ndarray, scores: np.ndarray,
-                 limit: int | None) -> np.ndarray:
-        """Keep-mask: the top-``limit`` entries by score, tie-inclusive at
-        the cut, plus the segment's edge conversations."""
-        keep = np.ones(len(convs), dtype=bool)
-        if limit is not None and len(convs) > limit:
-            keep = scores >= np.partition(scores, -limit)[-limit]
-            keep |= np.isin(convs, self.segment.boundary_convs())
-        return keep
-
-    def conv_partial(self, query: Query, df_map: dict[str, int],
-                     score_mode: str, limit: int | None = None
-                     ) -> dict[str, float]:
-        """Per-conversation aggregated turn scores over the group's FULL
-        hit set (numpy np.unique + ufunc.at, float64). With ``limit`` the
-        partial is bounded: the local top-``limit`` conversations plus
-        every shard-boundary conversation. This is exact for the global
-        top-k merge: BM25 scores are positive, so global agg >= any local
-        agg; a non-boundary conversation lives entirely in one group
-        (local agg == global agg), and if it belongs to the global top-k
-        then fewer than k conversations in its own group can locally
-        outrank it — so it is inside the local top-k cut. Split
-        (boundary) conversations ship unconditionally and merge exactly.
-        Mirrors QueryComponent.java:746-766's bounded scatter/gather."""
-        if score_mode not in ("max", "total"):
-            raise ValueError(score_mode)
-        convs, _, scores = self._conv_hits(query, df_map)
-        uniq, inv = np.unique(convs, return_inverse=True)
-        if score_mode == "max":
-            agg = np.full(len(uniq), -np.inf)
-            np.maximum.at(agg, inv, scores.astype(np.float64))
-        else:
-            agg = np.zeros(len(uniq))
-            np.add.at(agg, inv, scores.astype(np.float64))
-        keep = self._bounded(uniq, agg, limit)
-        return dict(zip(uniq[keep].tolist(), agg[keep].tolist()))
-
-    def collapse_partial(self, query: Query, df_map: dict[str, int],
-                         limit: int | None = None
-                         ) -> dict[str, tuple[float, int]]:
-        """Per-conversation best (score, doc) head, lower doc on ties
-        (CollapsingQParserPlugin). With ``limit``: the local top-``limit``
-        heads, score-tie-inclusive at the cut, plus shard-boundary
-        conversations — exact for the global top-k merge by the same
-        argument as conv_partial (the head merge is a max)."""
-        convs, docs, scores = self._conv_hits(query, df_map)
-        order = np.lexsort((docs, -scores, convs))
-        convs_s = convs[order]
-        head = np.concatenate(([True], convs_s[1:] != convs_s[:-1])) \
-            if len(order) else np.empty(0, dtype=bool)
-        hidx = order[head]  # one best (score desc, doc asc) row per conv
-        h_conv, h_doc, h_score = convs[hidx], docs[hidx], scores[hidx]
-        keep = self._bounded(h_conv, h_score, limit)
-        return {c: (float(s), int(d)) for c, s, d in
-                zip(h_conv[keep], h_score[keep], h_doc[keep])}
-
-    def expand_partial(self, query: Query, df_map: dict[str, int],
-                       conv_ids: list[str], exclude_docs: list[int],
-                       per_group: int) -> dict[str, list]:
-        """ExpandComponent partial: per requested conversation, the
-        group's top ``per_group`` other matching docs — bounded by
-        |convs| * per_group, never the hit set."""
-        convs, docs, scores = self._conv_hits(query, df_map)
-        keep = np.isin(convs, conv_ids) & ~np.isin(docs, exclude_docs)
-        convs, docs, scores = convs[keep], docs[keep], scores[keep]
-        order = np.lexsort((docs, -scores, convs))
-        out: dict[str, list] = {}
-        for i in order:
-            rows = out.setdefault(str(convs[i]), [])
-            if len(rows) < per_group:
-                rows.append((int(docs[i]), float(scores[i])))
-        return out
-
-    # --- function boosts ---
-    def _boost_column(self, f: str, docs: np.ndarray,
-                      ord_uniques: dict) -> np.ndarray:
-        """One per-hit float64 input column of a bound boost AST."""
-        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
-                                             NORM_PSEUDO_FIELD,
-                                             ORD_PSEUDO_PREFIX,
-                                             RORD_PSEUDO_PREFIX,
-                                             TF_PSEUDO_PREFIX)
-        from ..util.smallfloat import NORM_TABLE
-
-        sh = self.segment
-        if f == NORM_PSEUDO_FIELD:
-            return NORM_TABLE[sh.norms[docs - sh.base]].astype(np.float64)
-        if f.startswith(TF_PSEUDO_PREFIX):
-            return sh.local_termfreq(f[len(TF_PSEUDO_PREFIX):], docs)
-        if f.startswith(EXISTS_PSEUDO_PREFIX):
-            vals = sh.docvalues_local(f[len(EXISTS_PSEUDO_PREFIX):], docs)
-            return (vals != None).astype(np.float64)  # noqa: E711
-        for pref, rev in ((ORD_PSEUDO_PREFIX, False),
-                          (RORD_PSEUDO_PREFIX, True)):
-            if f.startswith(pref):
-                from .features import picked_ordinals
-
-                name = f[len(pref):]
-                return picked_ordinals(sh.docvalues_local(name, docs),
-                                       ord_uniques.get(name, []), rev)
-        # missing doc values evaluate as 0 (FunctionScoreQuery)
-        return np.asarray([0.0 if x is None else x
-                           for x in sh.docvalues_local(f, docs)],
-                          dtype=np.float64)
-
-    def boosted_partial(self, query: Query, df_map: dict[str, int], ast,
-                        k: int, mode: str = "multiply",
-                        ord_uniques: dict | None = None
-                        ) -> list[tuple[int, float]]:
-        """Group top-k of BM25 * f(doc) (``mode="add"``: BM25 + f(doc)),
-        with ``ast`` a boost expression already bound to the global index
-        statistics. The boost is per-doc, so a group top-k is exact under
-        the global merge."""
-        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX, Field,
-                                             Func, eval_expr)
-
-        def fields_of(node) -> set[str]:
-            if isinstance(node, Field):
-                return {node.name}
-            if isinstance(node, Func):
-                return set().union(*map(fields_of, node.args))
-            return set()
-
-        fields = sorted(fields_of(ast))
-        for f in fields:
-            # def(f, d) lowers to if(exists(f), f, d): an unindexed f
-            # evaluates as 0 under exists()=0, not an error
-            if not f.startswith("__") and EXISTS_PSEUDO_PREFIX + f \
-                    not in fields:
-                self._require(f)
-        docs, scores = self._hits(query, df_map)
-        if len(docs) == 0:
-            return []
-        cols = {f: pa.array(self._boost_column(f, docs, ord_uniques or {}),
-                            type=pa.float64()) for f in fields}
-        boost = eval_expr(ast, pa.table(
-            cols or {"__d": pa.array(np.zeros(len(docs)))}))
-        boost_np = (np.full(len(docs), boost.as_py())
-                    if isinstance(boost, pa.Scalar)
-                    else boost.to_numpy(zero_copy_only=False))
-        final = (scores.astype(np.float64) + boost_np if mode == "add"
-                 else scores.astype(np.float64) * boost_np)
-        order = np.lexsort((docs, -final))[:k]
-        return [(int(docs[i]) + self.base, float(final[i])) for i in order]
-
-    # --- term dictionary ---
-    def terms_partial(self, prefix: str, regex: str | None,
-                      limit: int | None = None, sort: str = "count"
-                      ) -> dict[str, int]:
-        """Matching terms with the group's docFreq (TermsComponent shard
-        response). The prefix slice is a bisect range over the segment's
-        sorted term dict. An unfiltered enumeration ships at most
-        ``limit`` terms: the lexicographic first-N for sort=index (exact:
-        a term in the global first-N precedes fewer than N terms, so it
-        is inside every holding group's first-N), the group's top-N by df
-        for sort=count (the coordinator refines candidate counts to exact
-        from its term table; like Solr's distributed TermsComponent, a
-        term below every group's overfetched cut can be missed)."""
-        import re
-        from bisect import bisect_left
-
-        bounded = limit is not None and not prefix and regex is None
-        if bounded and sort == "count":
-            top = self.term_table().sort_by(
-                [("df", "descending"), ("term", "ascending")])[:limit]
-            return dict(zip(top.column("term").to_pylist(),
-                            top.column("df").to_pylist()))
-        rx = re.compile(regex) if regex else None
-        seg = self.segment
-        seq = seg._terms.seq()
-        lo = bisect_left(seq, prefix) if prefix else 0
-        hi = bisect_left(seq, prefix + chr(0x10FFFF)) if prefix \
-            else len(seq)
-        if bounded:  # sort=index: the group's first-N
-            hi = min(hi, limit)
-        terms = seg._terms._arr.slice(lo, hi - lo).to_pylist()
-        return {t: int(d) for t, d in
-                zip(terms, np.diff(seg._term_docs[lo:hi + 1]))
-                if rx is None or rx.fullmatch(t)}
-
-    def _expanded_df(self, mtq, skip: str | None = None) -> dict[str, int]:
-        from .query import expand_multi_term
-
-        seg = self.segment
-        return {t: len(seg._postings(t)[0])
-                for t in expand_multi_term(mtq, seg._terms.seq())
-                if t != skip}
-
-    def spellcheck_partial(self, term: str, max_edits: int
-                           ) -> dict[str, int]:
-        """Fuzzy-expanded candidates with the group's docFreq (the
-        SpellCheckComponent shard response)."""
-        from .query import FuzzyQuery
-
-        return self._expanded_df(FuzzyQuery(term=term, max_edits=max_edits),
-                                 skip=term)
-
-    def suggest_partial(self, prefix: str) -> dict[str, int]:
-        from .query import PrefixQuery
-
-        return self._expanded_df(PrefixQuery(prefix=prefix))
-
-
-#: ``ShardGroup`` as a Ray actor; every method is read-only, so a call
+#: ``ShardSearcher`` as a Ray actor; every method is read-only, so a call
 #: interrupted by the actor's death is safely re-run on the restarted actor
-SearchActor = ray.remote(max_restarts=ACTOR_MAX_RESTARTS,
-                         max_task_retries=ACTOR_MAX_TASK_RETRIES)(ShardGroup)
+SearchActor = ray.remote(
+    max_restarts=ACTOR_MAX_RESTARTS,
+    max_task_retries=ACTOR_MAX_TASK_RETRIES)(ShardSearcher)
 
 
 def _prunable(q: Query) -> bool:
@@ -532,7 +137,7 @@ def _prunable(q: Query) -> bool:
 
 class SearchCoordinator:
     """The query methods, over a list of shard groups (in-process
-    ``ShardGroup``s or ``SearchActor`` handles).
+    ``ShardSearcher``s or ``SearchActor`` handles).
 
     ``indexes`` lists (index_dir, doc base, DocValues) per index, in doc
     base order. At open the coordinator sums the groups' term tables into
@@ -988,7 +593,7 @@ class SearchCoordinator:
         if len(cols) == 1 or all(c is None for c in cols):
             return cols[0]
         return np.concatenate([
-            np.full(dv.num_docs, None, dtype=object) if c is None else c
+            np.full(len(dv.docs), None, dtype=object) if c is None else c
             for c, (_, _, dv) in zip(cols, self.indexes)])
 
     def docmap(self) -> np.ndarray:
@@ -1004,7 +609,8 @@ class SearchCoordinator:
 
         keys = {}
         for index_dir, base, dv in self.indexes:
-            ids = [d - base for d, _ in hits if base <= d < base + dv.num_docs]
+            ids = [d - base for d, _ in hits
+                   if base <= d < base + len(dv.docs)]
             if not ids:
                 continue
             t = pads.dataset(str(Path(index_dir) / "norms"), format="parquet",
@@ -1039,7 +645,7 @@ class SearchCoordinator:
         for index_dir, base, dv in self.indexes:
             p = Path(index_dir) / "offsets"
             want = sorted({int(d) - base for d in doc_ids
-                           if 0 <= int(d) - base < dv.num_docs})
+                           if 0 <= int(d) - base < len(dv.docs)})
             if not want or not p.exists():
                 continue
             # prune at the directory level first (doc ranges map to shard
@@ -1084,13 +690,12 @@ class IndexSearcher(SearchCoordinator):
 
     def __init__(self, index_dir: str, similarity="bm25"):
         manifest = _read_manifest(index_dir)
-        shard_ids = _shard_ids(manifest)
-        group = ShardGroup(str(index_dir), shard_ids, manifest, similarity)
-        super().__init__(manifest, [(str(index_dir), 0, group.docvalues)],
-                         [group])
+        seg = ShardSearcher(str(index_dir), _shard_ids(manifest), manifest,
+                            similarity)
+        super().__init__(manifest, [(str(index_dir), 0, seg.docvalues)],
+                         [seg])
         self.index_dir = str(index_dir)
-        self.segment = group.segment
-        self._docvalue_cache = group.docvalues.cache
+        self.segment = seg
 
 
 class MultiIndexSearcher(SearchCoordinator):
@@ -1125,10 +730,9 @@ class MultiIndexSearcher(SearchCoordinator):
                     "avgdl": float(bm25.avg_field_length(ttf, max(dc, 1)))}
         indexes, groups, base = [], [], 0
         for d, m in zip(index_dirs, manifests):
-            sids = _shard_ids(m)
-            g = ShardGroup(str(d), sids,
-                           {**m, "stats": {**m["stats"], **combined}},
-                           similarity, base)
+            g = ShardSearcher(str(d), _shard_ids(m),
+                              {**m, "stats": {**m["stats"], **combined}},
+                              similarity, base)
             indexes.append((str(d), base, g.docvalues))
             groups.append(g)
             base += int(m["stats"]["num_docs"])
@@ -1158,7 +762,7 @@ class DistributedSearcher(SearchCoordinator):
         try:
             super().__init__(
                 manifest, [(self.index_dir, 0, DocValues(
-                    self.index_dir, manifest["stats"]["num_docs"]))],
+                    self.index_dir, range(manifest["stats"]["num_docs"])))],
                 self.actors)
         except Exception:  # the term-table call failed: free the actors
             for a in self.actors:

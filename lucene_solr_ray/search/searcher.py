@@ -1,15 +1,20 @@
 """Shard-level query engine over the sharded segment layout.
 
-- ``ShardSearcher``: in-process search over one segment, the contiguous
-  doc-shards of a shard group merged at open (their term tables decoded
-  once into resident doc/freq/position columns, norms, and one sorted
-  term dictionary over their union vocabulary — the stand-in for the FST
-  term dictionary, BlockTreeTermsWriter.java:174-189). Scoring is vectorized
-  float32 BM25 (SURVEY.md §3.2) using *global* term statistics supplied by
-  the coordinator (Solr ExactStatsCache analog — required for
-  rank-identity with a single-node index).
-- ``DocValues``: the per-field doc-value columns of one index, loaded on
-  first use and shared by the shard searchers that read them.
+- ``ShardSearcher``: one segment, the unit of scatter: a run of
+  contiguous doc-shards merged at open (their term tables decoded once
+  into resident doc/freq/position columns, norms, and one sorted term
+  dictionary over their union vocabulary — the stand-in for the FST term
+  dictionary, BlockTreeTermsWriter.java:174-189). It holds one doc base,
+  the coordinator id of its first doc, so doc ids enter and leave it as
+  coordinator ids. Besides scoring it answers every per-segment call of
+  the coordinator (``actors.SearchCoordinator``): the term table, one
+  top-k per query, explain, term vectors and the ``*_partial``
+  aggregates. Scoring is vectorized float32 BM25 (SURVEY.md §3.2) using
+  *global* term statistics supplied by the coordinator (Solr
+  ExactStatsCache analog — required for rank-identity with a single-node
+  index).
+- ``DocValues``: the per-field doc-value columns of a doc range of one
+  index, loaded on first use.
 - ``IndexSearcher`` / ``MultiIndexSearcher``: the in-process constructors
   of the one query coordinator, defined in ``actors.py`` beside
   ``DistributedSearcher`` and importable from here.
@@ -27,6 +32,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..index import segment
@@ -42,61 +48,22 @@ from .query import (
 )
 
 
-class _Rev:
-    """Descending-order wrapper for non-numeric sort keys. Compares
-    smaller-than the missing-value sentinel (missing sorts last in either
-    direction)."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        if isinstance(other, _MissingLast):
-            return True
-        return other.v < self.v
-
-    def __eq__(self, other):
-        return isinstance(other, _Rev) and self.v == other.v
-
-
-class _MissingLast:
-    """Sentinel for docs without the sort field: sorts after every real
-    value in either direction (TopFieldCollector missingValue, pinned to
-    sort-missing-last)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return not isinstance(other, _MissingLast)
-
-    def __eq__(self, other):
-        return isinstance(other, _MissingLast)
-
-
-_MISSING_LAST = _MissingLast()
-
-
-def _merge_sort_key(hit, sort):
-    """Driver-side merge key for field-sorted shard hits
-    (TopFieldCollector merge: field values, tie -> lower doc_id).
-    Docs missing the field sort last in either direction."""
-    doc_id, _, keys = hit
-    out = []
-    for (fld, desc), v in zip(sort, keys):
-        if v is None:
-            out.append(_MISSING_LAST)
-        elif desc:
-            out.append(-v if isinstance(v, (int, float, np.integer,
-                                            np.floating)) else _Rev(v))
-        else:
-            out.append(v)
-    out.append(doc_id)
-    return tuple(out)
+def _sort_key(vals: np.ndarray, desc: bool) -> np.ndarray:
+    """float64 lexsort key of one sort field's doc values (strings by
+    rank); missing values sort last in either direction (TopFieldCollector
+    missingValue, pinned to sort-missing-last). Ranks a segment's matches
+    and the coordinator's merge of the segments' top-k alike."""
+    missing = vals == None  # noqa: E711 — elementwise object cmp
+    filled = vals.copy()
+    filled[missing] = 0.0
+    try:
+        key = filled.astype(np.float64)
+    except (TypeError, ValueError):
+        _, inv = np.unique(filled.astype(str), return_inverse=True)
+        key = inv.astype(np.float64)
+    key = -key if desc else key
+    key[missing] = np.inf
+    return key
 
 
 def collect_terms(q: Query) -> set[str]:
@@ -249,16 +216,16 @@ class _TermSeq:
 
 
 class DocValues:
-    """Doc-value columns of one index, indexed by doc_id and read on
-    first use (the doc-values analog; values live in the norms
-    partitions). ``shard_ids`` limits the read to those shards' partitions
-    (other docs read as missing). A field the index does not carry has
-    column ``None``."""
+    """Doc-value columns of the index docs ``docs`` (a range of index doc
+    ids), read on first use (the doc-values analog; values live in the
+    norms partitions) and indexed by ``doc_id - docs.start``.
+    ``shard_ids`` limits the read to those shards' partitions. A field
+    the index does not carry has column ``None``."""
 
-    def __init__(self, index_dir: str, num_docs: int,
+    def __init__(self, index_dir: str, docs: range,
                  shard_ids: list[int] | None = None):
         self.index_dir = str(index_dir)
-        self.num_docs = int(num_docs)
+        self.docs = docs
         self.shard_ids = shard_ids
         self.cache: dict[str, np.ndarray | None] = {}
 
@@ -275,22 +242,28 @@ class DocValues:
                     flt = (None if self.shard_ids is None else
                            pads.field("doc_shard").isin(self.shard_ids))
                     t = dset.to_table(columns=["doc_id", field], filter=flt)
-                    col = np.empty(self.num_docs, dtype=object)
-                    col[t.column("doc_id").to_numpy(zero_copy_only=False)] \
-                        = np.asarray(t.column(field).to_pylist(), dtype=object)
+                    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+                    col = np.empty(len(self.docs), dtype=object)
+                    col[ids - self.docs.start] = np.asarray(
+                        t.column(field).to_pylist(), dtype=object)
             self.cache[field] = col
         return self.cache[field]
 
 
 class ShardSearcher:
-    """Search over one segment: a run of contiguous shards merged at open
-    into one doc range ``[base, base + size)`` (a leaf slice of Lucene's
-    IndexSearcher), its postings/norms held in memory, decoded once
-    (DirectPostingsFormat's trade: memory for no per-query decode)."""
+    """One segment, the unit of scatter: a run of contiguous shards merged
+    at open into one doc range ``[base, base + size)`` (a leaf of Lucene's
+    IndexSearcher at its docBase), its postings/norms held in memory,
+    decoded once (DirectPostingsFormat's trade: memory for no per-query
+    decode). ``doc_base`` is the coordinator id of the index's doc 0 (a
+    ``MultiIndexSearcher`` sub-index's offset), so ``base`` is the
+    coordinator id of the segment's first doc: doc ids enter and leave
+    every method as coordinator ids. It runs in-process or as the Ray
+    actor ``actors.SearchActor``."""
 
     def __init__(self, index_dir: str, shard_ids: list[int],
                  manifest: dict | None = None, similarity: str = "bm25",
-                 docvalues: DocValues | None = None):
+                 doc_base: int = 0):
         index_path = Path(index_dir)
         if manifest is None:
             manifest = json.loads((index_path / "manifest.json").read_text())
@@ -300,16 +273,15 @@ class ShardSearcher:
         stats = manifest["stats"]
         dps = params["docs_per_shard"]
         self._codec = params.get("postings_codec", "varint")
-        first, last = (self.shard_ids[0], self.shard_ids[-1]) \
-            if self.shard_ids else (0, -1)
-        self.base = first * dps
-        self.size = (last + 1 - first) * dps
+        # the segment's index doc ids, clamped to the index's real docs
+        first = self.shard_ids[0] * dps if self.shard_ids else 0
+        end = (self.shard_ids[-1] + 1) * dps if self.shard_ids else 0
+        docs = range(first, max(first, min(end, stats["num_docs"])))
+        self.base = int(doc_base) + first
+        self.size = len(docs)
         self.doc_count = stats["doc_count"]
-        self.num_docs_total = stats["num_docs"]
-        self.docvalues = docvalues or DocValues(
-            index_dir, self.num_docs_total, self.shard_ids)
+        self.docvalues = DocValues(index_dir, docs, self.shard_ids)
         self.avgdl = np.float32(stats["avgdl"])
-        self.cache = bm25.norm_cache(self.avgdl)
         # query-time pluggable scoring (Similarity SPI: IndexSearcher.
         # setSimilarity). A callable acts as a factory (avgdl -> sim) for
         # similarities with custom parameters (e.g. SweetSpotSim settings).
@@ -321,7 +293,7 @@ class ShardSearcher:
         held = [sid for sid, f in files.items() if f.exists()]
         terms, *cols = segment.decode_segment(
             [pq.read_table(files[sid]) for sid in held],
-            [sid * dps for sid in held], self._codec)
+            [int(doc_base) + sid * dps for sid in held], self._codec)
         self._terms = _TermDict(terms)
         # term i: _docs/_freqs[_term_docs[i]:_term_docs[i + 1]],
         # _flat_pos[_term_pos[i]:_term_pos[i + 1]]
@@ -340,11 +312,10 @@ class ShardSearcher:
         if deletes_file.exists():
             dels = np.asarray(json.loads(deletes_file.read_text())["doc_ids"],
                               dtype=np.int64)
-            local = dels[(dels >= self.base)
-                         & (dels < self.base + self.size)]
+            local = dels[(dels >= first) & (dels < first + self.size)]
             if len(local):
                 self._deleted = np.zeros(self.size, dtype=bool)
-                self._deleted[local - self.base] = True
+                self._deleted[local - first] = True
 
         # Heal a crashed atomic-update partition swap BEFORE loading
         # norms: a .dvold-* aside with a missing live partition would
@@ -363,8 +334,11 @@ class ShardSearcher:
                 nt = pq.read_table(norms_part,
                                    columns=["doc_id", "norm_byte"])
                 ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-                self.norms[ids - self.base] = nt.column(
+                self.norms[ids - first] = nt.column(
                     "norm_byte").to_numpy(zero_copy_only=False)
+
+    def _holds(self, doc_id: int) -> bool:
+        return self.base <= doc_id < self.base + self.size
 
     def explain(self, q: Query, doc_id: int,
                 df_map: dict[str, int]) -> dict | None:
@@ -374,7 +348,10 @@ class ShardSearcher:
         (BM25Similarity.explainScore); composite nodes explain as the
         sum/max structure their scorer uses. Non-decomposable scorers
         (phrases, spans, rewrites) report their computed value with a
-        one-line description."""
+        one-line description. Also None when the doc is not this
+        segment's: the coordinator asks every segment."""
+        if not self._holds(doc_id):
+            return None
         docs, scores = self._score_clause(q, df_map)
         i = int(np.searchsorted(docs, doc_id))
         if i >= len(docs) or docs[i] != doc_id:
@@ -439,7 +416,7 @@ class ShardSearcher:
         col = self.docvalues.column(field)
         if col is None:
             return np.full(len(docs), None, dtype=object)
-        return col[docs]
+        return col[docs - self.base]
 
     def boundary_convs(self) -> list[str]:
         """conv_id of this segment's first and last doc — the only
@@ -449,8 +426,8 @@ class ShardSearcher:
         these two can have turns in a neighbouring segment. Used by the
         bounded conv/collapse partials (actors.py) to ship split
         conversations unconditionally."""
-        arr = self.docvalues_local("conv_id", np.arange(
-            self.base, min(self.base + self.size, self.num_docs_total)))
+        arr = self.docvalues_local("conv_id",
+                                   self.base + np.arange(self.size))
         present = np.flatnonzero(arr != None)  # noqa: E711
         if len(present) == 0:
             return []
@@ -786,10 +763,7 @@ class ShardSearcher:
         from .query import MatchAllDocsQuery
 
         if isinstance(q, MatchAllDocsQuery):
-            # norms spans whole shards; clamp to real docs
-            n = min(len(self.norms),
-                    max(0, self.num_docs_total - self.base))
-            docs = self.base + np.arange(n, dtype=np.int64)
+            docs = self.base + np.arange(self.size, dtype=np.int64)
             return self._live(docs, np.full(len(docs), np.float32(q.boost),
                                             dtype=np.float32))
         from .query import (ConstantScoreQuery, DisMaxQuery, SpanFirstQuery,
@@ -998,13 +972,13 @@ class ShardSearcher:
 
     def search(self, query: Query, df_map: dict[str, int],
                filter_range=None, after: tuple[float, int] | None = None):
-        """This shard's matches ``(docs, scores)`` in doc order, before
+        """The segment's matches ``(docs, scores)`` in doc order, before
         any ranking. ``filter_range`` = {field: (lo, hi)} intersects them
         with inclusive docvalue ranges (IntPoint / PointRangeQuery
         analog); ``after`` = (score, doc_id) keeps only the hits strictly
         after that cursor in (score desc, doc asc) order
-        (IndexSearcher.searchAfter / cursorMark). The group ranks the
-        matches of all its shards at once (``ShardGroup.search_batch``)."""
+        (IndexSearcher.searchAfter / cursorMark). ``search_batch`` ranks
+        them."""
         docs, scores = self._score_clause(query, df_map)
         if filter_range:
             docs, scores = self._apply_filter(docs, scores, filter_range)
@@ -1015,6 +989,342 @@ class ShardSearcher:
             keep = (s32 < a_score) | ((s32 == a_score) & (docs > a_doc))
             docs, scores = docs[keep], scores[keep]
         return docs, scores
+
+    # --- the coordinator's calls: one scatter each ---
+    def _require(self, field: str) -> None:
+        if self.docvalues.column(field) is None:
+            raise KeyError(f"field {field!r} was not indexed as a doc value")
+
+    def term_table(self) -> pa.Table:
+        """(term, df, ttf) of every term the segment holds: its part of
+        the coordinator's term table."""
+        return pa.table({
+            "term": self._terms._arr,
+            "df": pa.array(np.diff(self._term_docs), type=pa.int64()),
+            "ttf": pa.array(np.diff(self._term_pos), type=pa.int64())})
+
+    def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
+        """Distinct non-null values per field — partials the coordinator
+        merges into the global ordinal table for ord()/rord()."""
+        out = {}
+        for f in fields:
+            col = self.docvalues.column(f)
+            out[f] = [] if col is None else sorted(
+                {x for x in col if x is not None})
+        return out
+
+    def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
+                     k: int, sort=None, filter_range=None, after=None
+                     ) -> list[list[tuple]]:
+        """Per query, the segment's top-k: (doc, score) by (score desc,
+        doc asc), or (doc, score, sort values) by ``sort``."""
+        results = []
+        for q, df_map in zip(queries, df_maps):
+            docs, scores = self.search(
+                q, df_map, filter_range=filter_range, after=after)
+            results.append(self._top_k(
+                docs, scores.astype(np.float32, copy=False), k, sort))
+        return results
+
+    def _top_k(self, docs: np.ndarray, scores: np.ndarray, k: int,
+               sort) -> list[tuple]:
+        if sort:
+            vals = [self.docvalues_local(fld, docs) for fld, _ in sort]
+            order = np.lexsort(tuple(
+                [docs] + [_sort_key(v, desc)
+                          for v, (_, desc) in zip(vals, sort)][::-1]))[:k]
+            return [(int(docs[i]), float(scores[i]),
+                     tuple(v[i] for v in vals)) for i in order]
+        if len(docs) > k:
+            # partial selection; keep every doc tied with the k-th score so
+            # the lower-doc_id tie-break stays exact, then sort the slice
+            kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+            cand = scores >= kth
+            docs, scores = docs[cand], scores[cand]
+        order = np.lexsort((docs, -scores))[:k]
+        return [(int(docs[i]), float(scores[i])) for i in order]
+
+    def term_vectors(self, doc_ids: list[int]) -> dict[int, list]:
+        return {int(d): self.term_vector(int(d)) for d in doc_ids
+                if self._holds(d)}
+
+    def hits_partial(self, query: Query, df_map: dict[str, int]):
+        """(docs, scores) of every matching doc."""
+        return self._score_clause(query, df_map)
+
+    def scores_for_docs(self, query: Query, df_map: dict[str, int],
+                        doc_ids: list[int]) -> dict[int, float]:
+        """Scores of the given docs that match ``query``: only the
+        requested docs ship (rerank second pass, elevation)."""
+        docs, scores = self._score_clause(query, df_map)
+        mask = np.isin(docs, np.asarray(doc_ids, dtype=np.int64))
+        return {int(d): float(s) for d, s in zip(docs[mask], scores[mask])}
+
+    # --- counts ---
+    def count_partial(self, query: Query, df_map: dict[str, int]) -> int:
+        return len(self._score_clause(query, df_map)[0])
+
+    def query_counts(self, queries: list[Query],
+                     df_maps: list[dict[str, int]]) -> list[int]:
+        """facet.query partials: hit count per sub-query."""
+        return [self.count_partial(q, df) for q, df in zip(queries, df_maps)]
+
+    # --- facets and stats over the full hit set ---
+    def facet_partial(self, query: Query, df_map: dict[str, int],
+                      field: str):
+        """(uniq:str-array, counts:int64-array) of ``field`` over the
+        segment's hits. Merging is np.unique over concatenated arrays,
+        never a per-value dict loop, so a high-cardinality field stays
+        vectorized end to end."""
+        self._require(field)
+        vals = self.docvalues_local(field,
+                                    self._score_clause(query, df_map)[0])
+        vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
+        if not len(vals):
+            return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
+        uniq, counts = np.unique(vals.astype(str), return_counts=True)
+        return uniq, counts.astype(np.int64)
+
+    def _numeric_hits(self, query: Query, df_map: dict[str, int],
+                      field: str):
+        """(values of the hits present as float64, number of hits missing
+        the field)."""
+        self._require(field)
+        vals = self.docvalues_local(field,
+                                    self._score_clause(query, df_map)[0])
+        v = np.asarray([x for x in vals if x is not None], dtype=np.float64)
+        return v, len(vals) - len(v)
+
+    def stats_partial(self, query: Query, df_map: dict[str, int],
+                      field: str) -> tuple:
+        """(count, min, max, sum, sumsq, missing) of a docvalue over the
+        full hit set (StatsValuesFactory accumulator shape)."""
+        v, missing = self._numeric_hits(query, df_map, field)
+        if len(v) == 0:
+            return 0, None, None, 0.0, 0.0, missing
+        return (len(v), float(v.min()), float(v.max()), float(v.sum()),
+                float((v * v).sum()), missing)
+
+    def range_facet_partial(self, query: Query, df_map: dict[str, int],
+                            field: str, start: float, end: float,
+                            gap: float, hardend: bool) -> list[int]:
+        """Range-facet bucket counts over the segment's hits (one
+        bincount; layout matches pipelines.relational.range_facet: n
+        buckets then before/after/between)."""
+        n_buckets = int(np.ceil((end - start) / gap))
+        actual_end = end if hardend else start + n_buckets * gap
+        v, _ = self._numeric_hits(query, df_map, field)
+        below = v < start
+        above = v >= actual_end
+        mid = ~(below | above)
+        idx = np.floor((v[mid] - start) / gap).astype(np.int64)
+        np.clip(idx, 0, n_buckets - 1, out=idx)
+        return np.bincount(idx, minlength=n_buckets).tolist() + [
+            int(below.sum()), int(above.sum()), int(mid.sum())]
+
+    # --- block join, collapse, expand ---
+    def _conv_hits(self, query: Query, df_map: dict[str, int]):
+        """(conv_ids:str, docs, float32 scores) over the segment's hits."""
+        d, s = self._score_clause(query, df_map)
+        return (self.docvalues_local("conv_id", d).astype(str), d,
+                s.astype(np.float32))
+
+    def _bounded(self, convs: np.ndarray, scores: np.ndarray,
+                 limit: int | None) -> np.ndarray:
+        """Keep-mask: the top-``limit`` entries by score, tie-inclusive at
+        the cut, plus the segment's edge conversations."""
+        keep = np.ones(len(convs), dtype=bool)
+        if limit is not None and len(convs) > limit:
+            keep = scores >= np.partition(scores, -limit)[-limit]
+            keep |= np.isin(convs, self.boundary_convs())
+        return keep
+
+    def conv_partial(self, query: Query, df_map: dict[str, int],
+                     score_mode: str, limit: int | None = None
+                     ) -> dict[str, float]:
+        """Per-conversation aggregated turn scores over the segment's FULL
+        hit set (numpy np.unique + ufunc.at, float64). With ``limit`` the
+        partial is bounded: the local top-``limit`` conversations plus
+        every segment-boundary conversation. This is exact for the global
+        top-k merge: BM25 scores are positive, so global agg >= any local
+        agg; a non-boundary conversation lives entirely in one segment
+        (local agg == global agg), and if it belongs to the global top-k
+        then fewer than k conversations in its own segment can locally
+        outrank it — so it is inside the local top-k cut. Split
+        (boundary) conversations ship unconditionally and merge exactly.
+        Mirrors QueryComponent.java:746-766's bounded scatter/gather."""
+        if score_mode not in ("max", "total"):
+            raise ValueError(score_mode)
+        convs, _, scores = self._conv_hits(query, df_map)
+        uniq, inv = np.unique(convs, return_inverse=True)
+        if score_mode == "max":
+            agg = np.full(len(uniq), -np.inf)
+            np.maximum.at(agg, inv, scores.astype(np.float64))
+        else:
+            agg = np.zeros(len(uniq))
+            np.add.at(agg, inv, scores.astype(np.float64))
+        keep = self._bounded(uniq, agg, limit)
+        return dict(zip(uniq[keep].tolist(), agg[keep].tolist()))
+
+    def collapse_partial(self, query: Query, df_map: dict[str, int],
+                         limit: int | None = None
+                         ) -> dict[str, tuple[float, int]]:
+        """Per-conversation best (score, doc) head, lower doc on ties
+        (CollapsingQParserPlugin). With ``limit``: the local top-``limit``
+        heads, score-tie-inclusive at the cut, plus segment-boundary
+        conversations — exact for the global top-k merge by the same
+        argument as conv_partial (the head merge is a max)."""
+        convs, docs, scores = self._conv_hits(query, df_map)
+        order = np.lexsort((docs, -scores, convs))
+        convs_s = convs[order]
+        head = np.concatenate(([True], convs_s[1:] != convs_s[:-1])) \
+            if len(order) else np.empty(0, dtype=bool)
+        hidx = order[head]  # one best (score desc, doc asc) row per conv
+        h_conv, h_doc, h_score = convs[hidx], docs[hidx], scores[hidx]
+        keep = self._bounded(h_conv, h_score, limit)
+        return {c: (float(s), int(d)) for c, s, d in
+                zip(h_conv[keep], h_score[keep], h_doc[keep])}
+
+    def expand_partial(self, query: Query, df_map: dict[str, int],
+                       conv_ids: list[str], exclude_docs: list[int],
+                       per_group: int) -> dict[str, list]:
+        """ExpandComponent partial: per requested conversation, the
+        segment's top ``per_group`` other matching docs — bounded by
+        |convs| * per_group, never the hit set."""
+        convs, docs, scores = self._conv_hits(query, df_map)
+        keep = np.isin(convs, conv_ids) & ~np.isin(docs, exclude_docs)
+        convs, docs, scores = convs[keep], docs[keep], scores[keep]
+        order = np.lexsort((docs, -scores, convs))
+        out: dict[str, list] = {}
+        for i in order:
+            rows = out.setdefault(str(convs[i]), [])
+            if len(rows) < per_group:
+                rows.append((int(docs[i]), float(scores[i])))
+        return out
+
+    # --- function boosts ---
+    def _boost_column(self, f: str, docs: np.ndarray,
+                      ord_uniques: dict) -> np.ndarray:
+        """One per-hit float64 input column of a bound boost AST."""
+        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
+                                             NORM_PSEUDO_FIELD,
+                                             ORD_PSEUDO_PREFIX,
+                                             RORD_PSEUDO_PREFIX,
+                                             TF_PSEUDO_PREFIX)
+        from ..util.smallfloat import NORM_TABLE
+
+        if f == NORM_PSEUDO_FIELD:
+            return NORM_TABLE[self.norms[docs - self.base]].astype(np.float64)
+        if f.startswith(TF_PSEUDO_PREFIX):
+            return self.local_termfreq(f[len(TF_PSEUDO_PREFIX):], docs)
+        if f.startswith(EXISTS_PSEUDO_PREFIX):
+            vals = self.docvalues_local(f[len(EXISTS_PSEUDO_PREFIX):], docs)
+            return (vals != None).astype(np.float64)  # noqa: E711
+        for pref, rev in ((ORD_PSEUDO_PREFIX, False),
+                          (RORD_PSEUDO_PREFIX, True)):
+            if f.startswith(pref):
+                from .features import picked_ordinals
+
+                name = f[len(pref):]
+                return picked_ordinals(self.docvalues_local(name, docs),
+                                       ord_uniques.get(name, []), rev)
+        # missing doc values evaluate as 0 (FunctionScoreQuery)
+        return np.asarray([0.0 if x is None else x
+                           for x in self.docvalues_local(f, docs)],
+                          dtype=np.float64)
+
+    def boosted_partial(self, query: Query, df_map: dict[str, int], ast,
+                        k: int, mode: str = "multiply",
+                        ord_uniques: dict | None = None
+                        ) -> list[tuple[int, float]]:
+        """Segment top-k of BM25 * f(doc) (``mode="add"``: BM25 + f(doc)),
+        with ``ast`` a boost expression already bound to the global index
+        statistics. The boost is per-doc, so a segment top-k is exact
+        under the global merge."""
+        from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX, Field,
+                                             Func, eval_expr)
+
+        def fields_of(node) -> set[str]:
+            if isinstance(node, Field):
+                return {node.name}
+            if isinstance(node, Func):
+                return set().union(*map(fields_of, node.args))
+            return set()
+
+        fields = sorted(fields_of(ast))
+        for f in fields:
+            # def(f, d) lowers to if(exists(f), f, d): an unindexed f
+            # evaluates as 0 under exists()=0, not an error
+            if not f.startswith("__") and EXISTS_PSEUDO_PREFIX + f \
+                    not in fields:
+                self._require(f)
+        docs, scores = self._score_clause(query, df_map)
+        if len(docs) == 0:
+            return []
+        cols = {f: pa.array(self._boost_column(f, docs, ord_uniques or {}),
+                            type=pa.float64()) for f in fields}
+        boost = eval_expr(ast, pa.table(
+            cols or {"__d": pa.array(np.zeros(len(docs)))}))
+        boost_np = (np.full(len(docs), boost.as_py())
+                    if isinstance(boost, pa.Scalar)
+                    else boost.to_numpy(zero_copy_only=False))
+        final = (scores.astype(np.float64) + boost_np if mode == "add"
+                 else scores.astype(np.float64) * boost_np)
+        order = np.lexsort((docs, -final))[:k]
+        return [(int(docs[i]), float(final[i])) for i in order]
+
+    # --- term dictionary ---
+    def terms_partial(self, prefix: str, regex: str | None,
+                      limit: int | None = None, sort: str = "count"
+                      ) -> dict[str, int]:
+        """Matching terms with the segment's docFreq (TermsComponent shard
+        response). The prefix slice is a bisect range over the sorted term
+        dict. An unfiltered enumeration ships at most ``limit`` terms: the
+        lexicographic first-N for sort=index (exact: a term in the global
+        first-N precedes fewer than N terms, so it is inside every holding
+        segment's first-N), the segment's top-N by df for sort=count (the
+        coordinator refines candidate counts to exact from its term table;
+        like Solr's distributed TermsComponent, a term below every
+        segment's overfetched cut can be missed)."""
+        import re
+        from bisect import bisect_left
+
+        bounded = limit is not None and not prefix and regex is None
+        if bounded and sort == "count":
+            top = self.term_table().sort_by(
+                [("df", "descending"), ("term", "ascending")])[:limit]
+            return dict(zip(top.column("term").to_pylist(),
+                            top.column("df").to_pylist()))
+        rx = re.compile(regex) if regex else None
+        seq = self._terms.seq()
+        lo = bisect_left(seq, prefix) if prefix else 0
+        hi = bisect_left(seq, prefix + chr(0x10FFFF)) if prefix \
+            else len(seq)
+        if bounded:  # sort=index: the segment's first-N
+            hi = min(hi, limit)
+        terms = self._terms._arr.slice(lo, hi - lo).to_pylist()
+        return {t: int(d) for t, d in
+                zip(terms, np.diff(self._term_docs[lo:hi + 1]))
+                if rx is None or rx.fullmatch(t)}
+
+    def _expanded_df(self, mtq, skip: str | None = None) -> dict[str, int]:
+        return {t: len(self._postings(t)[0])
+                for t in expand_multi_term(mtq, self._terms.seq())
+                if t != skip}
+
+    def spellcheck_partial(self, term: str, max_edits: int
+                           ) -> dict[str, int]:
+        """Fuzzy-expanded candidates with the segment's docFreq (the
+        SpellCheckComponent shard response)."""
+        from .query import FuzzyQuery
+
+        return self._expanded_df(FuzzyQuery(term=term, max_edits=max_edits),
+                                 skip=term)
+
+    def suggest_partial(self, prefix: str) -> dict[str, int]:
+        from .query import PrefixQuery
+
+        return self._expanded_df(PrefixQuery(prefix=prefix))
 
 
 def __getattr__(name):

@@ -66,6 +66,18 @@ OPS = {
         s.boosted_search(q, expr, k=8) for expr in
         ("recip(turn_idx,1,10,10)", "sum(1,termfreq(ray))",
          "sum(ord(turn_idx),norm(text))")],
+    # tool is "" on non-tool turns; no_such_field is missing on every doc
+    "field_sort": lambda s, q: [
+        s.search(q, k=15, sort=srt) for srt in
+        ([("turn_idx", True)], [("role", False), ("turn_idx", True)],
+         [("tool", False)], [("tool", True)], [("no_such_field", False)])],
+    "rerank": lambda s, q: s.rerank(q, "data", k=8, top_n=20),
+    "term_vectors": lambda s, q: s.term_vectors(
+        [d for d, _ in s.search(q, k=5)]),
+    "expand": lambda s, q: s.expand(q, s.collapse(q, k=6), per_group=3),
+    "range_facet": lambda s, q: s.range_facet(q, "turn_idx", 0, 12, 4),
+    "facet_query": lambda s, q: s.facet_query([q, "data", "ray AND tool"]),
+    "all_hits": lambda s, q: [a.tolist() for a in s.all_hits(q)],
 }
 
 

@@ -100,11 +100,11 @@ def test_facet_missing_field_docs_omitted(searcher):
     # blank out the field for half the hit docs
     blanked = docs_hit[::2]
     values[blanked] = None
-    s._docvalue_cache["role"] = values
+    s.segment.docvalues.cache["role"] = values
     try:
         got = dict(s.facet("ray", "role"))
     finally:
-        s._docvalue_cache.pop("role", None)
+        s.segment.docvalues.cache.pop("role", None)
     assert "None" not in got
     assert sum(got.values()) == sum(full.values()) - len(blanked)
 

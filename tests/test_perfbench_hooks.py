@@ -46,3 +46,30 @@ def test_names_the_workloads_import():
 
     assert IndexSearcher is actors.IndexSearcher
     assert callable(build.read_manifest)
+
+
+def test_search_batch_calls_the_wrapped_search_once_per_query(
+        ray_session, tmp_path, monkeypatch):
+    """The tracer counts ``ShardSearcher.search`` calls per query: each
+    segment must score a batch through it, once per query, and the actor
+    class must be ``ShardSearcher`` itself so the wrapper reaches actors."""
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.data.transcripts import generate_transcripts
+
+    pq.write_table(generate_transcripts(40, seed=3), tmp_path / "t.parquet")
+    build.build_index(str(tmp_path / "t.parquet"), str(tmp_path / "idx"),
+                      num_shards=2)
+    s = actors.IndexSearcher(str(tmp_path / "idx"))
+    calls = []
+    search = searcher.ShardSearcher.search
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(searcher.ShardSearcher, "search", counting)
+    hits = s.search_batch(["ray", "data OR index", '"ray data"'], k=5)
+    assert len(hits) == 3 and any(hits)
+    assert len(calls) == 3
+    assert actors.SearchActor.__ray_actor_class__ is searcher.ShardSearcher

@@ -356,7 +356,8 @@ def test_search_after_rejects_field_sort(indexed):
 
 def test_field_sort_desc_string_with_missing(ray_session, tmp_path):
     """Regression: descending sort on a STRING docvalue with missing
-    values crashed in the merge (_Rev vs missing sentinel)."""
+    values crashed in the coordinator's merge (a descending string key
+    compared against the missing-value sentinel)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 

@@ -314,8 +314,9 @@ def test_call_deadline_raises_without_partial_result(built, monkeypatch):
     import ray
 
     from lucene_solr_ray.search import actors
+    from lucene_solr_ray.search.searcher import ShardSearcher
 
-    class SlowGroup(actors.ShardGroup):
+    class SlowGroup(ShardSearcher):
         def search_batch(self, *args):
             time.sleep(60)
             return super().search_batch(*args)
