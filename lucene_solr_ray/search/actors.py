@@ -57,8 +57,8 @@ import ray
 
 from .query import (CommonTermsQuery, Query, parse_query,
                     rewrite_common_terms, rewrite_expansions)
-from .searcher import (DocValues, ShardSearcher, _sort_key, _TermDict,
-                       collect_terms)
+from .searcher import (DocValues, ShardSearcher, _sort_key, _sorted_unique,
+                       _TermDict, collect_terms)
 
 # actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
 # call that was in flight on it
@@ -84,7 +84,7 @@ def _top(hits: list[tuple], k: int, sort=None) -> list[tuple]:
     if not sort:
         hits.sort(key=lambda h: (-h[1], h[0]))
         return hits[:k]
-    keys = [_sort_key(np.array([h[2][i] for h in hits], dtype=object), desc)
+    keys = [_sort_key(pa.array([h[2][i] for h in hits]), desc)
             for i, (_, desc) in enumerate(sort)]
     docs = np.array([h[0] for h in hits], dtype=np.int64)
     return [hits[i] for i in np.lexsort([docs] + keys[::-1])[:k]]
@@ -487,11 +487,11 @@ class SearchCoordinator:
         ast = parse_func(boost_expr)
         stats = index_stats(self, stats_terms(ast))
         ofields = sorted(ord_fields(ast))
-        uniques = {}
-        if ofields:
-            per = self._scatter("local_unique_docvalues", ofields)
-            uniques = {f: sorted(set().union(*[p[f] for p in per]))
-                       for f in ofields}
+        per = self._scatter("local_unique_docvalues", ofields) \
+            if ofields else []
+        uniques = {f: _sorted_unique(pa.concat_arrays(parts))
+                   for f in ofields
+                   if (parts := [p[f] for p in per if p[f] is not None])}
         return _top([h for p in self._scatter(
             "boosted_partial", q, df_map, bind_index_stats(ast, stats), k,
             mode, uniques) for h in p], k)
@@ -587,14 +587,21 @@ class SearchCoordinator:
 
     # --- per-doc data read on the coordinator ---
     def docvalues(self, field: str) -> np.ndarray | None:
-        """Per-doc column of a docvalue field indexed by doc_id; None if
-        no index carries the field."""
+        """Per-doc values of a docvalue field as Python objects indexed by
+        doc_id (None where a doc has no value), built on each call; None if
+        no index carries the field. Queries read the typed columns."""
         cols = [dv.column(field) for _, _, dv in self.indexes]
-        if len(cols) == 1 or all(c is None for c in cols):
-            return cols[0]
-        return np.concatenate([
-            np.full(len(dv.docs), None, dtype=object) if c is None else c
-            for c, (_, _, dv) in zip(cols, self.indexes)])
+        if all(c is None for c in cols):
+            return None
+        parts = []
+        for c, (_, _, dv) in zip(cols, self.indexes):
+            c = pa.nulls(len(dv.docs)) if c is None else c
+            if pa.types.is_dictionary(c.type):  # one object per value
+                uniq = np.asarray(c.dictionary.to_pylist() + [None], object)
+                parts.append(uniq[c.indices.fill_null(-1).to_numpy()])
+            else:
+                parts.append(np.asarray(c.to_pylist(), dtype=object))
+        return np.concatenate(parts)
 
     def docmap(self) -> np.ndarray:
         """conv_id per doc_id (block-join identity / result display)."""

@@ -216,7 +216,7 @@ class KNearestNeighborClassifier:
     def __init__(self, searcher, class_field: str, k: int = 10,
                  max_query_terms: int = 25, min_doc_freq: int = 2):
         self.searcher = searcher
-        self.class_field = class_field
+        self.classes = searcher.docvalues(class_field)
         self.k = k
         self.max_query_terms = max_query_terms
         self.min_doc_freq = min_doc_freq
@@ -229,12 +229,11 @@ class KNearestNeighborClassifier:
                               min_doc_freq=self.min_doc_freq)
         if not hits:
             return []
-        dv = self.searcher.docvalues(self.class_field)
         max_score = max(s for _, s in hits)
         boosts: dict[str, float] = {}
         counts: dict[str, int] = {}
         for doc, score in hits:
-            cl = dv[doc] if dv is not None else None
+            cl = self.classes[doc] if self.classes is not None else None
             if cl is None:
                 continue
             cl = str(cl)

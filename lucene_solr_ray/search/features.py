@@ -262,24 +262,6 @@ def global_uniques(vals) -> list:
     return sorted({x for x in vals if x is not None})
 
 
-def picked_ordinals(picked, uniq: list, reverse: bool) -> "np.ndarray":
-    """ord()/rord() for already-picked per-hit values: 1-based rank of
-    each value in ``uniq`` (0 = missing); rord = n_uniq + 1 - ord
-    (OrdFieldSource / ReverseOrdFieldSource semantics)."""
-    import numpy as np
-
-    out = np.zeros(len(picked), dtype=np.float64)
-    if not uniq:
-        return out
-    lookup = {v: i + 1 for i, v in enumerate(uniq)}
-    n = len(uniq)
-    for i, x in enumerate(picked):
-        o = lookup.get(x, 0)
-        if o:
-            out[i] = (n + 1 - o) if reverse else o
-    return out
-
-
 def decoded_norms(searcher, docs):
     """Per-hit decoded field length (NORM_TABLE[norm_byte]) — the
     NormValueSource column for norm(field)."""

@@ -14,7 +14,8 @@
   ExactStatsCache analog — required for rank-identity with a single-node
   index).
 - ``DocValues``: the per-field doc-value columns of a doc range of one
-  index, loaded on first use.
+  index, loaded on first use as typed Arrow arrays that the sort, range
+  filter, facet, stats and boost partials read with Arrow kernels.
 - ``IndexSearcher`` / ``MultiIndexSearcher``: the in-process constructors
   of the one query coordinator, defined in ``actors.py`` beside
   ``DistributedSearcher`` and importable from here.
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..index import segment
@@ -48,22 +50,22 @@ from .query import (
 )
 
 
-def _sort_key(vals: np.ndarray, desc: bool) -> np.ndarray:
-    """float64 lexsort key of one sort field's doc values (strings by
-    rank); missing values sort last in either direction (TopFieldCollector
+def _sort_key(vals: pa.Array, desc: bool) -> np.ndarray:
+    """Lexsort key of one sort field's doc values: their dense rank, strings
+    in byte order, missing values last in either direction (TopFieldCollector
     missingValue, pinned to sort-missing-last). Ranks a segment's matches
     and the coordinator's merge of the segments' top-k alike."""
-    missing = vals == None  # noqa: E711 — elementwise object cmp
-    filled = vals.copy()
-    filled[missing] = 0.0
-    try:
-        key = filled.astype(np.float64)
-    except (TypeError, ValueError):
-        _, inv = np.unique(filled.astype(str), return_inverse=True)
-        key = inv.astype(np.float64)
-    key = -key if desc else key
-    key[missing] = np.inf
-    return key
+    if pa.types.is_null(vals.type):  # the field is missing on every doc
+        return np.zeros(len(vals), dtype=np.uint64)
+    if pa.types.is_dictionary(vals.type):
+        vals = vals.indices  # ordinals into a sorted dictionary
+    return pc.rank(vals, sort_keys="descending" if desc else "ascending",
+                   null_placement="at_end", tiebreaker="dense").to_numpy()
+
+
+def _sorted_unique(vals: pa.Array) -> pa.Array:
+    """The distinct non-null values of ``vals``, ascending."""
+    return pc.unique(vals.drop_null()).sort()
 
 
 def collect_terms(q: Query) -> set[str]:
@@ -217,19 +219,21 @@ class _TermSeq:
 
 class DocValues:
     """Doc-value columns of the index docs ``docs`` (a range of index doc
-    ids), read on first use (the doc-values analog; values live in the
-    norms partitions) and indexed by ``doc_id - docs.start``.
-    ``shard_ids`` limits the read to those shards' partitions. A field
-    the index does not carry has column ``None``."""
+    ids), read on first use from the norms partitions of ``shard_ids``:
+    one typed ``pa.Array`` per field indexed by ``doc_id - docs.start``,
+    null where a doc has no value (``None`` if the index lacks the field).
+    Numbers and timestamps keep their Parquet type (NUMERIC doc values); a
+    string is a ``pa.DictionaryArray`` over the sorted distinct values, so
+    its indices are ordinals in value order (SORTED doc values)."""
 
     def __init__(self, index_dir: str, docs: range,
                  shard_ids: list[int] | None = None):
         self.index_dir = str(index_dir)
         self.docs = docs
         self.shard_ids = shard_ids
-        self.cache: dict[str, np.ndarray | None] = {}
+        self.cache: dict[str, pa.Array | None] = {}
 
-    def column(self, field: str) -> np.ndarray | None:
+    def column(self, field: str) -> pa.Array | None:
         if field not in self.cache:
             import pyarrow.dataset as pads
 
@@ -242,10 +246,20 @@ class DocValues:
                     flt = (None if self.shard_ids is None else
                            pads.field("doc_shard").isin(self.shard_ids))
                     t = dset.to_table(columns=["doc_id", field], filter=flt)
-                    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                    col = np.empty(len(self.docs), dtype=object)
-                    col[ids - self.docs.start] = np.asarray(
-                        t.column(field).to_pylist(), dtype=object)
+                    vals = t.column(field)
+                    if pa.types.is_dictionary(vals.type):  # categorical
+                        vals = vals.cast(vals.type.value_type)
+                    if vals.type in (pa.string(), pa.large_string()):
+                        uniq = _sorted_unique(vals)
+                        vals = pa.DictionaryArray.from_arrays(pc.index_in(
+                            vals, value_set=uniq).combine_chunks(), uniq)
+                    else:
+                        vals = vals.combine_chunks()
+                    # each doc's row of ``t``; a doc without one stays null
+                    row = np.full(len(self.docs), -1, dtype=np.int32)
+                    row[t.column("doc_id").to_numpy() - self.docs.start] = \
+                        np.arange(t.num_rows, dtype=np.int32)
+                    col = vals.take(pa.array(row, mask=row < 0))
             self.cache[field] = col
         return self.cache[field]
 
@@ -410,28 +424,24 @@ class ShardSearcher:
                 "description": f"{type(q).__name__} score",
                 "details": []}
 
-    def docvalues_local(self, field: str, docs: np.ndarray) -> np.ndarray:
-        """Doc values of ``field`` for the given doc_ids (all None when the
-        index does not carry the field: exists()=0 semantics)."""
+    def docvalues_local(self, field: str, docs: np.ndarray) -> pa.Array:
+        """Typed doc values of ``field`` for the given doc_ids (all null
+        when the index does not carry the field: exists()=0 semantics)."""
         col = self.docvalues.column(field)
         if col is None:
-            return np.full(len(docs), None, dtype=object)
-        return col[docs - self.base]
+            return pa.nulls(len(docs))
+        return col.take(docs - self.base)
 
-    def boundary_convs(self) -> list[str]:
-        """conv_id of this segment's first and last doc — the only
-        conversations that can straddle a segment edge. doc_id is rank
-        under the stable (conv_id, turn_idx) sort (BASELINE.json
+    def boundary_convs(self) -> np.ndarray:
+        """conv_id ordinals of this segment's first and last doc — the
+        only conversations that can straddle a segment edge. doc_id is
+        rank under the stable (conv_id, turn_idx) sort (BASELINE.json
         input_hint), so each conversation is doc-contiguous and at most
         these two can have turns in a neighbouring segment. Used by the
         bounded conv/collapse partials (actors.py) to ship split
         conversations unconditionally."""
-        arr = self.docvalues_local("conv_id",
-                                   self.base + np.arange(self.size))
-        present = np.flatnonzero(arr != None)  # noqa: E711
-        if len(present) == 0:
-            return []
-        return [str(arr[present[0]]), str(arr[present[-1]])]
+        ords = self.docvalues.column("conv_id").indices.to_numpy()
+        return ords[[0, -1]] if len(ords) else ords
 
     def local_df(self, terms: list[str]) -> dict[str, int]:
         """This shard's docFreq of the ``terms`` it holds."""
@@ -940,33 +950,18 @@ class ShardSearcher:
                 docs, scores = docs[keep], scores[keep]
         return docs, scores
 
-    @staticmethod
-    def _range_mask(vals: np.ndarray, lo, hi) -> np.ndarray:
-        """Inclusive-range membership over a doc-value array (None = open
-        bound; docs missing the field never match — PointRangeQuery
-        semantics over docvalues)."""
-        try:
-            v = vals.astype(np.float64)
-            mask = ~np.isnan(v)
-            if lo is not None:
-                mask &= v >= lo
-            if hi is not None:
-                mask &= v <= hi
-            return mask
-        except (TypeError, ValueError):
-            out = np.ones(len(vals), dtype=bool)
-            for i, v in enumerate(vals):
-                if v is None or (lo is not None and v < lo) \
-                        or (hi is not None and v > hi):
-                    out[i] = False
-            return out
-
     def _apply_filter(self, docs, scores, filter_range):
+        """The hits whose doc values lie in every inclusive range (None =
+        open bound; docs missing the field never match — PointRangeQuery
+        semantics over docvalues, strings in byte order)."""
         for fld, (lo, hi) in filter_range.items():
-            if len(docs) == 0:
-                break
             vals = self.docvalues_local(fld, docs)
-            keep = self._range_mask(vals, lo, hi)
+            keep = pc.is_valid(vals)
+            if lo is not None:
+                keep = pc.and_(keep, pc.greater_equal(vals, lo))
+            if hi is not None:
+                keep = pc.and_(keep, pc.less_equal(vals, hi))
+            keep = pc.fill_null(keep, False).to_numpy(zero_copy_only=False)
             docs, scores = docs[keep], scores[keep]
         return docs, scores
 
@@ -1003,14 +998,16 @@ class ShardSearcher:
             "df": pa.array(np.diff(self._term_docs), type=pa.int64()),
             "ttf": pa.array(np.diff(self._term_pos), type=pa.int64())})
 
-    def local_unique_docvalues(self, fields: list[str]) -> dict[str, list]:
-        """Distinct non-null values per field — partials the coordinator
-        merges into the global ordinal table for ord()/rord()."""
+    def local_unique_docvalues(self, fields: list[str]) -> dict:
+        """Sorted distinct non-null values per field (None if the index does
+        not carry it) — partials the coordinator merges into the global
+        ordinal table for ord()/rord()."""
         out = {}
         for f in fields:
             col = self.docvalues.column(f)
-            out[f] = [] if col is None else sorted(
-                {x for x in col if x is not None})
+            out[f] = (col if col is None else col.dictionary
+                      if pa.types.is_dictionary(col.type)
+                      else _sorted_unique(col))
         return out
 
     def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
@@ -1033,8 +1030,9 @@ class ShardSearcher:
             order = np.lexsort(tuple(
                 [docs] + [_sort_key(v, desc)
                           for v, (_, desc) in zip(vals, sort)][::-1]))[:k]
-            return [(int(docs[i]), float(scores[i]),
-                     tuple(v[i] for v in vals)) for i in order]
+            picked = zip(*[v.take(order).to_pylist() for v in vals])
+            return [(int(docs[i]), float(scores[i]), p)
+                    for i, p in zip(order, picked)]
         if len(docs) > k:
             # partial selection; keep every doc tied with the k-th score so
             # the lower-doc_id tie-break stays exact, then sort the slice
@@ -1072,18 +1070,16 @@ class ShardSearcher:
     # --- facets and stats over the full hit set ---
     def facet_partial(self, query: Query, df_map: dict[str, int],
                       field: str):
-        """(uniq:str-array, counts:int64-array) of ``field`` over the
-        segment's hits. Merging is np.unique over concatenated arrays,
-        never a per-value dict loop, so a high-cardinality field stays
-        vectorized end to end."""
+        """(str() of each value:str-array, counts:int64-array) of ``field``
+        over the segment's hits that carry it. Merging is np.unique over
+        concatenated arrays, never a per-value dict loop, so a
+        high-cardinality field stays vectorized end to end."""
         self._require(field)
-        vals = self.docvalues_local(field,
-                                    self._score_clause(query, df_map)[0])
-        vals = vals[vals != None]  # noqa: E711 — drop missing-field docs
-        if not len(vals):
-            return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
-        uniq, counts = np.unique(vals.astype(str), return_counts=True)
-        return uniq, counts.astype(np.int64)
+        vc = pc.value_counts(pc.drop_null(self.docvalues_local(
+            field, self._score_clause(query, df_map)[0])))
+        return (np.asarray([str(v) for v in vc.field(0).to_pylist()],
+                           dtype=str),
+                vc.field(1).to_numpy())
 
     def _numeric_hits(self, query: Query, df_map: dict[str, int],
                       field: str):
@@ -1092,7 +1088,7 @@ class ShardSearcher:
         self._require(field)
         vals = self.docvalues_local(field,
                                     self._score_clause(query, df_map)[0])
-        v = np.asarray([x for x in vals if x is not None], dtype=np.float64)
+        v = pc.drop_null(vals).cast(pa.float64()).to_numpy()
         return v, len(vals) - len(v)
 
     def stats_partial(self, query: Query, df_map: dict[str, int],
@@ -1124,10 +1120,15 @@ class ShardSearcher:
 
     # --- block join, collapse, expand ---
     def _conv_hits(self, query: Query, df_map: dict[str, int]):
-        """(conv_ids:str, docs, float32 scores) over the segment's hits."""
+        """(conv_id ordinals, docs, float32 scores) over the segment's hits;
+        ordinals sort as conv_ids do (CollapsingQParserPlugin's ords)."""
         d, s = self._score_clause(query, df_map)
-        return (self.docvalues_local("conv_id", d).astype(str), d,
+        return (self.docvalues_local("conv_id", d).indices.to_numpy(), d,
                 s.astype(np.float32))
+
+    def _conv_ids(self, ords: np.ndarray) -> list[str]:
+        return self.docvalues.column("conv_id").dictionary.take(
+            ords).to_pylist()
 
     def _bounded(self, convs: np.ndarray, scores: np.ndarray,
                  limit: int | None) -> np.ndarray:
@@ -1164,7 +1165,7 @@ class ShardSearcher:
             agg = np.zeros(len(uniq))
             np.add.at(agg, inv, scores.astype(np.float64))
         keep = self._bounded(uniq, agg, limit)
-        return dict(zip(uniq[keep].tolist(), agg[keep].tolist()))
+        return dict(zip(self._conv_ids(uniq[keep]), agg[keep].tolist()))
 
     def collapse_partial(self, query: Query, df_map: dict[str, int],
                          limit: int | None = None
@@ -1183,7 +1184,8 @@ class ShardSearcher:
         h_conv, h_doc, h_score = convs[hidx], docs[hidx], scores[hidx]
         keep = self._bounded(h_conv, h_score, limit)
         return {c: (float(s), int(d)) for c, s, d in
-                zip(h_conv[keep], h_score[keep], h_doc[keep])}
+                zip(self._conv_ids(h_conv[keep]), h_score[keep],
+                    h_doc[keep])}
 
     def expand_partial(self, query: Query, df_map: dict[str, int],
                        conv_ids: list[str], exclude_docs: list[int],
@@ -1192,19 +1194,23 @@ class ShardSearcher:
         segment's top ``per_group`` other matching docs — bounded by
         |convs| * per_group, never the hit set."""
         convs, docs, scores = self._conv_hits(query, df_map)
-        keep = np.isin(convs, conv_ids) & ~np.isin(docs, exclude_docs)
+        dic = self.docvalues.column("conv_id").dictionary
+        want = pc.index_in(pa.array(conv_ids, type=dic.type), value_set=dic)
+        keep = np.isin(convs, want.drop_null().to_numpy()) \
+            & ~np.isin(docs, exclude_docs)
         convs, docs, scores = convs[keep], docs[keep], scores[keep]
         order = np.lexsort((docs, -scores, convs))
+        labels = self._conv_ids(convs)
         out: dict[str, list] = {}
         for i in order:
-            rows = out.setdefault(str(convs[i]), [])
+            rows = out.setdefault(labels[i], [])
             if len(rows) < per_group:
                 rows.append((int(docs[i]), float(scores[i])))
         return out
 
     # --- function boosts ---
     def _boost_column(self, f: str, docs: np.ndarray,
-                      ord_uniques: dict) -> np.ndarray:
+                      ord_uniques: dict) -> pa.Array:
         """One per-hit float64 input column of a bound boost AST."""
         from ..functions.valuesource import (EXISTS_PSEUDO_PREFIX,
                                              NORM_PSEUDO_FIELD,
@@ -1214,24 +1220,29 @@ class ShardSearcher:
         from ..util.smallfloat import NORM_TABLE
 
         if f == NORM_PSEUDO_FIELD:
-            return NORM_TABLE[self.norms[docs - self.base]].astype(np.float64)
+            return pa.array(NORM_TABLE[self.norms[docs - self.base]],
+                            type=pa.float64())
         if f.startswith(TF_PSEUDO_PREFIX):
-            return self.local_termfreq(f[len(TF_PSEUDO_PREFIX):], docs)
-        if f.startswith(EXISTS_PSEUDO_PREFIX):
-            vals = self.docvalues_local(f[len(EXISTS_PSEUDO_PREFIX):], docs)
-            return (vals != None).astype(np.float64)  # noqa: E711
-        for pref, rev in ((ORD_PSEUDO_PREFIX, False),
-                          (RORD_PSEUDO_PREFIX, True)):
-            if f.startswith(pref):
-                from .features import picked_ordinals
-
-                name = f[len(pref):]
-                return picked_ordinals(self.docvalues_local(name, docs),
-                                       ord_uniques.get(name, []), rev)
+            return pa.array(self.local_termfreq(f[len(TF_PSEUDO_PREFIX):],
+                                                docs))
+        pref = next((p for p in (EXISTS_PSEUDO_PREFIX, ORD_PSEUDO_PREFIX,
+                                 RORD_PSEUDO_PREFIX) if f.startswith(p)), "")
+        name = f[len(pref):]
+        if self.docvalues.column(name) is None:
+            # a field the index lacks reads 0 in every form (exists()=0)
+            return pa.array(np.zeros(len(docs)))
+        vals = self.docvalues_local(name, docs)
+        if pref == EXISTS_PSEUDO_PREFIX:
+            return pc.is_valid(vals).cast(pa.float64())
+        if pref:
+            # OrdFieldSource: 1-based rank in the global value table;
+            # ReverseOrdFieldSource: n_uniq + 1 - ord
+            uniq = ord_uniques[name]
+            o = pc.index_in(vals, value_set=uniq).cast(pa.float64())
+            vals = pc.subtract(len(uniq), o) if pref == RORD_PSEUDO_PREFIX \
+                else pc.add(o, 1)
         # missing doc values evaluate as 0 (FunctionScoreQuery)
-        return np.asarray([0.0 if x is None else x
-                           for x in self.docvalues_local(f, docs)],
-                          dtype=np.float64)
+        return pc.fill_null(vals.cast(pa.float64()), 0.0)
 
     def boosted_partial(self, query: Query, df_map: dict[str, int], ast,
                         k: int, mode: str = "multiply",
@@ -1261,8 +1272,8 @@ class ShardSearcher:
         docs, scores = self._score_clause(query, df_map)
         if len(docs) == 0:
             return []
-        cols = {f: pa.array(self._boost_column(f, docs, ord_uniques or {}),
-                            type=pa.float64()) for f in fields}
+        cols = {f: self._boost_column(f, docs, ord_uniques or {})
+                for f in fields}
         boost = eval_expr(ast, pa.table(
             cols or {"__d": pa.array(np.zeros(len(docs)))}))
         boost_np = (np.full(len(docs), boost.as_py())

@@ -3,6 +3,7 @@
 method identically over the same data."""
 
 import re
+from datetime import datetime
 
 import pyarrow.parquet as pq
 import pytest
@@ -57,6 +58,10 @@ OPS = {
     "explain": _explain,
     "hit_count": lambda s, q: s.hit_count(q),
     "facet": lambda s, q: s.facet(q, "role"),
+    # turn_idx labels are numbers written as strings; tool is "" on
+    # non-tool turns
+    "facet_number_and_empty": lambda s, q: [
+        s.facet(q, f) for f in ("turn_idx", "tool")],
     "field_stats": lambda s, q: s.field_stats(q, "turn_idx"),
     "collapse": lambda s, q: s.collapse(q, k=6),
     "search_conversations": lambda s, q: [
@@ -66,11 +71,26 @@ OPS = {
         s.boosted_search(q, expr, k=8) for expr in
         ("recip(turn_idx,1,10,10)", "sum(1,termfreq(ray))",
          "sum(ord(turn_idx),norm(text))")],
+    "boosted_ord": lambda s, q: [
+        s.boosted_search(q, expr, k=8) for expr in
+        ("ord(role)", "rord(role)", "sum(ord(role),rord(turn_idx))")],
     # tool is "" on non-tool turns; no_such_field is missing on every doc
     "field_sort": lambda s, q: [
         s.search(q, k=15, sort=srt) for srt in
         ([("turn_idx", True)], [("role", False), ("turn_idx", True)],
          [("tool", False)], [("tool", True)], [("no_such_field", False)])],
+    "field_sort_string_time": lambda s, q: [
+        s.search(q, k=15, sort=srt) for srt in
+        ([("conv_id", False)], [("conv_id", True)], [("ts", False)],
+         [("ts", True)], [("conv_id", True), ("ts", False)])],
+    # a string range and a date range (datetime bounds), open and closed
+    "filter_range": lambda s, q: [
+        s.search(q, k=15, filter_range=fr) for fr in
+        ({"conv_id": ("conv-00000040", "conv-00000180")},
+         {"conv_id": (None, "conv-00000100")},
+         {"ts": (datetime(2026, 1, 1, 2), datetime(2026, 1, 1, 6))},
+         {"ts": (datetime(2026, 1, 1, 4), None),
+          "conv_id": ("conv-00000050", None)})],
     "rerank": lambda s, q: s.rerank(q, "data", k=8, top_n=20),
     "term_vectors": lambda s, q: s.term_vectors(
         [d for d, _ in s.search(q, k=5)]),

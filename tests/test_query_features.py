@@ -383,6 +383,43 @@ def test_field_sort_desc_string_with_missing(ray_session, tmp_path):
         assert present == sorted(present, reverse=desc)
 
 
+def test_number_like_strings_order_as_strings(ray_session, tmp_path):
+    """A string doc value sorts, ranges and merges in byte order (SORTED
+    doc values) even when every value parses as a number: "10" < "9",
+    in one segment and in the merge of three."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.data.transcripts import generate_transcripts
+    from lucene_solr_ray.search.actors import DistributedSearcher
+    from lucene_solr_ray.search.query import MatchAllDocsQuery
+
+    t = generate_transcripts(12, seed=5)
+    t = t.drop_columns(["tool"]).append_column("tool", pa.array(
+        ["9" if i % 2 else "10" for i in range(t.num_rows)]))
+    pq.write_table(t, str(tmp_path / "src.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "src.parquet"), idx, num_shards=3)
+    local = IndexSearcher(idx)
+    dist = DistributedSearcher(idx, num_actors=3)
+    try:
+        for s in (local, dist):
+            tool = s.docvalues("tool")
+            n = sum(v == "10" for v in tool)
+            for desc in (False, True):
+                hits = s.search(MatchAllDocsQuery(), k=len(tool),
+                                sort=[("tool", desc)])
+                vals = [tool[d] for d, _ in hits]
+                assert len(vals) == len(tool)
+                assert vals == sorted(vals, reverse=desc), desc
+            hits = s.search(MatchAllDocsQuery(), k=len(tool),
+                            filter_range={"tool": ("1", "5")})
+            assert len(hits) == n
+            assert {tool[d] for d, _ in hits} == {"10"}
+    finally:
+        dist.close()
+
+
 def test_default_operator_and():
     """q.op=AND (QueryParserBase.java:43 AND_OPERATOR + addClause)."""
     from lucene_solr_ray.search.query import TermQuery

@@ -219,3 +219,32 @@ def test_resident_postings_memory_bound(ray_session, tmp_path):
             sh._term_docs, sh._term_pos, sh._docs, sh._freqs, sh._flat_pos))
         assert n_post > 0 and n_pos >= n_post
         assert resident <= 12 * n_post + 4 * n_pos + 16 * (n_terms + 1)
+
+
+def test_resident_docvalues_memory_bound(ray_session, tmp_path):
+    """A segment's doc-value column is a typed Arrow array: at most 8 B
+    per doc plus its dictionary's bytes. A string field is a dictionary
+    array over its sorted distinct values (SORTED doc values), so one
+    ordinal per doc replaces one Python object per doc."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from lucene_solr_ray.data.transcripts import transcripts_path
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.search.searcher import ShardSearcher
+
+    idx = tmp_path / "idx"
+    build_index(transcripts_path("tiny"), str(idx), num_shards=4)
+    for sids in ([1], [0, 1, 2, 3]):
+        sh = ShardSearcher(str(idx), sids)
+        for field in ("role", "conv_id", "turn_idx"):
+            col = sh.docvalues.column(field)
+            assert isinstance(col, pa.Array), field
+            assert len(col) == sh.size and col.null_count == 0
+            dict_bytes = 0
+            if field != "turn_idx":
+                assert pa.types.is_dictionary(col.type), field
+                d = col.dictionary
+                assert d.equals(pc.unique(d).sort()), field
+                dict_bytes = d.nbytes
+            assert col.nbytes <= 8 * sh.size + dict_bytes, field
