@@ -596,11 +596,7 @@ class SearchCoordinator:
         parts = []
         for c, (_, _, dv) in zip(cols, self.indexes):
             c = pa.nulls(len(dv.docs)) if c is None else c
-            if pa.types.is_dictionary(c.type):  # one object per value
-                uniq = np.asarray(c.dictionary.to_pylist() + [None], object)
-                parts.append(uniq[c.indices.fill_null(-1).to_numpy()])
-            else:
-                parts.append(np.asarray(c.to_pylist(), dtype=object))
+            parts.append(np.asarray(c.to_pylist(), dtype=object))
         return np.concatenate(parts)
 
     def docmap(self) -> np.ndarray:

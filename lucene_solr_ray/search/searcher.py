@@ -439,8 +439,10 @@ class ShardSearcher:
         input_hint), so each conversation is doc-contiguous and at most
         these two can have turns in a neighbouring segment. Used by the
         bounded conv/collapse partials (actors.py) to ship split
-        conversations unconditionally."""
-        ords = self.docvalues.column("conv_id").indices.to_numpy()
+        conversations unconditionally. An expunged doc has no conv_id,
+        so the edges are the first and last docs that have one."""
+        ords = pc.drop_null(
+            self.docvalues.column("conv_id").indices).to_numpy()
         return ords[[0, -1]] if len(ords) else ords
 
     def local_df(self, terms: list[str]) -> dict[str, int]:

@@ -90,6 +90,34 @@ def test_expunged_docs_stay_dead_everywhere(idx):
     assert got is None or len(got) == 0
 
 
+def test_bounded_conversations_after_expunge(idx):
+    """An expunged doc has no doc-value row, so a segment's first docs
+    can read null conv_id; the bounded conversation and collapse
+    partials (limit=k) must still find the segment's edge conversations
+    among its present docs and give the unbounded top-k."""
+    from lucene_solr_ray.search.actors import DistributedSearcher
+
+    dps = json.loads((Path(idx) / "manifest.json").read_text()
+                     )["params"]["docs_per_shard"]
+    delete_documents(idx, doc_ids=[s * dps + i for s in range(3)
+                                   for i in range(3)])
+    expunge_deletes(idx)
+    local = IndexSearcher(idx)
+    dist = DistributedSearcher(idx, num_actors=3)
+    try:
+        for s in (local, dist):
+            for q in ("ray", "data OR index"):
+                full = s.search_conversations(q, k=10**6)
+                assert len(full) > 3, q
+                for mode in ("max", "total"):
+                    assert s.search_conversations(q, k=3, score_mode=mode) \
+                        == s.search_conversations(
+                            q, k=10**6, score_mode=mode)[:3], (q, mode)
+                assert s.collapse(q, k=3) == s.collapse(q, k=10**6)[:3], q
+    finally:
+        dist.close()
+
+
 def test_expunge_updates_stats(idx):
     m0 = json.loads((Path(idx) / "manifest.json").read_text())
     delete_documents(idx, doc_ids=list(range(50)))
