@@ -303,24 +303,28 @@ def main(argv=None) -> int:
             sort = [(field, direction.lower() == "desc")]
         filter_range = None
         if args.filter:
+            import pyarrow as pa
+            import pyarrow.dataset as pads
+
             field, lo, hi = args.filter
+            # a bound takes the type of the field's doc-value column; a
+            # field the index lacks compares as a string
+            norms = pads.dataset(f"{args.index_dir}/norms", format="parquet",
+                                 partitioning="hive").schema
+            typ = (norms.field(field).type if field in norms.names
+                   else pa.string())
+            if pa.types.is_dictionary(typ):  # categorical
+                typ = typ.value_type
 
             def _bound(x):
                 if x == "-":
                     return None
-                try:
-                    return int(x)
-                except ValueError:
-                    try:
-                        return float(x)
-                    except ValueError:
-                        pass
-                if x.startswith("NOW") or "Z" in x:
+                if pa.types.is_timestamp(typ):
                     # Solr date math endpoints: --filter ts NOW-7DAYS/DAY -
                     from .functions.datemath import parse_date_math
 
                     return parse_date_math(x)
-                return x
+                return pa.scalar(x).cast(typ).as_py()
             filter_range = {field: (_bound(lo), _bound(hi))}
         if args.qop == "AND" and args.syntax not in (None, "", "classic"):
             # fail loud (same convention as unsupported --bf/--boost

@@ -323,17 +323,12 @@ class SegmentWriter:
             return json.loads((shard_dir / "_SUCCESS").read_text())
 
         # sort by (term, doc_id) without materializing per-row strings:
-        # dictionary-encode the term column, rank the vocab in Arrow (UTF-8
-        # byte order is code-point order), then one numeric sort
-        term_col = group.column("term")
-        if isinstance(term_col, pa.ChunkedArray):
-            term_col = term_col.combine_chunks()
-        if pa.types.is_dictionary(term_col.type):
-            dict_arr = term_col  # runs already carry codes + vocab
-        else:
-            dict_arr = term_col.dictionary_encode()
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int32)
-        vocab = dict_arr.dictionary
+        # the term column is a dictionary (combining its chunks unifies
+        # their dictionaries), so rank the vocab in Arrow (UTF-8 byte
+        # order is code-point order), then one numeric sort
+        term_col = group.column("term").combine_chunks()
+        codes = term_col.indices.to_numpy(zero_copy_only=False).astype(np.int32)
+        vocab = term_col.dictionary
         vocab_order = pc.array_sort_indices(vocab).to_numpy()
         rank_of_code = np.empty(len(vocab), dtype=np.int32)
         rank_of_code[vocab_order] = np.arange(len(vocab), dtype=np.int32)
@@ -363,16 +358,17 @@ class SegmentWriter:
             if len(ranks_sorted) else np.empty(0, dtype=bool)
         t_starts = np.nonzero(bounds)[0]
         term_offsets = np.concatenate((t_starts, [len(ranks_sorted)]))
-        uniq_terms = vocab.take(vocab_order[ranks_sorted[t_starts]]) \
-            .to_numpy(zero_copy_only=False)
-        if len(uniq_terms) > 1 and bool(
-                np.any(uniq_terms[1:] == uniq_terms[:-1])):
+        uniq_terms = vocab.take(vocab_order[ranks_sorted[t_starts]])
+        # no term is null: drop the all-valid bitmap ``take`` allocates
+        uniq_terms = pa.Array.from_buffers(
+            uniq_terms.type, len(uniq_terms), [None, *uniq_terms.buffers()[1:]])
+        if pc.any(pc.equal(uniq_terms.slice(1),
+                           uniq_terms.slice(0, len(uniq_terms) - 1))).as_py():
             raise ValueError("duplicate term strings in unified dictionary")
 
         base = shard_id * self.docs_per_shard
         table = segment.encode_shard_postings(
-            None, doc_ids, freqs, pos_flat, base,
-            uniq_terms=uniq_terms, term_offsets=term_offsets,
+            uniq_terms, term_offsets, doc_ids, freqs, pos_flat, base,
             codec=self.codec)
 
         tmp = Path(tempfile.mkdtemp(dir=str(shard_dir.parent.parent),
@@ -571,11 +567,16 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
     t = pf.read_row_groups(row_groups,
                            columns=["conv_id", "turn_idx", "text"] + extra)
     n = t.num_rows
-    conv = np.asarray(t.column("conv_id").to_pylist(), dtype=object)
-    turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-    if n > 1 and not bool(np.all((conv[1:] > conv[:-1]) |
-                                 ((conv[1:] == conv[:-1]) & (turn[1:] > turn[:-1])))):
-        raise ValueError(f"rows not sorted by (conv_id, turn_idx) in {file}")
+    conv = t.column("conv_id").combine_chunks()
+    turn = t.column("turn_idx").combine_chunks()
+    if n > 1:
+        # each key strictly above the one before it; a null key rejects
+        c1, c0 = conv.slice(1), conv.slice(0, n - 1)
+        ordered = pc.or_(pc.greater(c1, c0), pc.and_(
+            pc.equal(c1, c0), pc.greater(turn.slice(1), turn.slice(0, n - 1))))
+        if not pc.all(ordered.fill_null(False)).as_py():
+            raise ValueError(
+                f"rows not sorted by (conv_id, turn_idx) in {file}")
     doc_id = np.arange(offset, offset + n, dtype=np.int64)
     t = t.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
     t = t.append_column("doc_shard",
@@ -587,8 +588,8 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
         "num_docs": int(n),
         "doc_count": int((doc_len > 0).sum()),
         "sum_ttf": int(doc_len.sum()),
-        "first_key": [conv[0], int(turn[0])] if n else None,
-        "last_key": [conv[-1], int(turn[-1])] if n else None,
+        "first_key": [conv[0].as_py(), turn[0].as_py()] if n else None,
+        "last_key": [conv[-1].as_py(), turn[-1].as_py()] if n else None,
         "shards": [],
     }
 
@@ -617,26 +618,24 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
         texts = t.column("text").to_pylist()
         counts, st_flat, en_flat = _token_spans(
             texts, get_analyzer(analyzer_name))
-        offs = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        # spans as ONE little-endian int32 blob per doc ([starts...,
+        # ends...]): binary decode is a memcpy, where a list<int32> column
+        # pays per-element assembly. A stable sort of the doc of each
+        # start, then each end, gathers every doc's starts before its ends
+        tok_doc = np.repeat(np.arange(n), counts)
+        order = np.argsort(np.concatenate((tok_doc, tok_doc)), kind="stable")
+        flat = np.concatenate((st_flat, en_flat))[order].astype("<i4")
+        spans = segment.binary_column(
+            flat, 8 * np.concatenate(([0], np.cumsum(counts))))
         for i in range(len(bounds) - 1):
             a, b = int(bounds[i]), int(bounds[i + 1])
-            sid = int(shard_col[a])
-            od = Path(offsets_dir) / f"shard={sid:05d}"
+            od = Path(offsets_dir) / f"shard={int(shard_col[a]):05d}"
             od.mkdir(parents=True, exist_ok=True)
-            lo, hi = offs[a], offs[b]
-            sub_offs = (offs[a:b + 1] - lo).astype(np.int64)
-            # spans as ONE little-endian int32 blob per doc
-            # ([starts..., ends...]): binary decode is a memcpy, where a
-            # list<int32> column pays per-element assembly — the
-            # highlighter reads a PAGE of hit docs, so row groups stay
+            # the highlighter reads a PAGE of hit docs, so row groups stay
             # small for tight doc_id stats pruning
-            blobs = [
-                np.concatenate((st_flat[x0:x1], en_flat[x0:x1]))
-                .astype("<i4").tobytes()
-                for x0, x1 in zip(sub_offs[:-1] + lo, sub_offs[1:] + lo)]
             pq.write_table(pa.table({
                 "doc_id": pa.array(doc_id[a:b], type=pa.int64()),
-                "spans": pa.array(blobs, type=pa.large_binary()),
+                "spans": spans.slice(a, b - a),
             }), od / f"run-{task_id:05d}.parquet", row_group_size=32)
     marker.write_text(json.dumps(stats))
     return stats

@@ -23,8 +23,9 @@ A companion ``norms.parquet`` per shard holds (doc_id, norm_byte, doc_len,
 conv_id, turn_idx) for the shard's contiguous doc_id range.
 
 Encoding is vectorized across ALL terms of a shard at once: deltas with
-per-term resets, one varint pass over the concatenation, then per-term byte
-slicing from the value-offset cumsum.
+per-term resets, one codec pass over the concatenation, and each binary
+column is a view of that one encoded buffer at the per-term byte offsets
+(``binary_column``), with no copy per term.
 """
 
 from __future__ import annotations
@@ -93,15 +94,13 @@ def get_codec(name: str):
             f"known: {sorted(POSTINGS_CODECS)}") from None
 
 
-def _delta_with_resets(values: np.ndarray, starts_mask: np.ndarray,
+def _delta_with_resets(values: np.ndarray, starts: np.ndarray,
                        base: int) -> np.ndarray:
-    """values -> deltas, restarting at positions where starts_mask is True
-    (``base`` is subtracted at each restart)."""
+    """values -> deltas, restarting at the indexes ``starts`` (which hold
+    ``values - base``); ``starts`` includes 0 when ``values`` is non-empty."""
     deltas = np.empty_like(values)
     deltas[1:] = values[1:] - values[:-1]
-    if len(values):
-        deltas[0] = values[0]
-    deltas[starts_mask] = values[starts_mask] - base
+    deltas[starts] = values[starts] - base
     return deltas
 
 
@@ -117,104 +116,68 @@ def _varint_lengths(vals: np.ndarray) -> np.ndarray:
     return nb
 
 
-def _slice_encoded(enc: bytes, value_byte_offsets: np.ndarray,
-                   group_value_offsets: np.ndarray) -> list[bytes]:
-    """Split one big varint buffer into per-group byte strings."""
-    mv = memoryview(enc)
-    out = []
-    for i in range(len(group_value_offsets) - 1):
-        a = value_byte_offsets[group_value_offsets[i]]
-        b = value_byte_offsets[group_value_offsets[i + 1]]
-        out.append(bytes(mv[a:b]))
-    return out
+#: a shard's term table: one row per term, sorted by term
+TERM_TABLE_SCHEMA = pa.schema([
+    ("term", pa.string()),
+    ("df", pa.int64()),
+    ("ttf", pa.int64()),
+    ("doc_ids_enc", pa.large_binary()),
+    ("freqs_enc", pa.large_binary()),
+    ("positions_enc", pa.large_binary()),
+])
+
+
+def binary_column(data, offsets: np.ndarray) -> pa.LargeBinaryArray:
+    """A large_binary array whose row ``i`` is ``data[offsets[i]:offsets[i +
+    1]]``: a view of ``data`` (any buffer) with no copy per row."""
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(offsets) - 1,
+        [None, pa.py_buffer(np.asarray(offsets, dtype=np.int64)),
+         pa.py_buffer(data)])
 
 
 def encode_shard_postings(
-    terms: np.ndarray | None,     # object array, sorted; defines grouping
+    terms: pa.StringArray,        # the shard's sorted vocabulary
+    term_offsets: np.ndarray,     # term i's rows: [offsets[i], offsets[i+1])
     doc_ids: np.ndarray,          # int64, sorted within term
     freqs: np.ndarray,            # int64/int32
     pos_flat: np.ndarray,         # int32 flat positions (doc-major)
     shard_base: int,
-    uniq_terms: np.ndarray | None = None,   # precomputed: sorted unique terms
-    term_offsets: np.ndarray | None = None,  # precomputed: row offsets, len U+1
     codec: str = "varint",
 ) -> pa.Table:
-    """Encode one shard's postings (sorted by term, doc_id) into a term table.
+    """Encode one shard's postings, sorted by (term, doc_id), into its term
+    table (``TERM_TABLE_SCHEMA``).
 
-    Grouping comes either from the full ``terms`` row array or, faster, from
-    precomputed ``(uniq_terms, term_offsets)`` (dictionary-encoded path).
+    Each value stream (doc id deltas, freqs, position deltas) is encoded
+    once over all terms, and its column is a view of that one buffer at
+    the per-term byte offsets, as Lucene's terms dictionary points into
+    one ``.doc``/``.pos`` file.
     """
-    n = len(doc_ids)
-    if n == 0:
-        return pa.table({
-            "term": pa.array([], type=pa.string()),
-            "df": pa.array([], type=pa.int64()),
-            "ttf": pa.array([], type=pa.int64()),
-            "doc_ids_enc": pa.array([], type=pa.large_binary()),
-            "freqs_enc": pa.array([], type=pa.large_binary()),
-            "positions_enc": pa.array([], type=pa.large_binary()),
-        })
-
-    doc_ids = doc_ids.astype(np.int64)
+    if len(doc_ids) == 0:
+        return TERM_TABLE_SCHEMA.empty_table()
+    term_offsets = np.asarray(term_offsets, dtype=np.int64)
     freqs = freqs.astype(np.int64)
-
-    if term_offsets is None:
-        # term boundaries over the sorted (term, doc_id) rows
-        starts_mask = np.empty(n, dtype=bool)
-        starts_mask[0] = True
-        starts_mask[1:] = terms[1:] != terms[:-1]
-        term_starts = np.nonzero(starts_mask)[0]
-        term_offsets = np.concatenate((term_starts, [n]))
-        uniq_terms = terms[term_starts]
-    else:
-        term_starts = term_offsets[:-1]
-        term_offsets = np.asarray(term_offsets)
-        starts_mask = np.zeros(n, dtype=bool)
-        starts_mask[term_starts] = True
-        uniq_terms = np.asarray(uniq_terms, dtype=object)
-    df = np.diff(term_offsets)
-    ttf = np.add.reduceat(freqs, term_starts)
-
     cdc = get_codec(codec)
 
-    # --- doc id deltas (first of each term relative to shard_base) ---
-    doc_deltas = _delta_with_resets(doc_ids, starts_mask, shard_base)
-    doc_lens = cdc.lengths(doc_deltas)
-    doc_byte_offs = np.concatenate(([0], np.cumsum(doc_lens)))
-    doc_enc = cdc.encode(doc_deltas)
-    doc_ids_enc = _slice_encoded(doc_enc, doc_byte_offs, term_offsets)
+    def column(vals: np.ndarray, row_offsets: np.ndarray) -> pa.Array:
+        byte_offsets = np.concatenate(([0], np.cumsum(cdc.lengths(vals))))
+        return binary_column(cdc.encode(vals), byte_offsets[row_offsets])
 
-    # --- freqs ---
-    freq_lens = cdc.lengths(freqs)
-    freq_byte_offs = np.concatenate(([0], np.cumsum(freq_lens)))
-    freq_enc = cdc.encode(freqs)
-    freqs_enc = _slice_encoded(freq_enc, freq_byte_offs, term_offsets)
-
-    # --- positions: delta within each (term, doc) posting ---
-    npos = len(pos_flat)
-    if npos:
-        pos_flat = pos_flat.astype(np.int64)
-        pos_doc_starts = np.zeros(npos, dtype=bool)
-        posting_pos_offsets = np.concatenate(([0], np.cumsum(freqs)))
-        pos_doc_starts[posting_pos_offsets[:-1]] = True
-        pos_deltas = _delta_with_resets(pos_flat, pos_doc_starts, 0)
-        pos_lens = cdc.lengths(pos_deltas)
-        pos_byte_offs = np.concatenate(([0], np.cumsum(pos_lens)))
-        pos_enc = cdc.encode(pos_deltas)
-        # per-term ranges in position-value space
-        term_pos_offsets = posting_pos_offsets[term_offsets]
-        positions_enc = _slice_encoded(pos_enc, pos_byte_offs, term_pos_offsets)
-    else:
-        positions_enc = [b""] * len(uniq_terms)
-
-    return pa.table({
-        "term": pa.array(uniq_terms.astype(object), type=pa.string()),
-        "df": pa.array(df, type=pa.int64()),
-        "ttf": pa.array(ttf, type=pa.int64()),
-        "doc_ids_enc": pa.array(doc_ids_enc, type=pa.large_binary()),
-        "freqs_enc": pa.array(freqs_enc, type=pa.large_binary()),
-        "positions_enc": pa.array(positions_enc, type=pa.large_binary()),
-    })
+    # doc ids: deltas, each term's first relative to shard_base
+    doc_deltas = _delta_with_resets(doc_ids.astype(np.int64),
+                                    term_offsets[:-1], shard_base)
+    # positions: deltas within each (term, doc) posting
+    posting_pos = np.concatenate(([0], np.cumsum(freqs)))
+    pos_deltas = _delta_with_resets(pos_flat.astype(np.int64),
+                                    posting_pos[:-1], 0)
+    return pa.Table.from_arrays([
+        terms,
+        pa.array(np.diff(term_offsets), type=pa.int64()),
+        pa.array(np.add.reduceat(freqs, term_offsets[:-1]), type=pa.int64()),
+        column(doc_deltas, term_offsets),
+        column(freqs, term_offsets),
+        column(pos_deltas, posting_pos[term_offsets]),
+    ], schema=TERM_TABLE_SCHEMA)
 
 
 def decode_doc_ids(doc_ids_enc: bytes, shard_base: int,
@@ -296,8 +259,7 @@ def decode_segment(tables: list[pa.Table], shard_bases: list[int],
     base) or per posting (positions) restores them. Runs hold about
     ``_DECODE_CHUNK`` postings."""
     if not tables:  # an empty segment
-        tables, shard_bases = [encode_shard_postings(
-            None, np.empty(0), np.empty(0), np.empty(0), 0)], [0]
+        tables, shard_bases = [TERM_TABLE_SCHEMA.empty_table()], [0]
     table = pa.concat_tables(tables)
     shard = np.repeat(np.arange(len(tables)), [t.num_rows for t in tables])
     if len(tables) > 1:

@@ -119,6 +119,33 @@ def test_cli_datemath_ts_filter(ray_session, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip()) == []
 
 
+def test_cli_filter_bounds_take_the_field_type(ray_session, tmp_path,
+                                               capsys):
+    """--filter casts its bounds to the field's doc-value type: number-like
+    bounds on a string field compare as strings, and on an integer field
+    as numbers."""
+    from lucene_solr_ray.search.searcher import IndexSearcher
+
+    src = transcripts_path("tiny")
+    idx = str(tmp_path / "fidx")
+    assert main(["build", src, idx, "--num-shards", "2"]) == 0
+    capsys.readouterr()
+    s = IndexSearcher(idx)
+    rows = {}
+    for field, lo, hi, want in (("tool", "1", "5", ("1", "5")),
+                                ("tool", "-", "5", (None, "5")),
+                                ("turn_idx", "2", "5", (2, 5))):
+        assert main(["search", idx, "ray", "--filter", field, lo, hi,
+                     "-k", "50"]) == 0
+        rows[field, lo] = json.loads(capsys.readouterr().out)
+        assert [h["doc_id"] for h in rows[field, lo]] == [
+            h["doc_id"] for h in s.resolve_hits(s.search(
+                "ray", k=50, filter_range={field: want}))], (field, lo, hi)
+    assert rows["tool", "-"]  # "" (no tool) sorts below "5"
+    assert rows["turn_idx", "2"]
+    assert all(2 <= h["turn_idx"] <= 5 for h in rows["turn_idx", "2"])
+
+
 def test_cli_qop_rejected_with_non_classic_syntax(ray_session, tmp_path,
                                                   capsys):
     """--qop AND only makes sense for the classic parser; any other

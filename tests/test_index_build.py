@@ -219,6 +219,45 @@ def test_dataset_and_unsorted_sources_match_path_build(ray_session,
         build_index(str(rev), str(tmp_path / "refused"), num_shards=4)
 
 
+def test_unsorted_keys_rejected_null_and_repeat(ray_session, tmp_path):
+    """Wave A rejects a null conv_id and a repeated (conv_id, turn_idx)
+    key as rows not sorted."""
+    import pyarrow as pa
+
+    t = generate_transcripts(40, seed=8)
+    conv = t.column("conv_id").to_pylist()
+    conv[5] = None
+    bad = {"null": t.set_column(t.column_names.index("conv_id"), "conv_id",
+                                pa.array(conv, type=pa.string())),
+           "repeat": t.take(np.r_[0:6, 5:t.num_rows])}
+    for name, rows in bad.items():
+        pq.write_table(rows, tmp_path / f"{name}.parquet")
+        with pytest.raises(ValueError, match="not sorted"):
+            build_index(str(tmp_path / f"{name}.parquet"),
+                        str(tmp_path / f"{name}_idx"), num_shards=2)
+
+
+def test_segment_writer_rejects_duplicate_dictionary_terms(tmp_path):
+    """A term dictionary holding one string twice would write two rows
+    for one term: SegmentWriter refuses it."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.index.build import SegmentWriter
+
+    group = pa.table({
+        "doc_shard": pa.array([0, 0], type=pa.int32()),
+        "term": pa.DictionaryArray.from_arrays(
+            pa.array([0, 1], type=pa.int32()), pa.array(["ray", "ray"])),
+        "doc_id": pa.array([0, 1], type=pa.int64()),
+        "freq": pa.array([1, 1], type=pa.int64()),
+        "positions": pa.LargeListArray.from_arrays(
+            [0, 1, 2], pa.array([0, 0], type=pa.int32())),
+    })
+    with pytest.raises(ValueError, match="duplicate term"):
+        SegmentWriter(str(tmp_path), docs_per_shard=10)(group)
+    assert not (tmp_path / "shards").exists()
+
+
 def test_resume_dataset_source_reuses_materialized_source(ray_session,
                                                          tmp_path):
     """A Dataset build kept with keep_runs=True resumes from its sorted

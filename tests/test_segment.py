@@ -25,12 +25,20 @@ def build_inputs(rng, n_terms=40, n_docs=500, base=1000):
     return terms, doc_ids, freqs, pos_flat
 
 
+def grouped(terms):
+    """(sorted vocabulary, per-term row offsets) of sorted term rows: the
+    first two arguments of ``encode_shard_postings``."""
+    starts = [i for i in range(len(terms)) if i == 0 or terms[i] != terms[i - 1]]
+    return (pa.array(terms[starts], type=pa.string()),
+            np.array(starts + [len(terms)], dtype=np.int64))
+
+
 @pytest.fixture(scope="module")
 def encoded():
     rng = np.random.default_rng(7)
     terms, doc_ids, freqs, pos_flat = build_inputs(rng)
     table = segment.encode_shard_postings(
-        terms, doc_ids, freqs, pos_flat, shard_base=1000)
+        *grouped(terms), doc_ids, freqs, pos_flat, shard_base=1000)
     return table, (terms, doc_ids, freqs, pos_flat)
 
 
@@ -71,7 +79,7 @@ def test_positions_roundtrip(encoded):
 
 def test_empty_shard():
     t = segment.encode_shard_postings(
-        np.array([], dtype=object), np.array([], dtype=np.int64),
+        *grouped(np.array([], dtype=object)), np.array([], dtype=np.int64),
         np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0)
     assert t.num_rows == 0
 
@@ -84,7 +92,8 @@ def test_block_boundary_dfs(df):
     freqs = (docs % 7 + 1).astype(np.int64)
     terms = np.array(["t"] * df, dtype=object)
     pos_flat = np.concatenate([np.arange(f) for f in freqs]).astype(np.int64)
-    t = segment.encode_shard_postings(terms, docs, freqs, pos_flat, 0)
+    t = segment.encode_shard_postings(*grouped(terms), docs, freqs, pos_flat,
+                                      0)
     d = t.to_pydict()
     assert d["df"] == [df] and d["ttf"] == [int(freqs.sum())]
     np.testing.assert_array_equal(
@@ -180,7 +189,8 @@ def test_decode_segment_matches_per_term_decode(ray_session, tmp_path,
 def test_decode_segment_rejects_short_positions():
     terms, doc_ids, freqs, pos_flat = build_inputs(
         np.random.default_rng(3), n_terms=5, n_docs=50)
-    t = segment.encode_shard_postings(terms, doc_ids, freqs, pos_flat, 1000)
+    t = segment.encode_shard_postings(*grouped(terms), doc_ids, freqs,
+                                      pos_flat, 1000)
     segment.decode_segment([t], [1000])  # intact: decodes
     short = t.to_pydict()
     # one byte fewer is one position fewer (a dangling varint byte
