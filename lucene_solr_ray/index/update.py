@@ -244,13 +244,14 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
     shifted doc range overlaps it (range sharding: no shuffle). At
     100-TB scale the decode wave would stage parquet runs instead of
     returning in-memory tables. Norms/docvalue rows append shifted into
-    the hive partitions; stats sum exactly; source tombstone/expunged
-    sets shift and union in, and the source's lineage rows append
-    shifted, so lineage still covers every doc. The two layouts may differ in
-    docs_per_shard (the source's layout only drives decoding; placement
-    uses the destination's); the ANALYZER must match — mixed analysis
-    chains would blend incompatible token streams (the reference's
-    compatible-schema requirement)."""
+    the hive partitions, and so do the offsets sidecar's rows when the
+    destination stores offsets (then the source must too); stats sum
+    exactly; source tombstone/expunged sets shift and union in, and the
+    source's lineage rows append shifted, so lineage still covers every
+    doc. The two layouts may differ in docs_per_shard (the source's
+    layout only drives decoding; placement uses the destination's); the
+    ANALYZER must match — mixed analysis chains would blend incompatible
+    token streams (the reference's compatible-schema requirement)."""
     dst_path, src_path = Path(dst_dir), Path(src_dir)
     dstm, srcm = read_manifest(dst_dir), read_manifest(src_dir)
     if dstm["params"]["analyzer"] != srcm["params"]["analyzer"]:
@@ -258,6 +259,9 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
             "addIndexes requires matching analyzer: "
             f"{dstm['params']['analyzer']!r} != "
             f"{srcm['params']['analyzer']!r}")
+    if dstm["params"].get("offsets") and not srcm["params"].get("offsets"):
+        raise ValueError("addIndexes: the destination stores offsets and "
+                         "the source does not")
     dps = int(dstm["params"]["docs_per_shard"])
     src_dps = int(srcm["params"]["docs_per_shard"])
     base = int(dstm["stats"]["num_docs"])
@@ -293,6 +297,11 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
     rd.read_parquet(str(src_path / "norms")).map_batches(
         _shift_docs, fn_args=(base, dps), batch_format="pyarrow"
     ).write_parquet(str(dst_path / "norms"), partition_cols=["doc_shard"])
+    if dstm["params"].get("offsets"):
+        for sid in src_shards:
+            _move_offsets(src_path / "offsets" / f"shard={sid:05d}",
+                          dst_path / "offsets", base, dps,
+                          f"a{dstm['version'] + 1}-{sid:05d}-")
 
     # tombstones / expunged shift and union
     for name, read_ids in ((DELETES_NAME, read_deletes),
@@ -334,6 +343,23 @@ def _shift_docs(t: pa.Table, base: int, docs_per_shard: int) -> pa.Table:
         t = (t.set_column(t.column_names.index(name), name, col)
              if name in t.column_names else t.append_column(name, col))
     return t
+
+
+def _move_offsets(src_part: Path, dst_offsets: Path, shift: int,
+                  docs_per_shard: int, prefix: str) -> None:
+    """Write the offsets-sidecar rows of the shard dir ``src_part`` under
+    ``dst_offsets``, ``doc_id`` shifted by ``shift`` and each row in the
+    shard dir of its new doc id for a layout of ``docs_per_shard``, as
+    ``prefix`` + the source file's name. Row groups stay 32 rows, the
+    highlighter's pushdown unit."""
+    for f in sorted(src_part.glob("*.parquet")):
+        t = _shift_docs(pq.read_table(f), shift, docs_per_shard)
+        shard = t.column("doc_shard").to_numpy()
+        for sid in np.unique(shard):
+            part = dst_offsets / f"shard={sid:05d}"
+            part.mkdir(parents=True, exist_ok=True)
+            pq.write_table(t.filter(pa.array(shard == sid)).drop_columns(
+                ["doc_shard"]), part / (prefix + f.name), row_group_size=32)
 
 
 def expire_documents(index_dir: str, expire_before, field: str = "ts",
@@ -725,11 +751,11 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     boundary, so every ``terms.parquet`` segment belongs wholly to one
     side — segment postings are shard-relative, so every
     ``terms.parquet`` copies verbatim on both sides. The norms/docvalue
-    rows of side B rewrite
-    (absolute doc_id/doc_shard columns shift), fanned out as one Ray task
-    per partition; the same tasks return (num_docs, doc_count,
-    sum_doc_len, key range) partials so each side's BM25 statistics are
-    recomputed EXACTLY (split == rebuild-of-half, asserted in tests).
+    and offsets-sidecar rows of side B rewrite (their absolute doc_id
+    columns shift), fanned out as Ray tasks per shard; the norms tasks
+    return (num_docs, doc_count, sum_doc_len, key range) partials so
+    each side's BM25 statistics are recomputed EXACTLY (split ==
+    rebuild-of-half, asserted in tests).
     Tombstones and expunged sets partition by the boundary and shift.
 
     Like the reference's hash-route split, a conversation straddling the
@@ -760,12 +786,15 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
         (Path(dst) / "norms").mkdir(parents=True, exist_ok=True)
 
     @ray.remote
-    def copy_shard(shard_id: int, dst: str, new_id: int) -> None:
+    def copy_shard(shard_id: int, dst: str, new_id: int, shift: int) -> None:
         # posting doc streams are shard-relative (the first delta is added
         # to shard_id*dps at decode), so a renumbered shard copies verbatim
         shutil.copytree(src / "shards" / f"shard={shard_id:05d}",
                         Path(dst) / "shards" / f"shard={new_id:05d}",
                         dirs_exist_ok=True)
+        # the offsets sidecar's doc ids are absolute: side B's shift
+        _move_offsets(src / "offsets" / f"shard={shard_id:05d}",
+                      Path(dst) / "offsets", -shift, dps, "")
 
     @ray.remote
     def move_norms(shard_id: int, dst: str, new_id: int,
@@ -801,10 +830,11 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     for s in shards:
         sid = int(s["shard_id"])
         if sid < k:
-            copy_refs.append(copy_shard.remote(sid, dst_a, sid))
+            copy_refs.append(copy_shard.remote(sid, dst_a, sid, 0))
             norm_refs["a"].append(move_norms.remote(sid, dst_a, sid, 0))
         else:
-            copy_refs.append(copy_shard.remote(sid, dst_b, sid - k))
+            copy_refs.append(copy_shard.remote(sid, dst_b, sid - k,
+                                               split_doc))
             norm_refs["b"].append(
                 move_norms.remote(sid, dst_b, sid - k, split_doc))
     ray.get(copy_refs)

@@ -5,9 +5,11 @@ shards of one index, merged at open into one segment over one doc range
 with one term dictionary over their union vocabulary (Lucene's leaf at
 its docBase). It answers the shard side of every query method: its term
 table (``term_table``), one top-k over its segment's matches
-(``search_batch``), ``explain``, and the ``*_partial`` aggregates
-behind facets, stats, block join, collapse/expand, rerank, function
-boosts, terms and suggestions. Doc ids enter and leave it as coordinator
+(``search_batch``), ``explain``, the ``*_partial`` aggregates behind
+facets, stats, block join, collapse/expand, rerank, function boosts,
+terms and suggestions, and the fetch phase (PURPOSE_GET_FIELDS) for the
+docs it holds: doc values, hit keys, term vectors, stored offsets and
+its tombstone count. Doc ids enter and leave it as coordinator
 ids: its one doc base, ``ShardSearcher.base``, is the coordinator id of
 its first doc. The same class runs in-process, or as the Ray actor
 ``SearchActor`` that pins its segment (postings decoded at open, norms)
@@ -23,7 +25,9 @@ from every group's ``term_table`` (Solr's ExactStatsCache, kept for the
 searcher's lifetime: df and ttf cannot change while it is open). So a
 batch of queries costs one round trip, the scoring one, and the table's
 per-group presence mask skips groups that hold none of a batch's terms.
-Every group call goes through ``SearchCoordinator._scatter``.
+Every group call goes through ``SearchCoordinator._scatter``. The
+coordinator holds only its groups and the term table: it reads no index
+file beyond the manifest.
 
 Three constructors choose the groups and nothing else:
 
@@ -57,8 +61,8 @@ import ray
 
 from .query import (CommonTermsQuery, Query, parse_query,
                     rewrite_common_terms, rewrite_expansions)
-from .searcher import (DocValues, ShardSearcher, _sort_key, _sorted_unique,
-                       _TermDict, collect_terms)
+from .searcher import (ShardSearcher, _sort_key, _sorted_unique, _TermDict,
+                       collect_terms)
 
 # actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
 # call that was in flight on it
@@ -137,21 +141,20 @@ def _prunable(q: Query) -> bool:
 
 class SearchCoordinator:
     """The query methods, over a list of shard groups (in-process
-    ``ShardSearcher``s or ``SearchActor`` handles).
+    ``ShardSearcher``s or ``SearchActor`` handles) in doc order.
 
-    ``indexes`` lists (index_dir, doc base, DocValues) per index, in doc
-    base order. At open the coordinator sums the groups' term tables into
-    one term-statistics table: sorted terms (a ``_TermDict``), their
+    It holds the groups and one term-statistics table, and reads no index
+    file: per-doc data (doc values, hit keys, offsets, tombstone counts)
+    comes from the groups that hold the docs. At open it sums the groups'
+    term tables into that table: sorted terms (a ``_TermDict``), their
     global df and ttf, and a terms x groups presence mask."""
 
-    def __init__(self, manifest: dict, indexes: list[tuple], groups: list):
+    def __init__(self, manifest: dict, groups: list):
         self.manifest = manifest
         self.analyzer_name = manifest["params"]["analyzer"]
-        self.indexes = indexes
         self.groups = groups
         self._remote = bool(groups) and isinstance(groups[0],
                                                    ray.actor.ActorHandle)
-        self._offsets_files: dict = {}  # parquet handle cache (metadata)
         self.last_fanout: int | None = None
         parts = self._scatter("term_table")
         # one (term, df, ttf) row per distinct term, summed over groups
@@ -186,6 +189,13 @@ class SearchCoordinator:
             raise TimeoutError(
                 f"{method} on group {self.groups.index(late)} did not "
                 f"return within {CALL_TIMEOUT_S} s") from None
+
+    def _union(self, method: str, *args) -> dict:
+        """The union of the groups' ``method(*args)`` dicts."""
+        out: dict = {}
+        for p in self._scatter(method, *args):
+            out.update(p)
+        return out
 
     def _rows(self, terms) -> dict[str, int]:
         """Term-table row of each of ``terms`` the index holds."""
@@ -322,11 +332,8 @@ class SearchCoordinator:
         """Scores of the given docs under ``query``; docs that do not
         match are absent."""
         q, df_map = self._prepare_one(query)
-        out: dict[int, float] = {}
-        for p in self._scatter("scores_for_docs", q, df_map,
-                               [int(d) for d in doc_ids]):
-            out.update(p)
-        return out
+        return self._union("scores_for_docs", q, df_map,
+                           [int(d) for d in doc_ids])
 
     def rerank(self, query: Query | str, rerank_query: Query | str,
                k: int = 10, top_n: int = 50, weight: float = 2.0):
@@ -585,19 +592,18 @@ class SearchCoordinator:
                         "tries": tries}
         return None
 
-    # --- per-doc data read on the coordinator ---
+    # --- per-doc data, fetched from the groups holding the docs ---
     def docvalues(self, field: str) -> np.ndarray | None:
         """Per-doc values of a docvalue field as Python objects indexed by
-        doc_id (None where a doc has no value), built on each call; None if
-        no index carries the field. Queries read the typed columns."""
-        cols = [dv.column(field) for _, _, dv in self.indexes]
-        if all(c is None for c in cols):
+        doc_id (None where a doc has no value), built on each call from
+        the groups' typed columns; None if no group carries the field.
+        Queries read the typed columns."""
+        parts = self._scatter("docvalues_column", field)
+        if all(c is None for _, c in parts):
             return None
-        parts = []
-        for c, (_, _, dv) in zip(cols, self.indexes):
-            c = pa.nulls(len(dv.docs)) if c is None else c
-            parts.append(np.asarray(c.to_pylist(), dtype=object))
-        return np.concatenate(parts)
+        return np.concatenate([
+            np.asarray((pa.nulls(n) if c is None else c).to_pylist(),
+                       dtype=object) for n, c in parts])
 
     def docmap(self) -> np.ndarray:
         """conv_id per doc_id (block-join identity / result display)."""
@@ -608,77 +614,29 @@ class SearchCoordinator:
         stored-fields fetch phase, PURPOSE_GET_FIELDS analog —
         QueryComponent.java:748,766; full stored fields live in the
         source Parquet, addressable by (conv_id, turn_idx))."""
-        import pyarrow.dataset as pads
-
-        keys = {}
-        for index_dir, base, dv in self.indexes:
-            ids = [d - base for d, _ in hits
-                   if base <= d < base + len(dv.docs)]
-            if not ids:
-                continue
-            t = pads.dataset(str(Path(index_dir) / "norms"), format="parquet",
-                             partitioning="hive").to_table(
-                columns=["doc_id", "conv_id", "turn_idx"],
-                filter=pads.field("doc_id").isin(ids))
-            for r in t.to_pylist():
-                keys[r["doc_id"] + base] = (r["conv_id"], r["turn_idx"])
+        keys = self._union("doc_rows", [int(d) for d, _ in hits],
+                           ["conv_id", "turn_idx"])
         return [{"doc_id": d, "score": float(s),
                  "conv_id": keys[d][0], "turn_idx": keys[d][1]}
                 for d, s in hits]
+
+    def num_deleted(self) -> int:
+        """Tombstoned docs as of open (maxDoc - numDocs)."""
+        return sum(self._scatter("num_deleted"))
 
     def term_vectors(self, doc_ids: list[int]
                      ) -> dict[int, list[tuple[str, int, list[int]]]]:
         """TermVectorComponent: (term, freq, positions) per requested doc
         (typically the current page of hits)."""
-        out: dict[int, list] = {int(d): [] for d in doc_ids}
-        for p in self._scatter("term_vectors", [int(d) for d in doc_ids]):
-            out.update(p)
-        return out
+        return {int(d): [] for d in doc_ids} | self._union(
+            "term_vectors", [int(d) for d in doc_ids])
 
     def term_offsets(self, doc_ids: list[int]
-                     ) -> dict[int, tuple[list[int], list[int]]]:
-        """Per-doc raw-token char spans from the build-time offsets
-        sidecar (``store_offsets=True`` builds; PostingsHighlighter's
-        stored-offsets analog, doc-major). Pushdown read — only row
-        groups containing the requested page of hits decompress."""
-        import pyarrow.parquet as pq
-
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        dps = int(self.manifest["params"]["docs_per_shard"])
-        for index_dir, base, dv in self.indexes:
-            p = Path(index_dir) / "offsets"
-            want = sorted({int(d) - base for d in doc_ids
-                           if 0 <= int(d) - base < len(dv.docs)})
-            if not want or not p.exists():
-                continue
-            # prune at the directory level first (doc ranges map to shard
-            # dirs), then by doc_id row-group stats inside the files:
-            # offsets files are written with 32-row groups so each hit
-            # costs one small row-group decode
-            dirs = sorted({p / f"shard={d // dps:05d}" for d in want})
-            files = sorted(str(f) for d in dirs if d.exists()
-                           for f in d.glob("*.parquet"))
-            want_arr = np.asarray(want, dtype=np.int64)
-            for f in files:
-                pf = self._offsets_files.get(f)
-                if pf is None:
-                    pf = self._offsets_files[f] = pq.ParquetFile(f)
-                md = pf.metadata
-                idx_col = pf.schema_arrow.get_field_index("doc_id")
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(idx_col).statistics
-                    if st is not None and not (
-                            (want_arr >= st.min) & (want_arr <= st.max)).any():
-                        continue
-                    t = pf.read_row_group(rg)
-                    ids = t.column("doc_id").to_numpy()
-                    for i in np.nonzero(np.isin(ids, want_arr))[0]:
-                        spans = np.frombuffer(
-                            t.column("spans")[i].as_buffer(), dtype="<i4")
-                        half = len(spans) // 2
-                        out[int(ids[i]) + base] = (spans[:half],
-                                                   spans[half:])
-        return out
+                     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per-doc raw-token char spans (starts, ends) from the build-time
+        offsets sidecar of ``store_offsets=True`` builds, read by the
+        groups holding the docs (``ShardSearcher.term_offsets``)."""
+        return self._union("term_offsets", [int(d) for d in doc_ids])
 
     def close(self):
         """Kill the actor groups (in-process groups need no cleanup)."""
@@ -695,8 +653,7 @@ class IndexSearcher(SearchCoordinator):
         manifest = _read_manifest(index_dir)
         seg = ShardSearcher(str(index_dir), _shard_ids(manifest), manifest,
                             similarity)
-        super().__init__(manifest, [(str(index_dir), 0, seg.docvalues)],
-                         [seg])
+        super().__init__(manifest, [seg])
         self.index_dir = str(index_dir)
         self.segment = seg
 
@@ -731,17 +688,14 @@ class MultiIndexSearcher(SearchCoordinator):
         ttf = sum(m["stats"]["sum_total_term_freq"] for m in manifests)
         combined = {"doc_count": dc, "sum_total_term_freq": ttf,
                     "avgdl": float(bm25.avg_field_length(ttf, max(dc, 1)))}
-        indexes, groups, base = [], [], 0
+        groups, base = [], 0
         for d, m in zip(index_dirs, manifests):
-            g = ShardSearcher(str(d), _shard_ids(m),
-                              {**m, "stats": {**m["stats"], **combined}},
-                              similarity, base)
-            indexes.append((str(d), base, g.docvalues))
-            groups.append(g)
+            groups.append(ShardSearcher(
+                str(d), _shard_ids(m),
+                {**m, "stats": {**m["stats"], **combined}}, similarity, base))
             base += int(m["stats"]["num_docs"])
         super().__init__({"params": manifests[0]["params"],
-                          "stats": {"num_docs": num, **combined}},
-                         indexes, groups)
+                          "stats": {"num_docs": num, **combined}}, groups)
 
 
 class DistributedSearcher(SearchCoordinator):
@@ -763,10 +717,7 @@ class DistributedSearcher(SearchCoordinator):
                                           similarity)
                        for sids in self.actor_shards]
         try:
-            super().__init__(
-                manifest, [(self.index_dir, 0, DocValues(
-                    self.index_dir, range(manifest["stats"]["num_docs"])))],
-                self.actors)
+            super().__init__(manifest, self.actors)
         except Exception:  # the term-table call failed: free the actors
             for a in self.actors:
                 ray.kill(a)

@@ -122,6 +122,9 @@ def best_fragments(text: str, query: Query | str,
     - contiguous scoring fragments merge (mergeContiguousFragments);
     - the top ``max_fragments`` come back ordered by descending score,
       ties in document order, matches wrapped in ``pre``/``post``.
+
+    The analyzer gives the token spans and the matched positions;
+    ``best_fragments_from_offsets`` fragments and scores them.
     """
     analyzer = get_analyzer(analyzer_name)
     if isinstance(query, str):
@@ -132,90 +135,38 @@ def best_fragments(text: str, query: Query | str,
     from ..analysis.analyzer import java_lowercase
 
     tokens = analyzer.tokenizer.tokenize_full(text)
-    # fragment boundaries: first token whose end crosses the next
-    # fragment_size multiple starts a new fragment
-    frags: list[dict] = []
-    cur = {"start": 0, "tokens": [], "idx": 0}
-    boundary = fragment_size
-    for t in tokens:
-        if t.end > boundary and cur["tokens"]:
-            cur["end"] = cur["tokens"][-1].end
-            frags.append(cur)
-            cur = {"start": cur["end"], "tokens": [], "idx": len(frags)}
-            while boundary < t.end:
-                boundary += fragment_size
-        cur["tokens"].append(t)
-    if cur["tokens"]:
-        cur["end"] = len(text)
-        frags.append(cur)
-    if not frags:
-        return []
-    frags[-1]["end"] = len(text)
+    matched = {i: term for i, t in enumerate(tokens)
+               if (term := java_lowercase(t.text)) in wanted}
+    return best_fragments_from_offsets(
+        text, [t.start for t in tokens], [t.end for t in tokens], matched,
+        fragment_size, max_fragments, pre, post, merge_contiguous, weights)
 
-    def score_of(frag) -> tuple[float, list]:
-        seen: set[str] = set()
-        s = 0.0
-        matched = []
-        for t in frag["tokens"]:
-            term = java_lowercase(t.text)
-            if term in wanted:
-                matched.append(t)
-                if term not in seen:
-                    seen.add(term)
-                    s += (weights or {}).get(term, 1.0)
-        return s, matched
 
-    scored = []
-    for f in frags:
-        s, matched = score_of(f)
-        if s > 0:
-            scored.append({**f, "score": s, "matched": matched})
-    if merge_contiguous and scored:
-        merged = [scored[0]]
-        for f in scored[1:]:
-            prev = merged[-1]
-            if f["idx"] == prev["idx"] + 1:
-                # re-score the union so shared terms still count once
-                u = {**prev, "end": f["end"], "idx": f["idx"],
-                     "tokens": prev["tokens"] + f["tokens"]}
-                u["score"], u["matched"] = score_of(u)
-                merged[-1] = u
-            else:
-                merged.append(f)
-        scored = merged
-    scored.sort(key=lambda f: (-f["score"], f["start"]))
-    out = []
-    for f in scored[:max_fragments]:
-        pieces, cpos = [], f["start"]
-        for t in f["matched"]:
-            pieces.append(text[cpos:t.start])
-            pieces.append(pre + text[t.start:t.end] + post)
-            cpos = t.end
-        pieces.append(text[cpos:f["end"]])
-        out.append(("".join(pieces).strip(), f["score"]))
-    return out
+def _source_texts(source_path: str, rows: list[dict]) -> dict:
+    """(conv_id, turn_idx) -> text of the hit rows, from the SOURCE
+    parquet with a pushed-down filter: only the page of hits is read."""
+    import pyarrow.dataset as pads
+
+    want = {(str(r["conv_id"]), int(r["turn_idx"])) for r in rows}
+    t = pads.dataset(source_path, format="parquet").to_table(
+        columns=["conv_id", "turn_idx", "text"],
+        filter=pads.field("conv_id").isin(sorted({c for c, _ in want})))
+    return {(str(c), int(i)): x
+            for c, i, x in zip(t.column("conv_id").to_pylist(),
+                               t.column("turn_idx").to_pylist(),
+                               t.column("text").to_pylist())
+            if (str(c), int(i)) in want}
 
 
 def highlight_hits(searcher, query: Query | str, rows: list[dict],
                    source_path: str, **hl_kw) -> list[dict]:
     """Attach highlight snippets to resolved hit rows (the stored-fields
     + highlighting phase of a Solr request): texts are fetched from the
-    SOURCE parquet by (conv_id, turn_idx) key with a pushed-down filter —
-    only the page of hits is ever read — and each row gains a
-    ``snippet``."""
-    import pyarrow.dataset as pads
-
+    SOURCE parquet by (conv_id, turn_idx) key (``_source_texts``) and each
+    row gains a ``snippet``."""
     if not rows:
         return rows
-    want = {(str(r["conv_id"]), int(r["turn_idx"])) for r in rows}
-    t = pads.dataset(source_path, format="parquet").to_table(
-        columns=["conv_id", "turn_idx", "text"],
-        filter=pads.field("conv_id").isin(sorted({c for c, _ in want})))
-    texts = {(str(c), int(i)): x
-             for c, i, x in zip(t.column("conv_id").to_pylist(),
-                                t.column("turn_idx").to_pylist(),
-                                t.column("text").to_pylist())
-             if (str(c), int(i)) in want}
+    texts = _source_texts(source_path, rows)
     n_frags = hl_kw.pop("fragments", 0)
     out = []
     for r in rows:
@@ -236,11 +187,10 @@ def index_stats(searcher, terms: set[str]) -> dict:
     """Index statistics for the ValueSource accessors
     (DocFreqValueSource.java:35 et al.): maxdoc = every assigned doc id
     (deleted included, IndexReader.maxDoc), numdocs = maxdoc minus
-    tombstones (IndexReader.numDocs), docfreq = global df per term."""
-    from ..index.update import read_deletes
-
+    tombstones as of the searcher's open (IndexReader.numDocs), docfreq =
+    global df per term."""
     stats = searcher.manifest["stats"]
-    n_del = sum(len(read_deletes(d)) for d, _, _ in searcher.indexes)
+    n_del = searcher.num_deleted()
     df, ttf = searcher.global_term_stats(sorted(terms)) if terms else ({}, {})
     import time
 
@@ -284,16 +234,14 @@ def best_fragments_from_offsets(text: str, starts, ends,
                                 merge_contiguous: bool = True,
                                 weights: dict[str, float] | None = None,
                                 ) -> list[tuple[str, float]]:
-    """``best_fragments`` computed from STORED token offsets instead of
-    re-analysis (PostingsHighlighter semantics): ``starts``/``ends`` are
-    the doc's raw-token char spans from the build-time offsets sidecar,
-    ``matched_pos`` maps raw token position -> matched query term (from
-    one postings probe per query term). Fragmentation, distinct-term
-    scoring, contiguous merge and ordering replicate ``best_fragments``
-    exactly — pinned by parity goldens in tests/test_highlight_offsets.py
-    — without tokenizing the text."""
-    import numpy as np
-
+    """The fragmenter and scorer of ``best_fragments``, over given token
+    spans: ``starts``/``ends`` are the doc's raw-token char spans (from
+    the build-time offsets sidecar, PostingsHighlighter semantics, or from
+    the analyzer), ``matched_pos`` maps raw token position -> matched
+    query term (from one postings probe per query term, or from the
+    analyzed tokens). With the sidecar's spans no text is tokenized;
+    tests/test_highlight_offsets.py pins its fragments to the
+    re-analysis ones."""
     n = len(starts)
     if n == 0:
         return []
@@ -383,21 +331,11 @@ def postings_highlight_hits(searcher, query: Query | str, rows: list[dict],
     re-analysis fragmenter re-tokenizes every hit doc, which dominates
     highlight cost on long documents). Requires the index built with
     ``store_offsets=True``; each row gains ``snippets``."""
-    import pyarrow.dataset as pads
-
     if not rows:
         return rows
     parsed = searcher.parse(query) if isinstance(query, str) else query
     wanted = sorted(collect_terms(parsed))
-    want = {(str(r["conv_id"]), int(r["turn_idx"])) for r in rows}
-    t = pads.dataset(source_path, format="parquet").to_table(
-        columns=["conv_id", "turn_idx", "text"],
-        filter=pads.field("conv_id").isin(sorted({c for c, _ in want})))
-    texts = {(str(c), int(i)): x
-             for c, i, x in zip(t.column("conv_id").to_pylist(),
-                                t.column("turn_idx").to_pylist(),
-                                t.column("text").to_pylist())
-             if (str(c), int(i)) in want}
+    texts = _source_texts(source_path, rows)
     offsets = searcher.term_offsets([int(r["doc_id"]) for r in rows])
     seg = searcher.segment
     out = []

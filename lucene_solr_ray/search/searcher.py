@@ -8,14 +8,17 @@
   the coordinator id of its first doc, so doc ids enter and leave it as
   coordinator ids. Besides scoring it answers every per-segment call of
   the coordinator (``actors.SearchCoordinator``): the term table, one
-  top-k per query, explain, term vectors and the ``*_partial``
-  aggregates. Scoring is vectorized float32 BM25 (SURVEY.md §3.2) using
-  *global* term statistics supplied by the coordinator (Solr
-  ExactStatsCache analog — required for rank-identity with a single-node
-  index).
-- ``DocValues``: the per-field doc-value columns of a doc range of one
-  index, loaded on first use as typed Arrow arrays that the sort, range
-  filter, facet, stats and boost partials read with Arrow kernels.
+  top-k per query, explain, the ``*_partial`` aggregates, and the fetch
+  phase for the docs it holds (doc values, hit keys, term vectors,
+  offsets, its tombstone count). Scoring is vectorized float32 BM25
+  (SURVEY.md §3.2) using *global* term statistics supplied by the
+  coordinator (Solr ExactStatsCache analog — required for rank-identity
+  with a single-node index).
+- ``DocValues``: the per-field doc-value columns of a segment's doc
+  range, loaded on first use as typed Arrow arrays that the sort, range
+  filter, facet, stats and boost partials read with Arrow kernels. Its
+  ``read`` is the one reader of the norms partitions: the segment's
+  ``norm_byte`` at open goes through it too.
 - ``IndexSearcher`` / ``MultiIndexSearcher``: the in-process constructors
   of the one query coordinator, defined in ``actors.py`` beside
   ``DistributedSearcher`` and importable from here.
@@ -219,15 +222,15 @@ class _TermSeq:
 
 class DocValues:
     """Doc-value columns of the index docs ``docs`` (a range of index doc
-    ids), read on first use from the norms partitions of ``shard_ids``:
-    one typed ``pa.Array`` per field indexed by ``doc_id - docs.start``,
-    null where a doc has no value (``None`` if the index lacks the field).
-    Numbers and timestamps keep their Parquet type (NUMERIC doc values); a
-    string is a ``pa.DictionaryArray`` over the sorted distinct values, so
-    its indices are ordinals in value order (SORTED doc values)."""
+    ids), the docs of the norms partitions of ``shard_ids``: one typed
+    ``pa.Array`` per field indexed by ``doc_id - docs.start``, null where a
+    doc has no value (``None`` if no partition carries the field), read on
+    first use and cached. Numbers and timestamps keep their Parquet type
+    (NUMERIC doc values); a string is a ``pa.DictionaryArray`` over the
+    sorted distinct values, so its indices are ordinals in value order
+    (SORTED doc values)."""
 
-    def __init__(self, index_dir: str, docs: range,
-                 shard_ids: list[int] | None = None):
+    def __init__(self, index_dir: str, docs: range, shard_ids: list[int]):
         self.index_dir = str(index_dir)
         self.docs = docs
         self.shard_ids = shard_ids
@@ -235,33 +238,39 @@ class DocValues:
 
     def column(self, field: str) -> pa.Array | None:
         if field not in self.cache:
-            import pyarrow.dataset as pads
-
-            norms = Path(self.index_dir) / "norms"
-            col = None
-            if norms.exists():
-                dset = pads.dataset(str(norms), format="parquet",
-                                    partitioning="hive")
-                if field in dset.schema.names:
-                    flt = (None if self.shard_ids is None else
-                           pads.field("doc_shard").isin(self.shard_ids))
-                    t = dset.to_table(columns=["doc_id", field], filter=flt)
-                    vals = t.column(field)
-                    if pa.types.is_dictionary(vals.type):  # categorical
-                        vals = vals.cast(vals.type.value_type)
-                    if vals.type in (pa.string(), pa.large_string()):
-                        uniq = _sorted_unique(vals)
-                        vals = pa.DictionaryArray.from_arrays(pc.index_in(
-                            vals, value_set=uniq).combine_chunks(), uniq)
-                    else:
-                        vals = vals.combine_chunks()
-                    # each doc's row of ``t``; a doc without one stays null
-                    row = np.full(len(self.docs), -1, dtype=np.int32)
-                    row[t.column("doc_id").to_numpy() - self.docs.start] = \
-                        np.arange(t.num_rows, dtype=np.int32)
-                    col = vals.take(pa.array(row, mask=row < 0))
-            self.cache[field] = col
+            self.cache[field] = self.read(field)
         return self.cache[field]
+
+    def read(self, field: str) -> pa.Array | None:
+        """``field``'s column, read from the partitions without caching:
+        the one reader of the norms partitions (``norm_byte`` at open, and
+        every doc-value field). Each file read pairs the field with its
+        ``doc_id`` column, so a partition ``atomic_update`` rewrote after
+        open still lands each value on its doc."""
+        parts = []
+        for sid in self.shard_ids:
+            part = Path(self.index_dir) / "norms" / f"doc_shard={sid}"
+            for f in sorted(part.glob("*.parquet")):
+                pf = pq.ParquetFile(f)
+                if field in pf.schema_arrow.names:
+                    parts.append(pf.read(columns=["doc_id", field]))
+        if not parts:
+            return None
+        t = pa.concat_tables(parts, promote_options="permissive")
+        vals = t.column(field)
+        if pa.types.is_dictionary(vals.type):  # categorical
+            vals = vals.cast(vals.type.value_type)
+        if vals.type in (pa.string(), pa.large_string()):
+            uniq = _sorted_unique(vals)
+            vals = pa.DictionaryArray.from_arrays(pc.index_in(
+                vals, value_set=uniq).combine_chunks(), uniq)
+        else:
+            vals = vals.combine_chunks()
+        # each doc's row of ``t``; a doc without one stays null
+        row = np.full(len(self.docs), -1, dtype=np.int32)
+        row[t.column("doc_id").to_numpy() - self.docs.start] = \
+            np.arange(t.num_rows, dtype=np.int32)
+        return vals.take(pa.array(row, mask=row < 0))
 
 
 class ShardSearcher:
@@ -285,7 +294,7 @@ class ShardSearcher:
         self.index_dir = str(index_dir)
         params = manifest["params"]
         stats = manifest["stats"]
-        dps = params["docs_per_shard"]
+        self._dps = dps = params["docs_per_shard"]
         self._codec = params.get("postings_codec", "varint")
         # the segment's index doc ids, clamped to the index's real docs
         first = self.shard_ids[0] * dps if self.shard_ids else 0
@@ -336,20 +345,16 @@ class ShardSearcher:
         # otherwise read as all-zero norms / all-None docvalues and
         # silently corrupt BM25 scores, sorts, facets and stats.
         segment.recover_norms_partitions(index_path)
-        self.norms = np.zeros(self.size, dtype=np.uint8)
-        for sid in self.shard_ids:
-            norms_part = index_path / "norms" / f"doc_shard={sid}"
-            if sid in held and not norms_part.exists():
+        for sid in held:
+            part = index_path / "norms" / f"doc_shard={sid}"
+            if not part.exists():
                 raise FileNotFoundError(
                     f"norms partition missing for doc_shard={sid} "
                     f"(postings present) — index corrupt beyond .dvold "
-                    f"recovery: {norms_part}")
-            if norms_part.exists():
-                nt = pq.read_table(norms_part,
-                                   columns=["doc_id", "norm_byte"])
-                ids = nt.column("doc_id").to_numpy(zero_copy_only=False)
-                self.norms[ids - first] = nt.column(
-                    "norm_byte").to_numpy(zero_copy_only=False)
+                    f"recovery: {part}")
+        norms = self.docvalues.read("norm_byte")
+        self.norms = np.zeros(self.size, dtype=np.uint8) if norms is None \
+            else np.asarray(norms.fill_null(0), dtype=np.uint8)
 
     def _holds(self, doc_id: int) -> bool:
         return self.base <= doc_id < self.base + self.size
@@ -1047,6 +1052,58 @@ class ShardSearcher:
     def term_vectors(self, doc_ids: list[int]) -> dict[int, list]:
         return {int(d): self.term_vector(int(d)) for d in doc_ids
                 if self._holds(d)}
+
+    # --- per-doc data of the docs the segment holds (PURPOSE_GET_FIELDS) ---
+    def docvalues_column(self, field: str) -> tuple[int, pa.Array | None]:
+        """(segment size, ``field``'s typed column or None): the segment's
+        part of the coordinator's whole-index column."""
+        return self.size, self.docvalues.column(field)
+
+    def doc_rows(self, doc_ids: list[int], fields: list[str]
+                 ) -> dict[int, tuple]:
+        """The values of ``fields`` of each of ``doc_ids`` the segment
+        holds, as a tuple per doc."""
+        docs = np.asarray([d for d in doc_ids if self._holds(d)],
+                          dtype=np.int64)
+        cols = [self.docvalues_local(f, docs).to_pylist() for f in fields]
+        return dict(zip(docs.tolist(), zip(*cols)))
+
+    def num_deleted(self) -> int:
+        """Tombstoned docs of the segment, as of its open."""
+        return 0 if self._deleted is None else int(self._deleted.sum())
+
+    def term_offsets(self, doc_ids: list[int]
+                     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Raw-token char spans (starts, ends) of each of ``doc_ids`` the
+        segment holds, from the build-time offsets sidecar
+        (``store_offsets=True`` builds; PostingsHighlighter's stored
+        offsets, doc-major). Pushdown read: the shard dirs of the wanted
+        docs, then the row groups whose doc_id statistics cover one (the
+        sidecar's 32-row groups make each hit one small decode)."""
+        start = self.docvalues.docs.start  # index id of the first doc
+        want = np.unique(np.asarray(
+            [d for d in doc_ids if self._holds(d)], dtype=np.int64)
+            - self.base + start)
+        out = {}
+        for sid in np.unique(want // self._dps):
+            part = Path(self.index_dir) / "offsets" / f"shard={sid:05d}"
+            for f in sorted(part.glob("*.parquet")):
+                pf = pq.ParquetFile(f)
+                col = pf.schema_arrow.get_field_index("doc_id")
+                for rg in range(pf.metadata.num_row_groups):
+                    st = pf.metadata.row_group(rg).column(col).statistics
+                    if st is not None and not (
+                            (want >= st.min) & (want <= st.max)).any():
+                        continue
+                    t = pf.read_row_group(rg)
+                    ids = t.column("doc_id").to_numpy()
+                    for i in np.flatnonzero(np.isin(ids, want)):
+                        spans = np.frombuffer(
+                            t.column("spans")[i].as_buffer(), dtype="<i4")
+                        half = len(spans) // 2
+                        out[int(ids[i]) - start + self.base] = (
+                            spans[:half], spans[half:])
+        return out
 
     def hits_partial(self, query: Query, df_map: dict[str, int]):
         """(docs, scores) of every matching doc."""

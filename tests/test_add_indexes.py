@@ -123,3 +123,39 @@ def test_add_indexes_extends_lineage(ray_session, tmp_path):
     assert spans[0][0] == 0 and spans[-1][1] == out["stats"]["num_docs"]
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     assert check_index(str(tmp_path / "idx_a"))["status"] == "ok"
+
+
+def _offsets(s, doc_ids):
+    return {d: (a.tolist(), b.tolist())
+            for d, (a, b) in s.term_offsets(doc_ids).items()}
+
+
+def test_add_indexes_carries_offsets_sidecar(ray_session, tmp_path,
+                                             index_digest):
+    """The source's offsets rows append shifted by the destination's
+    num_docs and placed by the destination's docs_per_shard: every hit
+    has the spans a single build of the same rows stores. A destination
+    that stores offsets rejects a source without them, untouched."""
+    ta, pa_ = _write(tmp_path, "a", 60, 3, "aa")
+    tb, pb = _write(tmp_path, "b", 50, 4, "bb")
+    build_index(pa_, str(tmp_path / "idx_a"), num_shards=2,
+                store_offsets=True)
+    build_index(pb, str(tmp_path / "idx_b"), num_shards=2,
+                docs_per_shard=23, store_offsets=True)
+    build_index(pb, str(tmp_path / "idx_plain"), num_shards=2)
+    pq.write_table(pa.concat_tables([ta, tb]), tmp_path / "both.parquet")
+    build_index(str(tmp_path / "both.parquet"), str(tmp_path / "idx_both"),
+                num_shards=2, store_offsets=True)
+
+    before = index_digest(tmp_path / "idx_a")
+    with pytest.raises(ValueError, match="offsets"):
+        add_indexes(str(tmp_path / "idx_a"), str(tmp_path / "idx_plain"))
+    assert index_digest(tmp_path / "idx_a") == before
+
+    add_indexes(str(tmp_path / "idx_a"), str(tmp_path / "idx_b"))
+    merged = IndexSearcher(str(tmp_path / "idx_a"))
+    single = IndexSearcher(str(tmp_path / "idx_both"))
+    docs = single.all_hits("ray OR data")[0].tolist()
+    want = _offsets(single, docs)
+    assert len(want) == len(docs) > 0
+    assert _offsets(merged, docs) == want

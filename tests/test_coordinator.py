@@ -5,13 +5,16 @@ method identically over the same data."""
 import re
 from datetime import datetime
 
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.data.transcripts import generate_transcripts
 from lucene_solr_ray.index.build import build_index
-from lucene_solr_ray.index.update import split_index
+from lucene_solr_ray.index import update
+from lucene_solr_ray.index.update import delete_documents, split_index
 from lucene_solr_ray.search.actors import DistributedSearcher
+from lucene_solr_ray.search.features import index_stats
 from lucene_solr_ray.search.searcher import IndexSearcher, MultiIndexSearcher
 
 QUERIES = ["ray", "data OR index", "ray AND data", '"ray data"',
@@ -22,7 +25,8 @@ QUERIES = ["ray", "data OR index", "ray AND data", '"ray data"',
 def searchers(ray_session, tmp_path_factory):
     base = tmp_path_factory.mktemp("coord")
     pq.write_table(generate_transcripts(240, seed=21), base / "in.parquet")
-    build_index(str(base / "in.parquet"), str(base / "idx"), num_shards=4)
+    build_index(str(base / "in.parquet"), str(base / "idx"), num_shards=4,
+                store_offsets=True)
     split_index(str(base / "idx"), str(base / "a"), str(base / "b"))
     dist = DistributedSearcher(str(base / "idx"), num_actors=2)
     yield {"local": IndexSearcher(str(base / "idx")), "actors": dist,
@@ -50,6 +54,11 @@ def _explain(s, q):
 
     return [norm(s.explain(q, d)) for d, _ in s.search(q, k=5)] + \
         [s.explain(q, 0)]
+
+
+def _offsets(s, doc_ids):
+    return {d: (a.tolist(), b.tolist())
+            for d, (a, b) in s.term_offsets(doc_ids).items()}
 
 
 OPS = {
@@ -98,6 +107,15 @@ OPS = {
     "range_facet": lambda s, q: s.range_facet(q, "turn_idx", 0, 12, 4),
     "facet_query": lambda s, q: s.facet_query([q, "data", "ray AND tool"]),
     "all_hits": lambda s, q: [a.tolist() for a in s.all_hits(q)],
+    "resolve_hits": lambda s, q: s.resolve_hits(s.search(q, k=15)),
+    # every value with its Python type; no_such_field is None
+    "docvalues": lambda s, q: [
+        None if (v := s.docvalues(f)) is None else
+        [(x, type(x)) for x in v] for f in
+        ("conv_id", "turn_idx", "role", "ts", "tool", "no_such_field")],
+    "docmap": lambda s, q: s.docmap().tolist(),
+    "term_offsets": lambda s, q: _offsets(s, [d for d, _ in
+                                              s.search(q, k=5)]),
 }
 
 
@@ -107,3 +125,46 @@ def test_backends_agree(searchers, op):
         got = {name: OPS[op](s, q) for name, s in searchers.items()}
         assert got["actors"] == got["local"], (op, q)
         assert got["federated"] == got["local"], (op, q)
+
+
+def test_coordinator_reads_no_index_files(searchers, monkeypatch):
+    """Per-doc reads are group calls: with the driver's Parquet readers
+    and tombstone reader broken, the actor pool still answers (its
+    actors are other processes)."""
+    dist, local = searchers["actors"], searchers["local"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coordinator read an index file")
+
+    for mod, name in ((pads, "dataset"), (pq, "ParquetFile"),
+                      (pq, "read_table"), (update, "read_deletes")):
+        monkeypatch.setattr(mod, name, refuse)
+    hits = dist.search("ray", k=10)
+    assert len(dist.resolve_hits(hits)) == len(hits)
+    assert len(dist.term_offsets([d for d, _ in hits])) == len(hits)
+    assert len(dist.docvalues("turn_idx")) == \
+        dist.manifest["stats"]["num_docs"]
+    assert dist.boosted_search("ray", "numdocs()", k=5) == \
+        local.boosted_search("ray", "numdocs()", k=5)
+
+
+def test_numdocs_counts_tombstones_as_of_open(ray_session, tmp_path):
+    """numdocs() is maxdoc minus the tombstones the groups loaded at open,
+    alike on every layout; a later delete leaves an open searcher's
+    count alone, like its live-docs masks."""
+    pq.write_table(generate_transcripts(60, seed=5), tmp_path / "in.parquet")
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "in.parquet"), idx, num_shards=4)
+    delete_documents(idx, doc_ids=[3])
+    split_index(idx, str(tmp_path / "a"), str(tmp_path / "b"))
+    dist = DistributedSearcher(idx, num_actors=2)
+    try:
+        layouts = [IndexSearcher(idx), dist, MultiIndexSearcher(
+            [str(tmp_path / "a"), str(tmp_path / "b")])]
+        max_doc = layouts[0].manifest["stats"]["num_docs"]
+        delete_documents(idx, doc_ids=[4])
+        for s in layouts:
+            st = index_stats(s, set())
+            assert (st["maxdoc"], st["numdocs"]) == (max_doc, max_doc - 1)
+    finally:
+        dist.close()

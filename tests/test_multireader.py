@@ -128,3 +128,28 @@ def test_analyzer_mismatch_rejected(ray_session, tmp_path):
     with pytest.raises(ValueError, match="analyzers must match"):
         MultiIndexSearcher([str(tmp_path / "idx_a"),
                             str(tmp_path / "idx_b")])
+
+
+def test_federated_offsets_with_differing_layouts(ray_session, tmp_path):
+    """Each sub-index reads its offsets sidecar with its own
+    docs_per_shard: a 2-shard and an 8-shard index federated return every
+    hit's spans as each index alone does."""
+    dirs = []
+    for name, n, seed, shards in (("a", 40, 5, 2), ("b", 60, 6, 8)):
+        _, path = _write(tmp_path, name, n, seed, name * 2)
+        dirs.append(str(tmp_path / f"idx_{name}"))
+        build_index(path, dirs[-1], num_shards=shards, store_offsets=True)
+    multi = MultiIndexSearcher(dirs)
+    docs, _ = multi.all_hits("ray OR data")
+    base = 0
+    for d in dirs:
+        alone = IndexSearcher(d)
+        n = alone.manifest["stats"]["num_docs"]
+        mine = [int(x) for x in docs if base <= x < base + n]
+        want = alone.term_offsets([x - base for x in mine])
+        got = multi.term_offsets(mine)
+        assert len(want) == len(mine) > 0
+        assert {x - base: (a.tolist(), b.tolist())
+                for x, (a, b) in got.items()} == \
+            {x: (a.tolist(), b.tolist()) for x, (a, b) in want.items()}
+        base += n

@@ -118,3 +118,35 @@ def test_split_at_each_boundary(built):
         na = json.loads((tmp_path / f"a{k}" / "manifest.json")
                         .read_text())["stats"]["num_docs"]
         assert na == k * dps
+
+
+def _offsets(s, doc_ids):
+    return {d: (a.tolist(), b.tolist())
+            for d, (a, b) in s.term_offsets(doc_ids).items()}
+
+
+def test_split_carries_offsets_sidecar(ray_session, tmp_path):
+    """Each side keeps the offsets sidecar of its docs (side B's doc ids
+    shifted, its shards renumbered), in 32-row groups: the federation of
+    the halves returns every hit's spans as the original index does."""
+    from lucene_solr_ray.search.searcher import MultiIndexSearcher
+
+    pq.write_table(generate_transcripts(120, seed=17),
+                   tmp_path / "in.parquet")
+    build_index(str(tmp_path / "in.parquet"), str(tmp_path / "idx"),
+                num_shards=4, store_offsets=True)
+    split_index(str(tmp_path / "idx"), str(tmp_path / "a"),
+                str(tmp_path / "b"))
+    orig = IndexSearcher(str(tmp_path / "idx"))
+    multi = MultiIndexSearcher([str(tmp_path / "a"), str(tmp_path / "b")])
+    docs = orig.all_hits("ray OR data")[0].tolist()
+    want = _offsets(orig, docs)
+    assert len(want) == len(docs) > 0
+    assert _offsets(multi, docs) == want
+    for side in ("a", "b"):
+        files = list((tmp_path / side / "offsets").rglob("*.parquet"))
+        assert files, side
+        for f in files:
+            md = pq.ParquetFile(f).metadata
+            assert all(md.row_group(i).num_rows <= 32
+                       for i in range(md.num_row_groups)), f
