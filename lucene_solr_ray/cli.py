@@ -272,7 +272,8 @@ def main(argv=None) -> int:
             postings_codec=args.codec, store_offsets=args.store_offsets)
         print(json.dumps({"shards": len(manifest["shards"]),
                           "stats": manifest["stats"],
-                          "phases": manifest["phases"]}))
+                          "phases": manifest["phases"],
+                          "task_cpu_s": manifest["task_cpu_s"]}))
     elif args.cmd == "update":
         from .index.update import update_index
 
@@ -280,7 +281,8 @@ def main(argv=None) -> int:
                                 overwrite=args.overwrite)
         print(json.dumps({"version": manifest["version"],
                           "stats": manifest["stats"],
-                          "phases": manifest["phases"]}))
+                          "phases": manifest["phases"],
+                          "task_cpu_s": manifest["task_cpu_s"]}))
     elif args.cmd == "delete":
         from .index.update import delete_documents
 

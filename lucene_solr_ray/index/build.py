@@ -31,6 +31,15 @@ user's file; the copy is removed with the runs.
     chain take the exact per-doc ``analyze()``. Each task writes its runs
     and norms split at shard boundaries (the DWPT flush analog) and a
     ``_task{i}_SUCCESS`` marker, so a restarted build resumes past it.
+    A run is scratch data, written once here and read once by wave B, so
+    it is one uncompressed Arrow IPC file,
+    ``runs/shard=K/run-NNNNN.arrow`` (the raw partitions of Lucene's
+    OfflineSorter), not Parquet: no dictionary pages or Snappy to encode
+    and decode, and wave B maps it instead of decoding it. Its pieces'
+    term dictionaries are unified on write (an IPC file holds one
+    dictionary per field). Norms and offsets are the index, and stay
+    Parquet. ``_BUILD_PARAMS.json`` records the run format, so a resume
+    never trusts markers over runs of another format.
 3.  **Global statistics**: docCount / sumTotalTermFreq are the sum of the
     wave-A partials (IndexSearcher.collectionStatistics analog);
     ``build_index`` also checks the tasks' key ranges follow each other
@@ -41,9 +50,14 @@ user's file; the copy is removed with the runs.
     all-to-all exchange runs. One task per shard, gated only on the wave-A
     tasks covering its doc range (encoding overlaps the rest of wave A),
     explodes its runs into posting rows, sorts them by (term, doc_id) and
-    block-encodes them (segment.py). The range split bounds every term's
-    per-shard posting list by the shard's doc count — the heavy-term skew
-    control: a stopword-adjacent term's 10^12-doc posting list is split
+    block-encodes them (segment.py). The sort is one stable argsort of the
+    term ranks in the narrowest unsigned type that holds them (numpy's
+    O(n) radix sort up to 65,536 terms a shard); rows arrive in doc order,
+    so stability keeps doc ids ascending within a term. Each wave's tasks
+    return their own CPU seconds; the manifest's ``task_cpu_s`` sums them
+    per wave. The range split bounds every term's per-shard posting list
+    by the shard's doc count — the heavy-term skew control: a
+    stopword-adjacent term's 10^12-doc posting list is split
     across shards by construction, and shard segments are encoded
     independently (mtree-merge-style, MapReduceIndexerTool.java:330-338).
 5.  **Manifest**: written last, atomically, listing every shard with doc/term
@@ -330,8 +344,13 @@ class SegmentWriter:
         codes = term_col.indices.to_numpy(zero_copy_only=False).astype(np.int32)
         vocab = term_col.dictionary
         vocab_order = pc.array_sort_indices(vocab).to_numpy()
-        rank_of_code = np.empty(len(vocab), dtype=np.int32)
-        rank_of_code[vocab_order] = np.arange(len(vocab), dtype=np.int32)
+        # ranks in the narrowest unsigned type that holds them: up to
+        # 65,536 terms the stable argsort below is numpy's O(n) radix sort
+        # (timsort on wider keys), and a stable sort's permutation does
+        # not depend on the key's type
+        rank_of_code = np.empty(
+            len(vocab), dtype=np.min_scalar_type(max(len(vocab) - 1, 0)))
+        rank_of_code[vocab_order] = np.arange(len(vocab))
         ranks = rank_of_code[codes]
         doc_ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         # rows arrive doc_id-ascending (runs are written in doc order), so a
@@ -549,17 +568,25 @@ def _token_spans(texts: list, analyzer):
             np.asarray(ends_all, dtype=np.int32))
 
 
+#: wave-A run files are uncompressed Arrow IPC (scratch data, written once
+#: and read once: see the module docstring); the build plan records this
+_RUN_FORMAT = "arrow"
+
+
 @ray.remote
 def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
                          docs_per_shard: int, analyzer_name: str,
                          runs_dir: str, norms_dir: str, task_id: int,
                          offsets_dir: str | None = None) -> dict:
     """read -> assign doc_ids -> verify order -> tokenize -> write runs and
-    norms split at shard boundaries -> return partial stats + key range."""
+    norms split at shard boundaries -> return partial stats + key range,
+    with the task's own CPU seconds as ``cpu_s``."""
+    cpu0 = time.process_time()
     _limit_worker_threads()
     marker = Path(runs_dir) / f"_task{task_id:05d}_SUCCESS"
     if marker.exists():
-        return json.loads(marker.read_text())
+        return {**json.loads(marker.read_text()),
+                "cpu_s": time.process_time() - cpu0}
 
     pf = pq.ParquetFile(file)
     src_fields = {f.name for f in pf.schema_arrow}
@@ -606,10 +633,14 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
         run_dir = Path(runs_dir) / f"shard={sid:05d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         # runs carry only what the encode wave reads (norms carry the docmap)
-        pq.write_table(
-            piece.select(["doc_id", "doc_shard", "terms", "freqs",
-                          "pos_flat"]),
-            run_dir / f"run-{task_id:05d}.parquet")
+        run = piece.select(["doc_id", "doc_shard", "terms", "freqs",
+                            "pos_flat"])
+        # the chunks of a task over _TOKENIZE_CHUNK_DOCS rows carry their
+        # own term dictionaries; an IPC file holds one per field
+        with pa.ipc.new_file(
+                run_dir / f"run-{task_id:05d}.{_RUN_FORMAT}", run.schema,
+                options=pa.ipc.IpcWriteOptions(unify_dictionaries=True)) as w:
+            w.write_table(run)
         norm_dir = Path(norms_dir) / f"doc_shard={sid}"
         norm_dir.mkdir(parents=True, exist_ok=True)
         pq.write_table(piece.select(norm_cols).drop_columns(["doc_shard"]),
@@ -638,14 +669,15 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
                 "spans": spans.slice(a, b - a),
             }), od / f"run-{task_id:05d}.parquet", row_group_size=32)
     marker.write_text(json.dumps(stats))
-    return stats
+    return {**stats, "cpu_s": time.process_time() - cpu0}
 
 
 @ray.remote
 def _encode_shard_dir_task(runs_dir: str | None, shard_id: int,
                            index_dir: str, docs_per_shard: int, codec: str,
-                           fold: bool, *deps) -> list[dict]:
-    """Wave B: encode one shard from exactly its runs/shard=K files.
+                           fold: bool, *deps) -> tuple[list[dict], float]:
+    """Wave B: encode one shard from exactly its runs/shard=K files;
+    -> (the shard's manifest rows, the task's own CPU seconds).
 
     ``deps`` are ObjectRef args. In the build they are the wave-A tasks
     covering this shard's doc range: Ray's arg dependency is the
@@ -656,21 +688,23 @@ def _encode_shard_dir_task(runs_dir: str | None, shard_id: int,
     ``fold`` (an append to a shard the manifest lists) puts the live
     segment's postings ahead of the new rows through ``_rewrite_shard``;
     without it a shard dir holding ``_SUCCESS`` (a resumed build) is kept."""
+    cpu0 = time.process_time()
     _limit_worker_threads()
     parts = [d.filter(pc.equal(d.column("doc_shard"), shard_id))
              for d in deps if isinstance(d, pa.Table)]
-    runs = sorted(Path(runs_dir).glob(f"shard={shard_id:05d}/*.parquet")) \
-        if runs_dir else []
+    runs = sorted(Path(runs_dir).glob(
+        f"shard={shard_id:05d}/*.{_RUN_FORMAT}")) if runs_dir else []
     if runs:
-        cols = ["doc_id", "doc_shard", "terms", "freqs", "pos_flat"]
         parts.append(_explode_runs(pa.concat_tables(
-            [pq.read_table(p, columns=cols) for p in runs])))
+            [pa.ipc.open_file(pa.memory_map(str(p))).read_all()
+             for p in runs])))
     parts = [p for p in parts if p.num_rows]
     if not parts:
-        return []
+        return [], time.process_time() - cpu0
     group = pa.concat_tables(parts)
     if not fold:
-        return [SegmentWriter(index_dir, docs_per_shard, codec)(group)]
+        return ([SegmentWriter(index_dir, docs_per_shard, codec)(group)],
+                time.process_time() - cpu0)
 
     def live_then_new(terms_file):
         if terms_file is None:
@@ -679,8 +713,8 @@ def _encode_shard_dir_task(runs_dir: str | None, shard_id: int,
                                           docs_per_shard, codec)
         return group if old is None else pa.concat_tables([old, group])
 
-    return [_rewrite_shard(index_dir, shard_id, docs_per_shard, codec,
-                           live_then_new)]
+    return ([_rewrite_shard(index_dir, shard_id, docs_per_shard, codec,
+                            live_then_new)], time.process_time() - cpu0)
 
 
 def _launch_wave_a(tasks, docs_per_shard: int, analyzer: str,
@@ -726,6 +760,14 @@ def _merge_partials(partials: list[dict]) -> tuple:
     return stats, first, prev_last
 
 
+def _task_cpu(partials: list[dict], encoded: list[tuple]) -> dict:
+    """Summed CPU seconds of each wave's tasks, for the manifest's
+    ``task_cpu_s`` (kept apart from ``phases``, which are driver wall
+    time)."""
+    return {"tokenize_runs": round(sum(p["cpu_s"] for p in partials), 3),
+            "term_group_encode": round(sum(c for _, c in encoded), 3)}
+
+
 def _lineage(tasks) -> list[dict]:
     return [{"task_id": i, "file": f, "row_groups": list(map(int, rgs)),
              "doc_lo": int(off), "doc_hi": int(off + nr)}
@@ -756,6 +798,7 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
     plan = {"docs_per_shard": int(docs_per_shard),
             "total_docs": int(total_docs),
             "postings_codec": codec,
+            "run_format": _RUN_FORMAT,
             "tasks": [[str(f), list(map(int, rgs)), int(off), int(nr)]
                       for f, rgs, off, nr in tasks]}
     prev = (json.loads(params_file.read_text())
@@ -767,12 +810,14 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
             f"resume with postings_codec={codec!r} over a build "
             f"started with {prev.get('postings_codec', 'varint')!r}")
     if (prev.get("tasks")
-            and prev.get("docs_per_shard") == plan["docs_per_shard"]):
+            and prev.get("docs_per_shard") == plan["docs_per_shard"]
+            and prev.get("run_format") == _RUN_FORMAT):
         # resume with the PERSISTED plan: _task{i}_SUCCESS markers and
         # run files are keyed by task index, and a fresh plan depends
         # on the current cluster size (target_rows = f(concurrency)) —
         # trusting old markers under a replanned task list silently
-        # corrupts doc_id assignment
+        # corrupts doc_id assignment. A plan from runs of another format
+        # (or none recorded) is unusable: wave B would find none of them
         tasks = [(f, rgs, off, nr) for f, rgs, off, nr in prev["tasks"]]
         total_docs = int(prev["total_docs"])
     else:
@@ -799,17 +844,19 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
             str(runs_dir), sid, str(index_path), int(docs_per_shard),
             codec, False, *(a_futures[i] for i in deps))
         for sid, deps in _covering(tasks, docs_per_shard).items()]
-    stats, _, checkpoint = _merge_partials(ray.get(a_futures))
+    partials = ray.get(a_futures)
+    stats, _, checkpoint = _merge_partials(partials)
     avgdl = float(bm25.avg_field_length(
         stats["sum_total_term_freq"], max(stats["doc_count"], 1)))
     _phase("tokenize_runs")
 
-    manifest_rows = [r for rows in ray.get(b_futures) for r in rows]
+    encoded = ray.get(b_futures)
     _phase("term_group_encode")
     return {
         "stats": stats,
         "avgdl": avgdl,
-        "manifest_rows": manifest_rows,
+        "manifest_rows": [r for rows, _ in encoded for r in rows],
+        "task_cpu_s": _task_cpu(partials, encoded),
         "docs_per_shard": int(docs_per_shard),
         "actual_shards": int(actual_shards),
         "checkpoint": checkpoint,
@@ -846,8 +893,17 @@ def _materialize_source(source: str | rd.Dataset, index_path: Path,
     if not assume_sorted:
         ds = ds.sort(["conv_id", "turn_idx"])
     # the footer plan reads files in name order, so parts are named by
-    # block index here (Dataset.write_parquet names files by write task)
-    refs = ds.materialize().to_arrow_refs()
+    # block index here (Dataset.write_parquet names files by write task).
+    # Ray Data yields blocks as they finish unless told to keep their
+    # order; the flag lives on the Dataset's context, which the caller's
+    # Dataset shares, so it is set for this call only
+    ctx = ds.context.execution_options
+    keep = ctx.preserve_order
+    ctx.preserve_order = True
+    try:
+        refs = ds.materialize().to_arrow_refs()
+    finally:
+        ctx.preserve_order = keep
     ray.get([
         _write_source_part.remote(r, str(src_dir / f"part-{i:06d}.parquet"))
         for i, r in enumerate(refs)])
@@ -929,7 +985,8 @@ def build_index(
         index_path, analyzer, r["docs_per_shard"], r["actual_shards"],
         r["stats"], r["avgdl"], r["manifest_rows"], phases, t0,
         checkpoint=r["checkpoint"], lineage=r["lineage"],
-        postings_codec=postings_codec, offsets=store_offsets)
+        postings_codec=postings_codec, offsets=store_offsets,
+        task_cpu_s=r["task_cpu_s"])
     if not keep_runs:
         for work_dir in ("runs", "source"):
             shutil.rmtree(index_path / work_dir, ignore_errors=True)
@@ -941,7 +998,8 @@ def _write_manifest(index_path: Path, analyzer: str, docs_per_shard: int,
                     manifest_rows: list[dict], phases: dict, t0: float,
                     checkpoint=None, lineage=None,
                     postings_codec: str = "varint",
-                    offsets: bool = False) -> dict:
+                    offsets: bool = False,
+                    task_cpu_s: dict | None = None) -> dict:
     shards = sorted(manifest_rows, key=lambda r: r["shard_id"])
     manifest = {
         "version": 1,
@@ -958,6 +1016,7 @@ def _write_manifest(index_path: Path, analyzer: str, docs_per_shard: int,
         },
         "stats": {**stats, "avgdl": avgdl},
         "phases": phases,
+        "task_cpu_s": task_cpu_s,
         "checkpoint": list(checkpoint) if checkpoint else None,
         "lineage": lineage,
         "shards": [

@@ -45,6 +45,7 @@ from .build import (
     _phase_clock,
     _read_footers,
     _rewrite_shard,
+    _task_cpu,
     read_manifest,
 )
 
@@ -98,9 +99,10 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
                                   base=int(manifest["stats"]["num_docs"]))
         _phase("plan")
 
-        delta, first_key, last_key = _merge_partials(ray.get(_launch_wave_a(
+        partials = ray.get(_launch_wave_a(
             tasks, dps, params["analyzer"], work / "runs", work / "norms",
-            work / "offsets" if params.get("offsets") else None)))
+            work / "offsets" if params.get("offsets") else None))
+        delta, first_key, last_key = _merge_partials(partials)
         checkpoint = manifest.get("checkpoint")
         if (not overwrite and None not in (checkpoint, first_key)
                 and tuple(first_key) <= tuple(checkpoint)):
@@ -118,7 +120,7 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
             manifest = read_manifest(index_dir)  # version bumped
         version = manifest["version"] + 1
         listed = {s["shard_id"] for s in manifest["shards"]}
-        rows = ray.get([
+        encoded = ray.get([
             _encode_shard_dir_task.remote(
                 str(work / "runs"), sid, str(index_path), dps,
                 params.get("postings_codec", "varint"), sid in listed)
@@ -135,7 +137,7 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
         shutil.rmtree(work, ignore_errors=True)
 
     shards = {s["shard_id"]: s for s in manifest["shards"]}
-    shards.update((r["shard_id"], r) for rs in rows for r in rs)
+    shards.update((r["shard_id"], r) for rs, _ in encoded for r in rs)
     # never moves backward (overwrite batches may carry old keys)
     checkpoint = max((tuple(c) for c in (checkpoint, last_key)
                       if c is not None), default=None)
@@ -146,6 +148,7 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
         "created_unix": time.time(),
         "build_seconds": time.time() - t0,
         "phases": phases,
+        "task_cpu_s": _task_cpu(partials, encoded),
         "stats": _with_avgdl({k: manifest["stats"][k] + v
                               for k, v in delta.items()}),
         "checkpoint": list(checkpoint) if checkpoint else None,
@@ -286,7 +289,7 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
               min(src_dps, int(srcm["stats"]["num_docs"]) - sid * src_dps))
              for sid in src_shards]
     listed = {s["shard_id"] for s in dstm["shards"]}
-    new_rows = [r for rows in ray.get([
+    new_rows = [r for rows, _ in ray.get([
         _encode_shard_dir_task.remote(
             None, sid, str(dst_path), dps,
             dstm["params"].get("postings_codec", "varint"), sid in listed,

@@ -12,6 +12,7 @@ def test_cli_build_check_search(ray_session, tmp_path, capsys):
     assert main(["build", src, idx, "--num-shards", "2"]) == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["shards"] == 2 and out["stats"]["num_docs"] > 0
+    assert set(out["task_cpu_s"]) == {"tokenize_runs", "term_group_encode"}
 
     assert main(["check", idx]) == 0
     assert json.loads(capsys.readouterr().out.strip())["status"] == "ok"

@@ -169,7 +169,9 @@ def test_kill_and_resume_mid_build(ray_session, split_sources, tmp_path):
     markers = sorted((crash_dir / "runs").glob("_task*_SUCCESS"))
     markers[0].unlink()
     tid = markers[0].name[len("_task"):-len("_SUCCESS")]
-    for f in (crash_dir / "runs").glob(f"shard=*/run-{tid}.parquet"):
+    runs = sorted((crash_dir / "runs").glob(f"shard=*/run-{tid}.arrow"))
+    assert runs
+    for f in runs:
         f.unlink()
     for f in (crash_dir / "norms").glob(f"doc_shard=*/run-{tid}.parquet"):
         f.unlink()

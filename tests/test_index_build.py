@@ -135,7 +135,7 @@ def test_resume_after_lost_tokenize_task_is_byte_identical(ray_session,
 
     task = len(m1["lineage"]) // 2
     (out / "runs" / f"_task{task:05d}_SUCCESS").unlink()
-    lost = sorted((out / "runs").glob(f"shard=*/run-{task:05d}.parquet"))
+    lost = sorted((out / "runs").glob(f"shard=*/run-{task:05d}.arrow"))
     assert lost
     for run in lost + sorted(
             (out / "norms").glob(f"doc_shard=*/run-{task:05d}.parquet")):
@@ -298,3 +298,144 @@ def test_manifest_records_input_lineage(tiny_index):
         hi = entry["doc_hi"]
     assert hi == manifest["stats"]["num_docs"]
     assert all("file" in e and e["row_groups"] for e in lineage)
+
+
+def test_manifest_records_task_cpu_per_wave(tiny_index):
+    """Each wave's summed task CPU sits beside ``phases``, not in it (the
+    phases are driver wall time) and not in the shard rows."""
+    _, _, manifest = tiny_index
+    cpu = manifest["task_cpu_s"]
+    assert set(cpu) == {"tokenize_runs", "term_group_encode"}
+    assert all(v > 0 for v in cpu.values())
+    assert "task_cpu_s" not in manifest["phases"]
+    assert all(set(r) == {"shard_id", "doc_lo", "doc_hi", "term_count",
+                          "posting_count", "doc_count"}
+               for r in manifest["shards"])
+
+
+def test_resume_over_runs_of_another_format_rebuilds(ray_session, tmp_path):
+    """A build plan that records no run format (runs written as Parquet)
+    is unusable on resume: its markers are dropped and the runs rebuilt,
+    so no shard is encoded from a runs dir wave B cannot read."""
+    src = tmp_path / "src.parquet"
+    pq.write_table(generate_transcripts(600, seed=9), src,
+                   row_group_size=1024)
+    fresh = tmp_path / "fresh"
+    build_index(str(src), str(fresh), num_shards=4)
+    out = tmp_path / "idx"
+    m1 = build_index(str(src), str(out), num_shards=4, keep_runs=True)
+    runs = sorted((out / "runs").glob("shard=*/run-*.arrow"))
+    assert runs
+    for run in runs:
+        run.rename(run.with_suffix(".parquet"))
+    params_file = out / "_BUILD_PARAMS.json"
+    params = json.loads(params_file.read_text())
+    del params["run_format"]
+    params_file.write_text(json.dumps(params))
+    shutil.rmtree(out / "shards")
+
+    m2 = build_index(str(src), str(out), num_shards=4, resume=True)
+    assert _tree_bytes(out, "shards/**/terms.parquet") == \
+        _tree_bytes(fresh, "shards/**/terms.parquet")
+    assert m2["shards"] == m1["shards"]
+    assert m2["stats"] == m1["stats"]
+
+
+def test_dataset_source_blocks_finishing_out_of_order(ray_session,
+                                                      tmp_path):
+    """A Dataset whose blocks finish in reverse order is still written
+    in key order: the build equals the path build of the same rows."""
+    import time
+
+    import ray.data as rd
+
+    t = generate_transcripts(300, seed=7)
+    src = tmp_path / "t.parquet"
+    pq.write_table(t, src)
+    base = tmp_path / "path"
+    build_index(str(src), str(base), num_shards=4)
+    blocks = _blocks(t, rows=-(-t.num_rows // 4))
+    rank = {(b.column("conv_id")[0].as_py(), b.column("turn_idx")[0].as_py()):
+            i for i, b in enumerate(blocks)}
+    assert len(rank) == 4
+
+    def later_blocks_first(batch):
+        key = (batch.column("conv_id")[0].as_py(),
+               batch.column("turn_idx")[0].as_py())
+        time.sleep(0.5 * (len(rank) - rank[key]))
+        return batch
+
+    ds = rd.from_arrow(blocks).map_batches(
+        later_blocks_first, batch_format="pyarrow", batch_size=None,
+        concurrency=4)
+    out = tmp_path / "ds"
+    build_index(ds, str(out), num_shards=4)
+    assert _tree_bytes(out, "shards/**/terms.parquet") == \
+        _tree_bytes(base, "shards/**/terms.parquet")
+    assert _norm_rows(out) == _norm_rows(base)
+
+
+def test_one_task_over_many_tokenize_chunks_matches_split_plan(ray_session,
+                                                               tmp_path):
+    """One wave-A task of more than ``_TOKENIZE_CHUNK_DOCS`` rows writes
+    runs whose pieces hold several chunks, each with its own term
+    dictionary: the shards equal those of the same rows planned as
+    several tasks."""
+    from lucene_solr_ray.index.build import _TOKENIZE_CHUNK_DOCS
+
+    t = generate_transcripts(1600, seed=11)
+    assert t.num_rows >= 10_000
+    one, many = tmp_path / "one.parquet", tmp_path / "many.parquet"
+    pq.write_table(t, one, row_group_size=t.num_rows)
+    pq.write_table(t, many, row_group_size=2048)
+    m1 = build_index(str(one), str(tmp_path / "one_idx"), num_shards=8)
+    m2 = build_index(str(many), str(tmp_path / "many_idx"), num_shards=8)
+    assert len(m1["lineage"]) == 1
+    assert m1["lineage"][0]["doc_hi"] > _TOKENIZE_CHUNK_DOCS
+    assert len(m2["lineage"]) > 1
+    assert _tree_bytes(tmp_path / "one_idx", "shards/**/terms.parquet") == \
+        _tree_bytes(tmp_path / "many_idx", "shards/**/terms.parquet")
+    assert m1["shards"] == m2["shards"]
+
+
+def test_segment_writer_wide_vocabulary(tmp_path):
+    """A shard of more than 65,536 distinct terms sorts on a wider key:
+    its segment decodes with the terms sorted and each term's doc ids
+    ascending."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.index import segment
+    from lucene_solr_ray.index.build import SegmentWriter
+
+    rng = np.random.default_rng(3)
+    n_terms, n_docs = 70_000, 40
+    vocab = np.array([f"w{i:06d}" for i in rng.permutation(n_terms)])
+    # every term in two distinct docs; rows in doc order, as runs are
+    term = np.concatenate((np.arange(n_terms), np.arange(n_terms)))
+    doc = np.concatenate((rng.integers(0, n_docs // 2, n_terms),
+                          rng.integers(n_docs // 2, n_docs, n_terms)))
+    order = np.argsort(doc, kind="stable")
+    term, doc = term[order], doc[order]
+    group = pa.table({
+        "doc_shard": pa.array(np.zeros(len(doc), dtype=np.int32)),
+        "term": pa.DictionaryArray.from_arrays(
+            pa.array(term, type=pa.int32()), pa.array(vocab)),
+        "doc_id": pa.array(doc, type=pa.int64()),
+        "freq": pa.array(np.ones(len(doc), dtype=np.int64)),
+        "positions": pa.LargeListArray.from_arrays(
+            np.arange(len(doc) + 1),
+            pa.array(np.zeros(len(doc), dtype=np.int32))),
+    })
+    row = SegmentWriter(str(tmp_path), docs_per_shard=n_docs)(group)
+    assert row["term_count"] == n_terms and row["posting_count"] == len(doc)
+
+    terms, term_docs, _, docs, _, _ = segment.decode_segment(
+        [pq.read_table(tmp_path / "shards" / "shard=00000" / "terms.parquet")],
+        [0])
+    assert terms.to_pylist() == sorted(vocab.tolist())
+    want = {}
+    for code, d in zip(term.tolist(), doc.tolist()):
+        want.setdefault(vocab[code], []).append(d)
+    for i, word in enumerate(terms.to_pylist()):
+        assert docs[term_docs[i]:term_docs[i + 1]].tolist() == \
+            sorted(want[word]), word
