@@ -508,13 +508,10 @@ def main(argv=None) -> int:
 
         print(json.dumps(luke(args.index_dir, top_n=args.top)))
     elif args.cmd == "segments":
-        import json as _json
-        from pathlib import Path
-
+        from .index.build import read_manifest
         from .index.replicator import revision_info
 
-        manifest = _json.loads(
-            (Path(args.index_dir) / "manifest.json").read_text())
+        manifest = read_manifest(args.index_dir)
         rev = revision_info(args.index_dir, checksums=False)
         print(json.dumps({
             "version": manifest["version"],

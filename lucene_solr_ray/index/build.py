@@ -40,10 +40,9 @@ user's file; the copy is removed with the runs.
     dictionary per field). Norms and offsets are the index, and stay
     Parquet. ``_BUILD_PARAMS.json`` records the run format, so a resume
     never trusts markers over runs of another format.
-3.  **Global statistics**: docCount / sumTotalTermFreq are the sum of the
-    wave-A partials (IndexSearcher.collectionStatistics analog);
-    ``build_index`` also checks the tasks' key ranges follow each other
-    in order.
+3.  **Key order**: each wave-A task returns its first and last key, and
+    ``build_index`` checks that the tasks' key ranges follow each other in
+    order.
 4.  **Wave B, per-shard encode**: sharding is by contiguous doc_id range
     (SolrCloud doc-routing analog, HashBasedRouter.java:27-50), so a
     shard's postings are exactly its ``runs/shard=K`` files and no
@@ -60,10 +59,17 @@ user's file; the copy is removed with the runs.
     stopword-adjacent term's 10^12-doc posting list is split
     across shards by construction, and shard segments are encoded
     independently (mtree-merge-style, MapReduceIndexerTool.java:330-338).
-5.  **Manifest**: written last, atomically, listing every shard with doc/term
-    counts and lineage (segments_N generation protocol,
-    SegmentInfos.java:55-140). ``resume=True`` skips completed shards and
-    reuses completed runs.
+5.  **Manifest**: written last, atomically, listing every shard with its
+    term, posting and doc counts, its ``sum_total_term_freq`` and lineage
+    (segments_N generation protocol, SegmentInfos.java:55-140). The global
+    statistics, docCount and sumTotalTermFreq, are the sum of the shard
+    rows (``collection_stats``, the IndexSearcher.collectionStatistics
+    analog: Lucene stores no index-wide total either, each segment's
+    ``Terms`` carries its own); ``num_docs`` is maxDoc. Every operation
+    that publishes a manifest sums its rows the same way, through the one
+    writer ``write_manifest``, and every reader goes through
+    ``read_manifest``. ``resume=True`` skips completed shards and reuses
+    completed runs.
 
 Appends run the same two tasks (update.py; the IndexWriter.addDocument /
 addIndexes analog — one indexing chain). ``update_index`` plans its delta
@@ -316,7 +322,9 @@ def _explode_runs(batch: pa.Table) -> pa.Table:
 
 class SegmentWriter:
     """Encode + write one shard from its (non-empty) posting rows (wave B);
-    returns the shard's manifest row.
+    returns the shard's manifest row, whose ``doc_count`` and
+    ``sum_total_term_freq`` are the shard's share of the collection
+    statistics (``collection_stats`` sums them).
 
     Writes atomically (temp dir + rename); a shard directory containing
     ``_SUCCESS`` is skipped on resume, making the encode restartable at
@@ -404,6 +412,7 @@ class SegmentWriter:
                 "term_count": int(table.num_rows),
                 "posting_count": int(len(doc_ids)),
                 "doc_count": int(len(np.unique(doc_ids))),
+                "sum_total_term_freq": int(freqs.sum()),
             }
             (tmp / "_SUCCESS").write_text(json.dumps(row))
             os.rename(tmp, shard_dir)
@@ -468,7 +477,8 @@ def _rewrite_shard(index_dir: str, shard_id: int, docs_per_shard: int,
             base = shard_id * docs_per_shard
             row = {"shard_id": shard_id, "doc_lo": base,
                    "doc_hi": base + docs_per_shard, "term_count": 0,
-                   "posting_count": 0, "doc_count": 0}
+                   "posting_count": 0, "doc_count": 0,
+                   "sum_total_term_freq": 0}
     except BaseException:
         if aside.exists() and not shard_dir.exists():
             os.rename(aside, shard_dir)  # roll back
@@ -579,8 +589,8 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
                          runs_dir: str, norms_dir: str, task_id: int,
                          offsets_dir: str | None = None) -> dict:
     """read -> assign doc_ids -> verify order -> tokenize -> write runs and
-    norms split at shard boundaries -> return partial stats + key range,
-    with the task's own CPU seconds as ``cpu_s``."""
+    norms split at shard boundaries -> return the key range, with the
+    task's own CPU seconds as ``cpu_s``."""
     cpu0 = time.process_time()
     _limit_worker_threads()
     marker = Path(runs_dir) / f"_task{task_id:05d}_SUCCESS"
@@ -610,15 +620,8 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
                         pa.array(doc_id // docs_per_shard, type=pa.int32()))
 
     tok = tokenize_table(t, get_analyzer(analyzer_name))
-    doc_len = tok.column("doc_len").to_numpy(zero_copy_only=False).astype(np.int64)
-    stats = {
-        "num_docs": int(n),
-        "doc_count": int((doc_len > 0).sum()),
-        "sum_ttf": int(doc_len.sum()),
-        "first_key": [conv[0].as_py(), turn[0].as_py()] if n else None,
-        "last_key": [conv[-1].as_py(), turn[-1].as_py()] if n else None,
-        "shards": [],
-    }
+    keys = {"first_key": [conv[0].as_py(), turn[0].as_py()] if n else None,
+            "last_key": [conv[-1].as_py(), turn[-1].as_py()] if n else None}
 
     shard_col = tok.column("doc_shard").to_numpy(zero_copy_only=False)
     bounds = np.concatenate(([0], np.nonzero(np.diff(shard_col))[0] + 1, [n]))
@@ -628,7 +631,6 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
     for i in range(len(bounds) - 1):
         a, b = int(bounds[i]), int(bounds[i + 1])
         sid = int(shard_col[a])
-        stats["shards"].append(sid)
         piece = tok.slice(a, b - a)
         run_dir = Path(runs_dir) / f"shard={sid:05d}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -668,8 +670,8 @@ def _fused_tokenize_task(file: str, row_groups: list[int], offset: int,
                 "doc_id": pa.array(doc_id[a:b], type=pa.int64()),
                 "spans": spans.slice(a, b - a),
             }), od / f"run-{task_id:05d}.parquet", row_group_size=32)
-    marker.write_text(json.dumps(stats))
-    return {**stats, "cpu_s": time.process_time() - cpu0}
+    marker.write_text(json.dumps(keys))
+    return {**keys, "cpu_s": time.process_time() - cpu0}
 
 
 @ray.remote
@@ -740,10 +742,9 @@ def _covering(tasks, docs_per_shard: int) -> dict[int, list[int]]:
     return dict(sorted(covering.items()))
 
 
-def _merge_partials(partials: list[dict]) -> tuple:
-    """Wave-A partials -> (summed stats, first key, last key). Checks that
-    the tasks' key ranges follow each other in order (tasks are
-    offset-ordered)."""
+def _key_range(partials: list[dict]) -> tuple:
+    """Wave-A partials -> (first key, last key). Checks that the tasks' key
+    ranges follow each other in order (tasks are offset-ordered)."""
     first = prev_last = None
     for p in partials:
         if p["first_key"] is None:
@@ -752,12 +753,20 @@ def _merge_partials(partials: list[dict]) -> tuple:
             raise ValueError("source files out of (conv_id, turn_idx) order")
         first = first or p["first_key"]
         prev_last = p["last_key"]
-    stats = {
-        "num_docs": sum(p["num_docs"] for p in partials),
-        "doc_count": sum(p["doc_count"] for p in partials),
-        "sum_total_term_freq": sum(p["sum_ttf"] for p in partials),
-    }
-    return stats, first, prev_last
+    return first, prev_last
+
+
+def collection_stats(num_docs: int, shards: list[dict]) -> dict:
+    """The manifest's ``stats``: docCount and sumTotalTermFreq summed over
+    the shard rows, as ``IndexSearcher.collectionStatistics`` sums each
+    leaf's ``Terms`` (no index-wide total is stored anywhere else), plus
+    BM25's ``avgdl``. ``num_docs`` is maxDoc, which no row carries: the
+    last shard's doc range runs past the index's last doc."""
+    doc_count = sum(r["doc_count"] for r in shards)
+    ttf = sum(r["sum_total_term_freq"] for r in shards)
+    return {"num_docs": int(num_docs), "doc_count": doc_count,
+            "sum_total_term_freq": ttf,
+            "avgdl": float(bm25.avg_field_length(ttf, max(doc_count, 1)))}
 
 
 def _task_cpu(partials: list[dict], encoded: list[tuple]) -> dict:
@@ -845,16 +854,13 @@ def _build_fused(source: str, index_path: Path, docs_per_shard: int | None,
             codec, False, *(a_futures[i] for i in deps))
         for sid, deps in _covering(tasks, docs_per_shard).items()]
     partials = ray.get(a_futures)
-    stats, _, checkpoint = _merge_partials(partials)
-    avgdl = float(bm25.avg_field_length(
-        stats["sum_total_term_freq"], max(stats["doc_count"], 1)))
+    _, checkpoint = _key_range(partials)
     _phase("tokenize_runs")
 
     encoded = ray.get(b_futures)
     _phase("term_group_encode")
     return {
-        "stats": stats,
-        "avgdl": avgdl,
+        "num_docs": int(total_docs),
         "manifest_rows": [r for rows, _ in encoded for r in rows],
         "task_cpu_s": _task_cpu(partials, encoded),
         "docs_per_shard": int(docs_per_shard),
@@ -981,51 +987,31 @@ def build_index(
     r = _build_fused(source, index_path, docs_per_shard, num_shards,
                      analyzer, concurrency, resume, _phase,
                      codec=postings_codec, store_offsets=store_offsets)
-    manifest = _write_manifest(
-        index_path, analyzer, r["docs_per_shard"], r["actual_shards"],
-        r["stats"], r["avgdl"], r["manifest_rows"], phases, t0,
-        checkpoint=r["checkpoint"], lineage=r["lineage"],
-        postings_codec=postings_codec, offsets=store_offsets,
-        task_cpu_s=r["task_cpu_s"])
-    if not keep_runs:
-        for work_dir in ("runs", "source"):
-            shutil.rmtree(index_path / work_dir, ignore_errors=True)
-    return manifest
-
-
-def _write_manifest(index_path: Path, analyzer: str, docs_per_shard: int,
-                    actual_shards: int, stats: dict, avgdl: float,
-                    manifest_rows: list[dict], phases: dict, t0: float,
-                    checkpoint=None, lineage=None,
-                    postings_codec: str = "varint",
-                    offsets: bool = False,
-                    task_cpu_s: dict | None = None) -> dict:
-    shards = sorted(manifest_rows, key=lambda r: r["shard_id"])
-    manifest = {
+    shards = [{k: int(v) for k, v in row.items()} for row in
+              sorted(r["manifest_rows"], key=lambda row: row["shard_id"])]
+    manifest = write_manifest(index_path, {
         "version": 1,
         "created_unix": time.time(),
         "build_seconds": time.time() - t0,
         "params": {
             "analyzer": analyzer,
-            "docs_per_shard": int(docs_per_shard),
-            "num_shards": int(actual_shards),
+            "docs_per_shard": r["docs_per_shard"],
+            "num_shards": r["actual_shards"],
             "postings_codec": postings_codec,
-            "offsets": bool(offsets),
+            "offsets": bool(store_offsets),
             "k1": float(bm25.K1),
             "b": float(bm25.B),
         },
-        "stats": {**stats, "avgdl": avgdl},
+        "stats": collection_stats(r["num_docs"], shards),
         "phases": phases,
-        "task_cpu_s": task_cpu_s,
-        "checkpoint": list(checkpoint) if checkpoint else None,
-        "lineage": lineage,
-        "shards": [
-            {k: int(v) for k, v in r.items()} for r in shards
-        ],
-    }
-    tmp_manifest = index_path / (MANIFEST_NAME + ".tmp")
-    tmp_manifest.write_text(json.dumps(manifest, indent=1))
-    os.replace(tmp_manifest, index_path / MANIFEST_NAME)
+        "task_cpu_s": r["task_cpu_s"],
+        "checkpoint": list(r["checkpoint"]) if r["checkpoint"] else None,
+        "lineage": r["lineage"],
+        "shards": shards,
+    })
+    if not keep_runs:
+        for work_dir in ("runs", "source"):
+            shutil.rmtree(index_path / work_dir, ignore_errors=True)
     return manifest
 
 
@@ -1035,5 +1021,30 @@ def ds_select(ds: rd.Dataset) -> rd.Dataset:
     return ds.select_columns(keep)
 
 
-def read_manifest(index_dir: str) -> dict:
+#: a manifest's per-operation timings: each operation records its own or
+#: none, so a next generation never inherits them
+_OP_TIMINGS = ("build_seconds", "phases", "task_cpu_s")
+
+
+def write_manifest(index_dir, manifest: dict,
+                   prev: dict | None = None) -> dict:
+    """The one writer of ``manifest.json``: publishes atomically (temp file
+    + rename, the segments_N commit) and returns what it wrote.
+
+    Without ``prev`` it writes ``manifest`` as given (a first generation,
+    or a copy). With ``prev`` it writes the next generation of ``prev``:
+    ``prev`` without its per-operation timings, updated by ``manifest``,
+    with the version bumped and a fresh ``created_unix``."""
+    if prev is not None:
+        manifest = {**{k: v for k, v in prev.items() if k not in _OP_TIMINGS},
+                    **manifest, "version": prev["version"] + 1,
+                    "created_unix": time.time()}
+    tmp = Path(index_dir) / (MANIFEST_NAME + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=1))
+    os.replace(tmp, Path(index_dir) / MANIFEST_NAME)
+    return manifest
+
+
+def read_manifest(index_dir) -> dict:
+    """The one reader of ``manifest.json``."""
     return json.loads((Path(index_dir) / MANIFEST_NAME).read_text())

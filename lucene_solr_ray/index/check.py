@@ -4,8 +4,12 @@
 Validates, per shard: terms sorted and unique; doc_ids strictly ascending
 within each posting list and inside the shard's [doc_lo, doc_hi) range;
 df == decoded list length; ttf == sum of freqs; per-doc positions strictly
-ascending with counts matching freqs. Globally: manifest stats equal the
-per-shard sums, and the norms docmap covers every doc_id exactly once.
+ascending with counts matching freqs; the manifest row's ``doc_count`` ==
+the distinct doc ids of the decoded postings and its
+``sum_total_term_freq`` == the sum of the ``ttf`` column. Globally:
+manifest stats equal the sum of the rows, the norms (``doc_len``) agree
+with them independently, and the norms docmap covers every doc_id
+exactly once.
 
 Shards are checked in PARALLEL as Ray tasks when a Ray session is active
 (single-process CheckIndex over a 13M-doc index takes tens of minutes;
@@ -16,7 +20,6 @@ a Python loop per document).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from . import segment
+from .build import collection_stats, read_manifest
 
 
 def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
@@ -35,9 +39,10 @@ def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
                   / "terms.parquet")
     if not terms_file.exists():
         # a shard whose every doc was expunged has no segment at all
-        assert sh["term_count"] == 0 and sh["posting_count"] == 0, \
+        assert (sh["term_count"], sh["posting_count"], sh["doc_count"],
+                sh["sum_total_term_freq"]) == (0, 0, 0, 0), \
             f"shard {sid}: segment missing but manifest row non-empty"
-        return {"postings": 0, "terms": 0, "sum_ttf": 0}
+        return {"postings": 0, "terms": 0}
     t = pq.read_table(terms_file)
     terms = t.column("term").to_pylist()
     assert terms == sorted(terms), f"shard {sid}: terms not sorted"
@@ -49,6 +54,7 @@ def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
     freq_enc = t.column("freqs_enc").to_pylist()
     pos_enc = t.column("positions_enc").to_pylist()
     postings_here = 0
+    has_postings = np.zeros(docs_per_shard, dtype=bool)
     for i in range(len(terms)):
         docs = segment.decode_doc_ids(doc_enc[i], base, codec)
         freqs = segment.decode_freqs(freq_enc[i], codec)
@@ -76,9 +82,13 @@ def _check_shard(index_dir: str, sh: dict, docs_per_shard: int,
             assert np.all(diffs[~boundary] > 0), \
                 f"shard {sid} term {terms[i]}: positions not ascending"
         postings_here += len(docs)
+        has_postings[docs - base] = True
     assert postings_here == sh["posting_count"], f"shard {sid}: posting_count"
-    return {"postings": postings_here, "terms": len(terms),
-            "sum_ttf": int(ttf.sum())}
+    assert int(has_postings.sum()) == sh["doc_count"], \
+        f"shard {sid}: doc_count != distinct doc ids of its postings"
+    assert int(ttf.sum()) == sh["sum_total_term_freq"], \
+        f"shard {sid}: sum_total_term_freq != sum of ttf"
+    return {"postings": postings_here, "terms": len(terms)}
 
 
 def check_index(index_dir: str, parallel: bool | None = None) -> dict:
@@ -87,7 +97,7 @@ def check_index(index_dir: str, parallel: bool | None = None) -> dict:
     ``parallel=None`` auto-detects an active Ray session and fans the
     per-shard checks out as tasks; pass False to force in-process."""
     index_path = Path(index_dir)
-    manifest = json.loads((index_path / "manifest.json").read_text())
+    manifest = read_manifest(index_dir)
     docs_per_shard = manifest["params"]["docs_per_shard"]
     codec = manifest["params"].get("postings_codec", "varint")
 
@@ -113,7 +123,6 @@ def check_index(index_dir: str, parallel: bool | None = None) -> dict:
 
     total_postings = sum(p["postings"] for p in partials)
     total_terms = sum(p["terms"] for p in partials)
-    sum_ttf = sum(p["sum_ttf"] for p in partials)
 
     # norms / docmap coverage
     norms = pads.dataset(str(index_path / "norms"), format="parquet",
@@ -121,6 +130,8 @@ def check_index(index_dir: str, parallel: bool | None = None) -> dict:
         columns=["doc_id", "doc_len"])
     doc_ids = np.sort(norms.column("doc_id").to_numpy(zero_copy_only=False))
     stats = manifest["stats"]
+    assert stats == collection_stats(stats["num_docs"], manifest["shards"]), \
+        "manifest stats != the sum of the shard rows"
     from .update import read_expunged
 
     expunged = np.asarray(sorted(read_expunged(str(index_path))),
@@ -136,8 +147,6 @@ def check_index(index_dir: str, parallel: bool | None = None) -> dict:
     assert int(doc_len.sum()) == stats["sum_total_term_freq"], \
         "sum(doc_len) != sumTotalTermFreq"
     assert int((doc_len > 0).sum()) == stats["doc_count"]
-    assert sum_ttf == stats["sum_total_term_freq"], \
-        "sum of term ttf != sumTotalTermFreq"
 
     return {
         "shards": len(manifest["shards"]),
@@ -167,7 +176,6 @@ def luke(index_dir: str, top_n: int = 10) -> dict:
     import ray.data as rd
 
     from ..pipelines.util import bucketed_group_agg
-    from .build import read_manifest
 
     m = read_manifest(index_dir)
     index_path = Path(index_dir)

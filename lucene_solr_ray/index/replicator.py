@@ -68,8 +68,10 @@ def revision_info(index_dir: str, checksums: bool = True) -> dict:
     """The index's current revision (IndexRevision.getSourceFiles /
     ReplicationHandler ``filelist``): manifest generation + per-file
     (size, crc32) for every live file."""
+    from .build import read_manifest
+
     root = Path(index_dir)
-    manifest = json.loads((root / MANIFEST).read_text())
+    manifest = read_manifest(index_dir)
     files: dict[str, dict] = {}
     for p in sorted(root.rglob("*")):
         if not p.is_file():

@@ -36,8 +36,9 @@ import pyarrow.compute as pc
 
 from ..util import varint
 
-#: bump when the on-disk term-table schema changes (invalidates caches)
-FORMAT_VERSION = 5  # v5: skip-list and block-max columns dropped
+#: bump when the on-disk term-table or shard-row schema changes
+#: (invalidates caches)
+FORMAT_VERSION = 6  # v6: shard rows carry sum_total_term_freq
 
 
 class _VarintCodec:

@@ -54,7 +54,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from .build import read_manifest
+from .build import read_manifest, write_manifest
 from .update import atomic_update, delete_documents, realtime_get, \
     update_index
 
@@ -335,11 +335,8 @@ def cdcr_bootstrap(source_dir: str, target_dir: str) -> dict:
     # the same atomic rewrite the ops use
     manifest = read_manifest(str(dst))
     if "tlog_applied" in manifest:
-        manifest = {k: v for k, v in manifest.items()
-                    if k != "tlog_applied"}
-        tmp = dst / "manifest.json.tmp"
-        tmp.write_text(json.dumps(manifest, indent=1))
-        os.replace(tmp, dst / "manifest.json")
+        write_manifest(dst, {k: v for k, v in manifest.items()
+                             if k != "tlog_applied"})
     tmp = _checkpoint_path(target_dir).with_suffix(".tmp")
     tmp.write_text(json.dumps({"source_version": ckpt}))
     os.replace(tmp, _checkpoint_path(target_dir))

@@ -11,8 +11,9 @@ partly filled tail shard folds its live segment in — the log-structured
 merge (TieredMergePolicy / mtree-merge analog,
 MapReduceIndexerTool.java:330-338) — and the manifest generation is
 bumped (SegmentInfos.java:55-140 two-phase publish). Global statistics
-are the old ones plus the delta's, so post-update scores equal a
-from-scratch build's (asserted in tests).
+are the sum of the new generation's shard rows (``build.collection_stats``,
+as every publish sums them), so post-update scores equal a from-scratch
+build's (asserted in tests).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..search import bm25
 from . import segment
 from .build import (
     MANIFEST_NAME,
@@ -38,15 +38,17 @@ from .build import (
     _covering,
     _decode_segment_to_postings,
     _encode_shard_dir_task,
+    _key_range,
     _launch_wave_a,
     _lineage,
     _materialize_source,
-    _merge_partials,
     _phase_clock,
     _read_footers,
     _rewrite_shard,
     _task_cpu,
+    collection_stats,
     read_manifest,
+    write_manifest,
 )
 
 
@@ -95,14 +97,14 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
         if concurrency is None:
             concurrency = max(
                 2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-        tasks, _ = _assemble_plan(*_read_footers(source), concurrency,
-                                  base=int(manifest["stats"]["num_docs"]))
+        tasks, n_new = _assemble_plan(*_read_footers(source), concurrency,
+                                      base=int(manifest["stats"]["num_docs"]))
         _phase("plan")
 
         partials = ray.get(_launch_wave_a(
             tasks, dps, params["analyzer"], work / "runs", work / "norms",
             work / "offsets" if params.get("offsets") else None))
-        delta, first_key, last_key = _merge_partials(partials)
+        first_key, last_key = _key_range(partials)
         checkpoint = manifest.get("checkpoint")
         if (not overwrite and None not in (checkpoint, first_key)
                 and tuple(first_key) <= tuple(checkpoint)):
@@ -136,38 +138,30 @@ def update_index(index_dir: str, source: str | rd.Dataset, *,
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    shards = {s["shard_id"]: s for s in manifest["shards"]}
-    shards.update((r["shard_id"], r) for rs, _ in encoded for r in rs)
+    shards = _replace_rows(manifest["shards"], (r for rs, _ in encoded
+                                                for r in rs))
     # never moves backward (overwrite batches may carry old keys)
     checkpoint = max((tuple(c) for c in (checkpoint, last_key)
                       if c is not None), default=None)
-    return _publish(index_path, {
-        **manifest,
+    return write_manifest(index_path, {
         **(manifest_extra or {}),
-        "version": version,
-        "created_unix": time.time(),
         "build_seconds": time.time() - t0,
         "phases": phases,
         "task_cpu_s": _task_cpu(partials, encoded),
-        "stats": _with_avgdl({k: manifest["stats"][k] + v
-                              for k, v in delta.items()}),
+        "stats": collection_stats(manifest["stats"]["num_docs"] + n_new,
+                                  shards),
         "checkpoint": list(checkpoint) if checkpoint else None,
         "lineage": (manifest.get("lineage") or []) + _lineage(tasks),
-        "shards": [shards[k] for k in sorted(shards)],
-    })
+        "shards": shards,
+    }, prev=manifest)
 
 
-def _with_avgdl(stats: dict) -> dict:
-    return {**stats, "avgdl": float(bm25.avg_field_length(
-        stats["sum_total_term_freq"], max(stats["doc_count"], 1)))}
-
-
-def _publish(index_path: Path, manifest: dict) -> dict:
-    """Write the manifest atomically (temp file + rename); returns it."""
-    tmp = index_path / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1))
-    os.replace(tmp, index_path / MANIFEST_NAME)
-    return manifest
+def _replace_rows(rows: list[dict], new_rows) -> list[dict]:
+    """Shard rows ``rows`` with each of ``new_rows`` in place of the row of
+    its shard (or added), in shard order."""
+    shards = {r["shard_id"]: r for r in rows}
+    shards.update((r["shard_id"], r) for r in new_rows)
+    return [shards[k] for k in sorted(shards)]
 
 
 def _write_ids(path: Path, doc_ids: list[int]) -> None:
@@ -224,11 +218,9 @@ def delete_documents(index_dir: str, doc_ids=None, keys=None,
     all_dels = sorted(dels | resolved)
     _write_ids(index_path / DELETES_NAME, all_dels)
 
-    _publish(index_path, {**manifest,
-                          **(manifest_extra or {}),
-                          "version": manifest["version"] + 1,
-                          "created_unix": time.time(),
-                          "deleted_count": len(all_dels)})
+    write_manifest(index_path, {**(manifest_extra or {}),
+                                "deleted_count": len(all_dels)},
+                   prev=manifest)
     return {"deleted_now": sorted(newly), "total_deleted": len(all_dels)}
 
 
@@ -248,10 +240,11 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
     100-TB scale the decode wave would stage parquet runs instead of
     returning in-memory tables. Norms/docvalue rows append shifted into
     the hive partitions, and so do the offsets sidecar's rows when the
-    destination stores offsets (then the source must too); stats sum
-    exactly; source tombstone/expunged sets shift and union in, and the
-    source's lineage rows append shifted, so lineage still covers every
-    doc. The two layouts may differ in docs_per_shard (the source's
+    destination stores offsets (then the source must too); stats are
+    summed from the new generation's shard rows, which equals the two
+    indexes' stats added; source tombstone/expunged sets shift and union
+    in, and the source's lineage rows append shifted, so lineage still
+    covers every doc. The two layouts may differ in docs_per_shard (the source's
     layout only drives decoding; placement uses the destination's); the
     ANALYZER must match — mixed analysis chains would blend incompatible
     token streams (the reference's compatible-schema requirement)."""
@@ -313,26 +306,19 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
         if src_ids:
             _write_ids(dst_path / name, sorted(read_ids(dst_dir) | src_ids))
 
-    new_stats = _with_avgdl({k: dstm["stats"][k] + srcm["stats"][k] for k in
-                             ("num_docs", "doc_count", "sum_total_term_freq")})
-    shards = {s["shard_id"]: s for s in dstm["shards"]}
-    shards.update((r["shard_id"], r) for r in new_rows)
+    shards = _replace_rows(dstm["shards"], new_rows)
     cp_d, cp_s = dstm.get("checkpoint"), srcm.get("checkpoint")
     checkpoint = max((tuple(c) for c in (cp_d, cp_s) if c is not None),
                      default=None)
-    new_manifest = {**dstm,
-                    "version": dstm["version"] + 1,
-                    "created_unix": time.time(),
-                    "stats": new_stats,
-                    "checkpoint": list(checkpoint) if checkpoint else None,
-                    "lineage": (dstm.get("lineage") or []) + [
-                        {**e, "doc_lo": e["doc_lo"] + base,
-                         "doc_hi": e["doc_hi"] + base}
-                        for e in srcm.get("lineage") or []],
-                    "shards": [shards[k] for k in sorted(shards)]}
-    _publish(dst_path, new_manifest)
+    new_manifest = write_manifest(dst_path, {
+        "stats": collection_stats(base + srcm["stats"]["num_docs"], shards),
+        "checkpoint": list(checkpoint) if checkpoint else None,
+        "lineage": (dstm.get("lineage") or []) + [
+            {**e, "doc_lo": e["doc_lo"] + base, "doc_hi": e["doc_hi"] + base}
+            for e in srcm.get("lineage") or []],
+        "shards": shards}, prev=dstm)
     return {"added_docs": int(srcm["stats"]["num_docs"]),
-            "num_docs": int(new_stats["num_docs"]),
+            "num_docs": new_manifest["stats"]["num_docs"],
             "version": new_manifest["version"]}
 
 
@@ -472,9 +458,9 @@ def expunge_deletes(index_dir: str) -> dict:
     liveness (e.g. MatchAllDocs) while the heavy per-doc data is gone;
     ``_EXPUNGED.json`` records which ids are physically absent so
     ``check_index`` can keep asserting exact docmap coverage. Stats
-    (doc_count, sumTotalTermFreq, avgdl) are recomputed from the
-    surviving norms rows — scores shift exactly like after a reference
-    merge. Per-shard rewrites fan out as Ray tasks, each atomic via the
+    (doc_count, sumTotalTermFreq, avgdl) are the sum of the shard rows,
+    which the rewritten shards recount from their surviving postings —
+    scores shift exactly like after a reference merge. Per-shard rewrites fan out as Ray tasks, each atomic via the
     merge aside-rename, so a crash mid-expunge recovers per shard.
     """
     index_path = Path(index_dir)
@@ -498,30 +484,17 @@ def expunge_deletes(index_dir: str) -> dict:
         norm_task.remote(str(index_path), sid, del_arr)
         for sid in shard_ids])
 
-    shards = {s["shard_id"]: s for s in manifest["shards"]}
-    shards.update((r["shard_id"], r) for r in seg_rows if r is not None)
-
-    # recompute collection stats from the surviving norms rows
-    import pyarrow.dataset as pads
-
-    nt = pads.dataset(str(index_path / "norms"), format="parquet",
-                      partitioning="hive").to_table(columns=["doc_len"])
-    doc_len = nt.column("doc_len").to_numpy(zero_copy_only=False)
-    new_stats = _with_avgdl({
-        "num_docs": manifest["stats"]["num_docs"],  # maxDoc: never shrinks
-        "doc_count": int((doc_len > 0).sum()),
-        "sum_total_term_freq": int(doc_len.sum()),
-    })
+    shards = _replace_rows(manifest["shards"],
+                           (r for r in seg_rows if r is not None))
 
     all_expunged = sorted(already | set(todo))
     _write_ids(index_path / EXPUNGED_NAME, all_expunged)
 
-    _publish(index_path, {**manifest,
-                          "version": manifest["version"] + 1,
-                          "created_unix": time.time(),
-                          "stats": new_stats,
-                          "expunged_count": len(all_expunged),
-                          "shards": [shards[k] for k in sorted(shards)]})
+    write_manifest(index_path, {
+        # maxDoc never shrinks; the rewritten shards' rows shrink the rest
+        "stats": collection_stats(manifest["stats"]["num_docs"], shards),
+        "expunged_count": len(all_expunged),
+        "shards": shards}, prev=manifest)
     return {"expunged_now": len(todo), "removed_rows": int(sum(removed)),
             "total_expunged": len(all_expunged)}
 
@@ -717,11 +690,9 @@ def atomic_update(index_dir: str, updates: list[dict],
             os.rename(staging, part)
             shutil.rmtree(aside, ignore_errors=True)
         # the docvalue publish is FINAL only when no text re-index follows
-        manifest = _publish(index_path, {
-            **manifest,
-            **({} if text_docs else (manifest_extra or {})),
-            "version": manifest["version"] + 1,
-            "created_unix": time.time()})
+        manifest = write_manifest(
+            index_path, {} if text_docs else (manifest_extra or {}),
+            prev=manifest)
 
     # --- re-index path for text sets (tombstone + append) ---
     if text_docs:
@@ -755,10 +726,9 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
     side — segment postings are shard-relative, so every
     ``terms.parquet`` copies verbatim on both sides. The norms/docvalue
     and offsets-sidecar rows of side B rewrite (their absolute doc_id
-    columns shift), fanned out as Ray tasks per shard; the norms tasks
-    return (num_docs, doc_count, sum_doc_len, key range) partials so
-    each side's BM25 statistics are recomputed EXACTLY (split ==
-    rebuild-of-half, asserted in tests).
+    columns shift), fanned out as Ray tasks per shard, each returning its
+    key range. Each side's BM25 statistics are the sum of its shard rows,
+    so they are EXACT (split == rebuild-of-half, asserted in tests).
     Tombstones and expunged sets partition by the boundary and shift.
 
     Like the reference's hash-route split, a conversation straddling the
@@ -805,7 +775,6 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
         part = src / "norms" / f"doc_shard={shard_id}"
         out = Path(dst) / "norms" / f"doc_shard={new_id}"
         out.mkdir(parents=True, exist_ok=True)
-        n_rows = doc_count = sum_len = 0
         lo_key = hi_key = None
         for f in sorted(part.iterdir()):
             t = pq.read_table(f)
@@ -815,10 +784,6 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
                 t = t.drop_columns(["doc_id"]).append_column(
                     "doc_id", pa.array(docs, type=pa.int64()))
             pq.write_table(t, out / f.name)
-            n_rows += t.num_rows
-            dl = t.column("doc_len").to_numpy(zero_copy_only=False)
-            doc_count += int((dl > 0).sum())
-            sum_len += int(dl.sum())
             keys = list(zip(t.column("conv_id").to_pylist(),
                             (int(x) for x in
                              t.column("turn_idx").to_pylist())))
@@ -826,8 +791,7 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
                 lo, hi = min(keys), max(keys)
                 lo_key = lo if lo_key is None else min(lo_key, lo)
                 hi_key = hi if hi_key is None else max(hi_key, hi)
-        return {"n_rows": n_rows, "doc_count": doc_count,
-                "sum_len": sum_len, "lo_key": lo_key, "hi_key": hi_key}
+        return {"lo_key": lo_key, "hi_key": hi_key}
 
     copy_refs, norm_refs = [], {"a": [], "b": []}
     for s in shards:
@@ -842,11 +806,6 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
                 move_norms.remote(sid, dst_b, sid - k, split_doc))
     ray.get(copy_refs)
     parts = {side: ray.get(refs) for side, refs in norm_refs.items()}
-
-    def side_stats(prt: list[dict], n: int) -> dict:
-        return _with_avgdl({
-            "num_docs": n, "doc_count": sum(p["doc_count"] for p in prt),
-            "sum_total_term_freq": sum(p["sum_len"] for p in prt)})
 
     def side_keys(prt: list[dict], which: str):
         ks = [p[which] for p in prt if p[which] is not None]
@@ -875,22 +834,19 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
         if side_exps:
             _write_ids(Path(dst) / EXPUNGED_NAME, side_exps)
         hk = side_keys(prt, "hi_key")
-        manifest = {
+        rows = [{**s, "shard_id": s["shard_id"] - shift // dps,
+                 "doc_lo": s["doc_lo"] - shift, "doc_hi": s["doc_hi"] - shift}
+                for s in shards if lo <= int(s["doc_lo"]) < hi]
+        write_manifest(dst, {
             "version": 1,
             "created_unix": time.time(),
             "params": m["params"],
-            "stats": side_stats(prt, n),
+            "stats": collection_stats(n, rows),
             "checkpoint": list(hk) if hk else m.get("checkpoint"),
             "lineage": clip_lineage(lo, hi, shift),
             "deleted_count": len(side_dels),
-            "shards": [
-                {**s, "shard_id": s["shard_id"] - k,
-                 "doc_lo": s["doc_lo"] - shift,
-                 "doc_hi": s["doc_hi"] - shift}
-                if shift else dict(s)
-                for s in shards if lo <= int(s["doc_lo"]) < hi],
-        }
-        _publish(Path(dst), manifest)
+            "shards": rows,
+        })
         results[side] = {"num_docs": n, "deleted": len(side_dels)}
 
     a_hi = side_keys(parts["a"], "hi_key")

@@ -50,15 +50,13 @@ returning a partial merge.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 
+from ..index.build import collection_stats, read_manifest
 from .query import (CommonTermsQuery, Query, parse_query,
                     rewrite_common_terms, rewrite_expansions)
 from .searcher import (ShardSearcher, _sort_key, _sorted_unique, _TermDict,
@@ -71,10 +69,6 @@ ACTOR_MAX_TASK_RETRIES = 3
 # deadline of one scatter's results, generous enough to span the restarts
 # and re-runs above (an actor restart reloads its shards)
 CALL_TIMEOUT_S = 300.0
-
-
-def _read_manifest(index_dir) -> dict:
-    return json.loads((Path(index_dir) / "manifest.json").read_text())
 
 
 def _shard_ids(manifest: dict) -> list[int]:
@@ -650,7 +644,7 @@ class IndexSearcher(SearchCoordinator):
     """In-process searcher: one group, every shard in one segment."""
 
     def __init__(self, index_dir: str, similarity="bm25"):
-        manifest = _read_manifest(index_dir)
+        manifest = read_manifest(index_dir)
         seg = ShardSearcher(str(index_dir), _shard_ids(manifest), manifest,
                             similarity)
         super().__init__(manifest, [seg])
@@ -666,36 +660,35 @@ class MultiIndexSearcher(SearchCoordinator):
     appear at ``[base_i, base_i + num_docs_i)`` where ``base_i`` is the
     sum of the preceding indexes' maxDocs. Query-time statistics
     (docFreq, docCount, sumTotalTermFreq → avgdl) are the COMBINED
-    values, so scores are bit-equal to an ``add_indexes``-merged index;
-    each sub-index keeps its own ``num_docs`` for layout (MatchAllDocs
-    clamping). Analyzers must match — the same compatible-schema rule
+    values: docCount and sumTotalTermFreq are summed over every
+    sub-index's shard rows (``build.collection_stats``, as each index's
+    own ``stats`` are), so scores are bit-equal to an
+    ``add_indexes``-merged index; each sub-index keeps its own
+    ``num_docs`` for layout (MatchAllDocs clamping). Analyzers must match — the same compatible-schema rule
     ``add_indexes`` enforces. The federation is the query side of
     ``split_index``: split a hot index, keep serving both halves as one.
     """
 
     def __init__(self, index_dirs, similarity="bm25"):
-        from . import bm25
-
         if not index_dirs:
             raise ValueError("MultiIndexSearcher needs >= 1 index")
-        manifests = [_read_manifest(d) for d in index_dirs]
+        manifests = [read_manifest(d) for d in index_dirs]
         analyzers = {m["params"]["analyzer"] for m in manifests}
         if len(analyzers) != 1:
             raise ValueError(
                 f"sub-index analyzers must match, got {sorted(analyzers)}")
-        num = sum(m["stats"]["num_docs"] for m in manifests)
-        dc = sum(m["stats"]["doc_count"] for m in manifests)
-        ttf = sum(m["stats"]["sum_total_term_freq"] for m in manifests)
-        combined = {"doc_count": dc, "sum_total_term_freq": ttf,
-                    "avgdl": float(bm25.avg_field_length(ttf, max(dc, 1)))}
+        stats = collection_stats(
+            sum(m["stats"]["num_docs"] for m in manifests),
+            [r for m in manifests for r in m["shards"]])
         groups, base = [], 0
         for d, m in zip(index_dirs, manifests):
             groups.append(ShardSearcher(
                 str(d), _shard_ids(m),
-                {**m, "stats": {**m["stats"], **combined}}, similarity, base))
+                {**m, "stats": {**stats, "num_docs": m["stats"]["num_docs"]}},
+                similarity, base))
             base += int(m["stats"]["num_docs"])
-        super().__init__({"params": manifests[0]["params"],
-                          "stats": {"num_docs": num, **combined}}, groups)
+        super().__init__({"params": manifests[0]["params"], "stats": stats},
+                         groups)
 
 
 class DistributedSearcher(SearchCoordinator):
@@ -706,7 +699,7 @@ class DistributedSearcher(SearchCoordinator):
     def __init__(self, index_dir: str, num_actors: int = 4,
                  similarity="bm25"):
         self.index_dir = str(index_dir)
-        manifest = _read_manifest(index_dir)
+        manifest = read_manifest(index_dir)
         shard_ids = _shard_ids(manifest)
         num_actors = max(1, min(num_actors, len(shard_ids)))
         self.actor_shards = [[int(s) for s in run] for run in

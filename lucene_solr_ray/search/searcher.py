@@ -289,7 +289,9 @@ class ShardSearcher:
                  doc_base: int = 0):
         index_path = Path(index_dir)
         if manifest is None:
-            manifest = json.loads((index_path / "manifest.json").read_text())
+            from ..index.build import read_manifest
+
+            manifest = read_manifest(index_dir)
         self.shard_ids = [int(s) for s in shard_ids]
         self.index_dir = str(index_dir)
         params = manifest["params"]

@@ -309,7 +309,8 @@ def test_manifest_records_task_cpu_per_wave(tiny_index):
     assert all(v > 0 for v in cpu.values())
     assert "task_cpu_s" not in manifest["phases"]
     assert all(set(r) == {"shard_id", "doc_lo", "doc_hi", "term_count",
-                          "posting_count", "doc_count"}
+                          "posting_count", "doc_count",
+                          "sum_total_term_freq"}
                for r in manifest["shards"])
 
 
