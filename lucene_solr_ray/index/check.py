@@ -8,8 +8,9 @@ ascending with counts matching freqs; the manifest row's ``doc_count`` ==
 the distinct doc ids of the decoded postings and its
 ``sum_total_term_freq`` == the sum of the ``ttf`` column. Globally:
 manifest stats equal the sum of the rows, the norms (``doc_len``) agree
-with them independently, and the norms docmap covers every doc_id
-exactly once.
+with them independently, the norms docmap covers every doc_id
+exactly once, and the manifest's ``deleted_count``/``expunged_count``
+(0 when absent) equal the sizes of ``_DELETES.json``/``_EXPUNGED.json``.
 
 Shards are checked in PARALLEL as Ray tasks when a Ray session is active
 (single-process CheckIndex over a 13M-doc index takes tens of minutes;
@@ -132,10 +133,12 @@ def check_index(index_dir: str, parallel: bool | None = None) -> dict:
     stats = manifest["stats"]
     assert stats == collection_stats(stats["num_docs"], manifest["shards"]), \
         "manifest stats != the sum of the shard rows"
-    from .update import read_expunged
-
-    expunged = np.asarray(sorted(read_expunged(str(index_path))),
-                          dtype=np.int64)
+    expunged = segment.read_expunged(index_path)
+    for key, ids in (("deleted_count", segment.read_deletes(index_path)),
+                     ("expunged_count", expunged)):
+        assert manifest.get(key, 0) == len(ids), \
+            f"manifest {key} != the ids of its tombstone file"
+    expunged = np.asarray(sorted(expunged), dtype=np.int64)
     assert len(doc_ids) + len(expunged) == stats["num_docs"], \
         "docmap rows + expunged != num_docs"
     want_ids = np.setdiff1d(np.arange(stats["num_docs"], dtype=np.int64),

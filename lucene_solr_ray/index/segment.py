@@ -22,6 +22,12 @@ exhaustively, as the reference does for disjunctions.
 A companion ``norms.parquet`` per shard holds (doc_id, norm_byte, doc_len,
 conv_id, turn_idx) for the shard's contiguous doc_id range.
 
+Beside the manifest, two id-set files (``{"doc_ids": [...]}``) hold the
+index's tombstones: ``_DELETES.json`` the deleted doc ids (the live-docs
+complement) and ``_EXPUNGED.json`` the ids whose postings and norms rows
+were physically removed. ``read_deletes``/``read_expunged`` and
+``_write_ids`` are their one reader and writer.
+
 Encoding is vectorized across ALL terms of a shard at once: deltas with
 per-term resets, one codec pass over the concatenation, and each binary
 column is a view of that one encoded buffer at the per-term byte offsets
@@ -29,6 +35,11 @@ column is a view of that one encoded buffer at the per-term byte offsets
 """
 
 from __future__ import annotations
+
+import json
+import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -354,10 +365,6 @@ def recover_norms_partitions(index_path) -> None:
     Called by every index opener (ShardSearcher and the update paths) so
     a searcher can never silently fall back to all-zero norms / all-None
     docvalues for a shard whose partition vanished mid-swap."""
-    import os
-    import shutil
-    from pathlib import Path
-
     norms = Path(index_path) / "norms"
     if not norms.exists():
         return
@@ -370,3 +377,33 @@ def recover_norms_partitions(index_path) -> None:
                 pass  # concurrent opener won the restore race
         else:
             shutil.rmtree(aside, ignore_errors=True)
+
+
+# --- tombstone files (IndexWriter.deleteDocuments / forceMergeDeletes) ---
+
+DELETES_NAME = "_DELETES.json"
+EXPUNGED_NAME = "_EXPUNGED.json"
+
+
+def _read_ids(index_dir, name: str) -> set[int]:
+    f = Path(index_dir) / name
+    if not f.exists():
+        return set()
+    return set(json.loads(f.read_text())["doc_ids"])
+
+
+def read_deletes(index_dir) -> set[int]:
+    """Tombstoned doc_ids (live-docs complement). Empty set if none."""
+    return _read_ids(index_dir, DELETES_NAME)
+
+
+def read_expunged(index_dir) -> set[int]:
+    """Doc ids whose postings/norms rows were physically removed."""
+    return _read_ids(index_dir, EXPUNGED_NAME)
+
+
+def _write_ids(path: Path, doc_ids: list[int]) -> None:
+    """Write a ``{"doc_ids": [...]}`` id-set file atomically."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps({"doc_ids": doc_ids}))
+    os.replace(tmp, path)

@@ -18,7 +18,6 @@ build's (asserted in tests).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import time
@@ -50,6 +49,8 @@ from .build import (
     read_manifest,
     write_manifest,
 )
+from .segment import (DELETES_NAME, EXPUNGED_NAME, _write_ids, read_deletes,
+                      read_expunged)
 
 
 def update_index(index_dir: str, source: str | rd.Dataset, *,
@@ -164,27 +165,10 @@ def _replace_rows(rows: list[dict], new_rows) -> list[dict]:
     return [shards[k] for k in sorted(shards)]
 
 
-def _write_ids(path: Path, doc_ids: list[int]) -> None:
-    """Write a ``{"doc_ids": [...]}`` id-set file atomically."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({"doc_ids": doc_ids}))
-    os.replace(tmp, path)
-
-
 # --------------------------------------------------------------------------
 # deletes / overwrite (IndexWriter.deleteDocuments / updateDocument,
 # IndexWriter.java:1503; SignatureUpdateProcessor overwrite-on-signature)
 # --------------------------------------------------------------------------
-
-DELETES_NAME = "_DELETES.json"
-
-
-def read_deletes(index_dir: str) -> set[int]:
-    """Tombstoned doc_ids (live-docs complement). Empty set if none."""
-    f = Path(index_dir) / DELETES_NAME
-    if not f.exists():
-        return set()
-    return set(json.loads(f.read_text())["doc_ids"])
 
 
 def delete_documents(index_dir: str, doc_ids=None, keys=None,
@@ -299,18 +283,23 @@ def add_indexes(dst_dir: str, src_dir: str) -> dict:
                           dst_path / "offsets", base, dps,
                           f"a{dstm['version'] + 1}-{sid:05d}-")
 
-    # tombstones / expunged shift and union
-    for name, read_ids in ((DELETES_NAME, read_deletes),
-                           (EXPUNGED_NAME, read_expunged)):
+    # tombstones / expunged shift and union; the manifest counts them
+    counts = {}
+    for name, key, read_ids in (
+            (DELETES_NAME, "deleted_count", read_deletes),
+            (EXPUNGED_NAME, "expunged_count", read_expunged)):
         src_ids = {d + base for d in read_ids(src_dir)}
+        ids = read_ids(dst_dir) | src_ids
         if src_ids:
-            _write_ids(dst_path / name, sorted(read_ids(dst_dir) | src_ids))
+            _write_ids(dst_path / name, sorted(ids))
+        counts[key] = len(ids)
 
     shards = _replace_rows(dstm["shards"], new_rows)
     cp_d, cp_s = dstm.get("checkpoint"), srcm.get("checkpoint")
     checkpoint = max((tuple(c) for c in (cp_d, cp_s) if c is not None),
                      default=None)
     new_manifest = write_manifest(dst_path, {
+        **counts,
         "stats": collection_stats(base + srcm["stats"]["num_docs"], shards),
         "checkpoint": list(checkpoint) if checkpoint else None,
         "lineage": (dstm.get("lineage") or []) + [
@@ -383,17 +372,6 @@ def expire_documents(index_dir: str, expire_before, field: str = "ts",
     if expunge:
         out["expunge"] = expunge_deletes(index_dir)
     return out
-
-
-EXPUNGED_NAME = "_EXPUNGED.json"
-
-
-def read_expunged(index_dir: str) -> set[int]:
-    """Doc ids whose postings/norms rows were physically removed."""
-    f = Path(index_dir) / EXPUNGED_NAME
-    if not f.exists():
-        return set()
-    return set(json.loads(f.read_text())["doc_ids"])
 
 
 def _expunge_shard(index_dir: str, shard_id: int, docs_per_shard: int,
@@ -845,6 +823,7 @@ def split_index(src_dir: str, dst_a: str, dst_b: str,
             "checkpoint": list(hk) if hk else m.get("checkpoint"),
             "lineage": clip_lineage(lo, hi, shift),
             "deleted_count": len(side_dels),
+            "expunged_count": len(side_exps),
             "shards": rows,
         })
         results[side] = {"num_docs": n, "deleted": len(side_dels)}

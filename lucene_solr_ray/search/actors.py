@@ -25,6 +25,11 @@ from every group's ``term_table`` (Solr's ExactStatsCache, kept for the
 searcher's lifetime: df and ttf cannot change while it is open). So a
 batch of queries costs one round trip, the scoring one, and the table's
 per-group presence mask skips groups that hold none of a batch's terms.
+The collection statistics ship with each query too: every scoring call
+carries one ``searcher.QueryStats`` per query, the query's global
+docFreqs with the docCount and avgdl of the coordinator's own manifest
+``stats`` (IndexSearcher.createWeight gathers collectionStatistics and
+termStatistics before a leaf scores), so a group reads none at open.
 Every group call goes through ``SearchCoordinator._scatter``. The
 coordinator holds only its groups and the term table: it reads no index
 file beyond the manifest.
@@ -33,7 +38,8 @@ Three constructors choose the groups and nothing else:
 
 - ``IndexSearcher(dir)``: one in-process group holding every shard;
 - ``MultiIndexSearcher(dirs)``: one in-process group per sub-index, each
-  at its doc base and scoring with the combined statistics (MultiReader);
+  at its doc base, all scored with the combined statistics the
+  coordinator ships (MultiReader);
 - ``DistributedSearcher(dir, num_actors)``: one actor per run of
   contiguous shards.
 
@@ -59,8 +65,8 @@ import ray
 from ..index.build import collection_stats, read_manifest
 from .query import (CommonTermsQuery, Query, parse_query,
                     rewrite_common_terms, rewrite_expansions)
-from .searcher import (ShardSearcher, _sort_key, _sorted_unique, _TermDict,
-                       collect_terms)
+from .searcher import (QueryStats, ShardSearcher, _sort_key, _sorted_unique,
+                       _TermDict, collect_terms)
 
 # actor fault tolerance: restarts of a dead SearchActor, and re-runs of a
 # call that was in flight on it
@@ -200,31 +206,35 @@ class SearchCoordinator:
         """Parse, rewrite the multi-term expansions of complex phrases and
         span trees against the whole index's vocabulary, global statistics
         for the whole batch, and the CommonTermsQuery rewrite (its df
-        split needs GLOBAL stats): (parsed queries, per-query df maps,
-        term-table rows of the batch's terms)."""
+        split needs GLOBAL stats): (parsed queries, per-query
+        ``QueryStats``, term-table rows of the batch's terms)."""
         terms = self._terms.seq()
         parsed = [rewrite_expansions(self.parse(q) if isinstance(q, str)
                                      else q, terms) for q in queries]
         term_sets = [collect_terms(q) for q in parsed]
         rows = self._rows(set().union(*term_sets))
         global_df = {t: int(self._df[i]) for t, i in rows.items()}
-        max_doc = self.manifest["stats"]["num_docs"]
-        parsed = [rewrite_common_terms(q, global_df, max_doc)
+        stats = self.manifest["stats"]
+        parsed = [rewrite_common_terms(q, global_df, stats["num_docs"])
                   if isinstance(q, CommonTermsQuery) else q for q in parsed]
-        df_maps = [{t: global_df.get(t, 0) for t in ts} for ts in term_sets]
-        return parsed, df_maps, rows
+        batch_stats = [({t: global_df.get(t, 0) for t in ts},
+                        stats["doc_count"], stats["avgdl"])
+                       for ts in term_sets]
+        return parsed, batch_stats, rows
 
     def _prepare_one(self, query):
-        parsed, df_maps, _ = self._prepare([query])
-        return parsed[0], df_maps[0]
+        parsed, batch_stats, _ = self._prepare([query])
+        return parsed[0], batch_stats[0]
 
-    def _candidate_groups(self, parsed: list[Query], df_maps: list[dict],
+    def _candidate_groups(self, parsed: list[Query],
+                          batch_stats: list[QueryStats],
                           rows: dict[str, int]) -> list:
         """The groups a query batch scatters to. Exactness: a pruned
         group holds NONE of the batch's terms (the presence mask is
         exact), so no whitelisted query can match a doc there."""
         groups = self.groups
-        if any(df_maps) and all(_prunable(q) for q in parsed):
+        if any(df_map for df_map, _, _ in batch_stats) \
+                and all(_prunable(q) for q in parsed):
             hit = self._present[list(rows.values())].any(axis=0)
             groups = [g for g, h in zip(self.groups, hit) if h]
         self.last_fanout = len(groups)
@@ -270,12 +280,12 @@ class SearchCoordinator:
             raise ValueError("after paging is defined on the score "
                              "ranking; combine field sort with "
                              "filter_range paging instead")
-        parsed, df_maps, rows = self._prepare(queries)
-        groups = self._candidate_groups(parsed, df_maps, rows)
+        parsed, batch_stats, rows = self._prepare(queries)
+        groups = self._candidate_groups(parsed, batch_stats, rows)
         if not groups:
             return [[] for _ in parsed]
-        per_group = self._scatter("search_batch", parsed, df_maps, k, sort,
-                                  filter_range, after, groups=groups)
+        per_group = self._scatter("search_batch", parsed, batch_stats, k,
+                                  sort, filter_range, after, groups=groups)
         return [[(d, np.float32(s)) for d, s, *_ in
                  _top([h for g in per_group for h in g[qi]], k, sort)]
                 for qi in range(len(parsed))]
@@ -302,15 +312,15 @@ class SearchCoordinator:
         with the same GLOBAL stats the search path uses, so the explained
         value equals the served score bit-for-bit. None if the doc
         doesn't match."""
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         return next((e for e in self._scatter("explain", q, int(doc_id),
-                                              df_map) if e is not None),
+                                              stats) if e is not None),
                     None)
 
     def all_hits(self, query: Query | str):
         """(doc_ids, scores) of every matching doc, in doc_id order."""
-        q, df_map = self._prepare_one(query)
-        parts = self._scatter("hits_partial", q, df_map)
+        q, stats = self._prepare_one(query)
+        parts = self._scatter("hits_partial", q, stats)
         docs = np.concatenate([d for d, _ in parts])
         scores = np.concatenate([s for _, s in parts])
         order = np.argsort(docs, kind="stable")
@@ -318,15 +328,15 @@ class SearchCoordinator:
 
     def hit_count(self, query: Query | str) -> int:
         """Total matching docs: per-group counts, one scatter."""
-        q, df_map = self._prepare_one(query)
-        return sum(self._scatter("count_partial", q, df_map))
+        q, stats = self._prepare_one(query)
+        return sum(self._scatter("count_partial", q, stats))
 
     def scores_for_docs(self, query: Query | str, doc_ids: list[int]
                         ) -> dict[int, float]:
         """Scores of the given docs under ``query``; docs that do not
         match are absent."""
-        q, df_map = self._prepare_one(query)
-        return self._union("scores_for_docs", q, df_map,
+        q, stats = self._prepare_one(query)
+        return self._union("scores_for_docs", q, stats,
                            [int(d) for d in doc_ids])
 
     def rerank(self, query: Query | str, rerank_query: Query | str,
@@ -350,8 +360,8 @@ class SearchCoordinator:
         (SimpleFacets.java:102-417: count desc, then value asc; docs
         without the field are omitted; ``prefix`` = facet.prefix). Group
         partials merge exactly, with no refinement phase."""
-        q, df_map = self._prepare_one(query)
-        parts = [(u, c) for u, c in self._scatter("facet_partial", q, df_map,
+        q, stats = self._prepare_one(query)
+        parts = [(u, c) for u, c in self._scatter("facet_partial", q, stats,
                                                   field) if len(u)]
         if not parts:
             return []
@@ -369,10 +379,9 @@ class SearchCoordinator:
     def facet_query(self, queries: list[Query | str]) -> dict[str, int]:
         """facet.query: hit count per arbitrary sub-query, in one
         counting trip."""
-        parsed, df_maps, _ = self._prepare(queries)
-        totals = np.sum(np.asarray(self._scatter("query_counts", parsed,
-                                                 df_maps), dtype=np.int64),
-                        axis=0)
+        parsed, batch_stats, _ = self._prepare(queries)
+        totals = np.sum(np.asarray(self._scatter(
+            "query_counts", parsed, batch_stats), dtype=np.int64), axis=0)
         return {str(q): int(n) for q, n in zip(queries, totals)}
 
     def range_facet(self, query: Query | str, field: str, start: float,
@@ -380,9 +389,9 @@ class SearchCoordinator:
                     ) -> list[tuple[str, int]]:
         """facet.range over the query's full hit set (bucket labels
         match pipelines.relational.range_facet)."""
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         total = np.sum(np.asarray(self._scatter(
-            "range_facet_partial", q, df_map, field, start, end, gap,
+            "range_facet_partial", q, stats, field, start, end, gap,
             hardend), dtype=np.int64), axis=0)
         n_buckets = len(total) - 3
         out = []
@@ -399,10 +408,10 @@ class SearchCoordinator:
         (StatsComponent.java): count/min/max/sum/mean/sumOfSquares/
         stddev/missing of a numeric docvalue. KeyError if the index does
         not carry the field."""
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         count, sum_, sumsq, missing, mn, mx = 0, 0.0, 0.0, 0, None, None
         for c, pmn, pmx, ps, psq, pmiss in self._scatter(
-                "stats_partial", q, df_map, field):
+                "stats_partial", q, stats, field):
             count += c
             sum_ += ps
             sumsq += psq
@@ -430,8 +439,8 @@ class SearchCoordinator:
         are doc-contiguous within a conversation). Groups ship at most
         their top-k conversations plus shard-boundary ones."""
         agg: dict[str, float] = {}
-        q, df_map = self._prepare_one(query)
-        for p in self._scatter("conv_partial", q, df_map, score_mode, k):
+        q, stats = self._prepare_one(query)
+        for p in self._scatter("conv_partial", q, stats, score_mode, k):
             for c, s in p.items():
                 agg[c] = (max(agg.get(c, -np.inf), s) if score_mode == "max"
                           else agg.get(c, 0.0) + s)
@@ -442,9 +451,9 @@ class SearchCoordinator:
         """Field collapse on conversation (CollapsingQParserPlugin): the
         best turn per conversation (max score, tie -> lower doc_id), top-k
         conversations as (doc_id, score, conv_id)."""
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         best: dict[str, tuple[float, int]] = {}
-        for p in self._scatter("collapse_partial", q, df_map, k):
+        for p in self._scatter("collapse_partial", q, stats, k):
             for c, cand in p.items():
                 cur = best.get(c)
                 if cur is None or (-cand[0], cand[1]) < (-cur[0], cur[1]):
@@ -458,10 +467,10 @@ class SearchCoordinator:
         asc), ``per_group`` each: {conv_id: [(doc_id, score)]}."""
         if not heads:
             return {}
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         conv_ids = [str(c) for _, _, c in heads]
         out: dict[str, list] = {c: [] for c in conv_ids}
-        for p in self._scatter("expand_partial", q, df_map, conv_ids,
+        for p in self._scatter("expand_partial", q, stats, conv_ids,
                                [int(d) for d, _, _ in heads], per_group):
             for c, rows in p.items():
                 out[c].extend(rows)
@@ -484,9 +493,8 @@ class SearchCoordinator:
                                              stats_terms)
         from .features import index_stats
 
-        q, df_map = self._prepare_one(query)
+        q, stats = self._prepare_one(query)
         ast = parse_func(boost_expr)
-        stats = index_stats(self, stats_terms(ast))
         ofields = sorted(ord_fields(ast))
         per = self._scatter("local_unique_docvalues", ofields) \
             if ofields else []
@@ -494,7 +502,8 @@ class SearchCoordinator:
                    for f in ofields
                    if (parts := [p[f] for p in per if p[f] is not None])}
         return _top([h for p in self._scatter(
-            "boosted_partial", q, df_map, bind_index_stats(ast, stats), k,
+            "boosted_partial", q, stats,
+            bind_index_stats(ast, index_stats(self, stats_terms(ast))), k,
             mode, uniques) for h in p], k)
 
     # --- term dictionary: terms, spellcheck, suggest, collation ---
@@ -662,12 +671,14 @@ class MultiIndexSearcher(SearchCoordinator):
     (docFreq, docCount, sumTotalTermFreq → avgdl) are the COMBINED
     values: docCount and sumTotalTermFreq are summed over every
     sub-index's shard rows (``build.collection_stats``, as each index's
-    own ``stats`` are), so scores are bit-equal to an
-    ``add_indexes``-merged index; each sub-index keeps its own
-    ``num_docs`` for layout (MatchAllDocs clamping). Analyzers must match — the same compatible-schema rule
-    ``add_indexes`` enforces. The federation is the query side of
-    ``split_index``: split a hot index, keep serving both halves as one.
-    """
+    own ``stats`` are) into the coordinator's manifest only, and ship
+    with each query, so scores are bit-equal to an
+    ``add_indexes``-merged index. Each sub-index's group opens on that
+    index's own manifest, as it is, and reads no statistics from it but
+    its ``num_docs`` (layout, MatchAllDocs clamping). Analyzers must
+    match — the same compatible-schema rule ``add_indexes`` enforces.
+    The federation is the query side of ``split_index``: split a hot
+    index, keep serving both halves as one."""
 
     def __init__(self, index_dirs, similarity="bm25"):
         if not index_dirs:
@@ -682,10 +693,8 @@ class MultiIndexSearcher(SearchCoordinator):
             [r for m in manifests for r in m["shards"]])
         groups, base = [], 0
         for d, m in zip(index_dirs, manifests):
-            groups.append(ShardSearcher(
-                str(d), _shard_ids(m),
-                {**m, "stats": {**stats, "num_docs": m["stats"]["num_docs"]}},
-                similarity, base))
+            groups.append(ShardSearcher(str(d), _shard_ids(m), m,
+                                        similarity, base))
             base += int(m["stats"]["num_docs"])
         super().__init__({"params": manifests[0]["params"], "stats": stats},
                          groups)

@@ -124,9 +124,10 @@ class ClassicSim:
 SIMILARITIES = {"bm25": BM25Sim, "classic": ClassicSim}
 
 
-def make_similarity(name: str, avgdl: np.float32):
+def similarity_class(name: str):
+    """The similarity registered as ``name``: a factory avgdl -> sim."""
     try:
-        return SIMILARITIES[name](avgdl)
+        return SIMILARITIES[name]
     except KeyError:
         raise ValueError(f"unknown similarity {name!r}; "
                          f"one of {sorted(SIMILARITIES)}") from None

@@ -11,9 +11,11 @@
   top-k per query, explain, the ``*_partial`` aggregates, and the fetch
   phase for the docs it holds (doc values, hit keys, term vectors,
   offsets, its tombstone count). Scoring is vectorized float32 BM25
-  (SURVEY.md §3.2) using *global* term statistics supplied by the
-  coordinator (Solr ExactStatsCache analog — required for rank-identity
-  with a single-node index).
+  (SURVEY.md §3.2). The statistics it scores with ship with each query
+  (``QueryStats``: the query's global docFreqs, docCount and avgdl from
+  the coordinator; Solr's ExactStatsCache, required for rank-identity
+  with a single-node index): a segment reads no collection statistics
+  at open, and ``_weight`` is its one idf computation.
 - ``DocValues``: the per-field doc-value columns of a segment's doc
   range, loaded on first use as typed Arrow arrays that the sort, range
   filter, facet, stats and boost partials read with Arrow kernels. Its
@@ -32,7 +34,6 @@ scores accumulate in clause order in float32, matching the oracle.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,21 @@ import pyarrow.parquet as pq
 
 from ..index import segment
 from . import bm25
-from .query import (
-    BooleanQuery,
-    MatchNoDocs,
-    MultiTermQuery,
-    PhraseQuery,
-    Query,
-    TermQuery,
-    expand_multi_term,
-)
+from .query import (BooleanQuery, BoostingQuery, CommonTermsQuery,
+                    ComplexPhraseQuery, ConstantScoreQuery, DisMaxQuery,
+                    FuzzyQuery, MatchAllDocsQuery, MatchNoDocs,
+                    MultiPhraseQuery, MultiTermQuery, PhraseQuery,
+                    PrefixQuery, Query, SpanFirstQuery, SpanNearQuery,
+                    SpanNotQuery, SpanOrQuery, SpanTermQuery, SynonymQuery,
+                    TermQuery, expand_multi_term, sloppy_phrase_freq,
+                    span_freq, span_terms)
+
+
+#: What the coordinator ships with each query: (its terms' global
+#: docFreq, docCount, avgdl). A segment scores with these alone, as a
+#: Lucene leaf scores with the weight IndexSearcher.createWeight built
+#: from collectionStatistics/termStatistics.
+QueryStats = tuple[dict[str, int], int, float]
 
 
 def _sort_key(vals: pa.Array, desc: bool) -> np.ndarray:
@@ -72,59 +79,31 @@ def _sorted_unique(vals: pa.Array) -> pa.Array:
 
 
 def collect_terms(q: Query) -> set[str]:
-    from .query import (ConstantScoreQuery, DisMaxQuery, SpanFirstQuery,
-                        SynonymQuery)
-
+    """The terms whose global statistics score ``q``."""
     if isinstance(q, TermQuery):
         return {q.term}
-    if isinstance(q, SynonymQuery):
+    if isinstance(q, (SynonymQuery, PhraseQuery, CommonTermsQuery)):
         return set(q.terms)
-    from .query import MultiPhraseQuery
-
     if isinstance(q, MultiPhraseQuery):
         return {t for alts in q.slots for t in alts}
-    from .query import BoostingQuery
-
+    if isinstance(q, (SpanFirstQuery, SpanTermQuery, SpanNearQuery,
+                      SpanOrQuery, SpanNotQuery)):
+        return span_terms(q)
     if isinstance(q, BoostingQuery):
         return collect_terms(q.match) | collect_terms(q.context)
-    if isinstance(q, SpanFirstQuery):
-        from .query import span_terms
-
-        return span_terms(q)
-    if isinstance(q, PhraseQuery):
-        return set(q.terms)
-    if isinstance(q, BooleanQuery):
-        out: set[str] = set()
-        for c in q.clauses():
-            out |= collect_terms(c)
-        return out
-    if isinstance(q, DisMaxQuery):
-        out = set()
-        for c in q.clauses:
-            out |= collect_terms(c)
-        return out
     if isinstance(q, ConstantScoreQuery):
         return collect_terms(q.query)
-    from .query import (SpanNearQuery, SpanNotQuery, SpanOrQuery,
-                        SpanTermQuery, span_terms)
-
-    if isinstance(q, (SpanTermQuery, SpanNearQuery, SpanOrQuery,
-                      SpanNotQuery)):
-        return span_terms(q)
-    from .query import CommonTermsQuery
-
-    if isinstance(q, CommonTermsQuery):
-        return set(q.terms)
-    from .query import ComplexPhraseQuery
-
-    if isinstance(q, ComplexPhraseQuery):
+    if isinstance(q, BooleanQuery):
+        subs = q.clauses()
+    elif isinstance(q, DisMaxQuery):
+        subs = q.clauses
+    elif isinstance(q, ComplexPhraseQuery):
         # plain-term phrase elements only: the coordinator rewrites the
         # multi-term ones first (query.rewrite_expansions)
-        out = set()
-        for _, c in q.clauses:
-            out |= collect_terms(c)
-        return out
-    return set()
+        subs = [c for _, c in q.clauses]
+    else:
+        return set()
+    return set().union(*map(collect_terms, subs))
 
 
 class _TermDict:
@@ -282,7 +261,11 @@ class ShardSearcher:
     ``MultiIndexSearcher`` sub-index's offset), so ``base`` is the
     coordinator id of the segment's first doc: doc ids enter and leave
     every method as coordinator ids. It runs in-process or as the Ray
-    actor ``actors.SearchActor``."""
+    actor ``actors.SearchActor``.
+
+    Of the manifest it reads ``params`` and maxDoc (``stats.num_docs``,
+    its doc range) only: it scores with the statistics each query ships
+    (``QueryStats``)."""
 
     def __init__(self, index_dir: str, shard_ids: list[int],
                  manifest: dict | None = None, similarity: str = "bm25",
@@ -295,23 +278,22 @@ class ShardSearcher:
         self.shard_ids = [int(s) for s in shard_ids]
         self.index_dir = str(index_dir)
         params = manifest["params"]
-        stats = manifest["stats"]
         self._dps = dps = params["docs_per_shard"]
         self._codec = params.get("postings_codec", "varint")
         # the segment's index doc ids, clamped to the index's real docs
         first = self.shard_ids[0] * dps if self.shard_ids else 0
         end = (self.shard_ids[-1] + 1) * dps if self.shard_ids else 0
-        docs = range(first, max(first, min(end, stats["num_docs"])))
+        docs = range(first, max(first, min(end,
+                                           manifest["stats"]["num_docs"])))
         self.base = int(doc_base) + first
         self.size = len(docs)
-        self.doc_count = stats["doc_count"]
         self.docvalues = DocValues(index_dir, docs, self.shard_ids)
-        self.avgdl = np.float32(stats["avgdl"])
         # query-time pluggable scoring (Similarity SPI: IndexSearcher.
-        # setSimilarity). A callable acts as a factory (avgdl -> sim) for
-        # similarities with custom parameters (e.g. SweetSpotSim settings).
-        self.sim = similarity(self.avgdl) if callable(similarity) \
-            else bm25.make_similarity(similarity, self.avgdl)
+        # setSimilarity): a name, or a factory for custom parameters
+        # (SweetSpotSim's), applied by _weight to each query's avgdl
+        self._similarity = similarity if callable(similarity) \
+            else bm25.similarity_class(similarity)
+        self._sim: tuple | None = None  # (avgdl, the similarity built)
 
         files = {sid: index_path / "shards" / f"shard={sid:05d}"
                  / "terms.parquet" for sid in self.shard_ids}
@@ -333,14 +315,11 @@ class ShardSearcher:
         # IndexWriter.deleteDocuments analog — deleted docs are masked out
         # of every query, stats keep counting them until a merge)
         self._deleted: np.ndarray | None = None
-        deletes_file = index_path / "_DELETES.json"
-        if deletes_file.exists():
-            dels = np.asarray(json.loads(deletes_file.read_text())["doc_ids"],
-                              dtype=np.int64)
-            local = dels[(dels >= first) & (dels < first + self.size)]
-            if len(local):
-                self._deleted = np.zeros(self.size, dtype=bool)
-                self._deleted[local - first] = True
+        dels = np.fromiter(segment.read_deletes(index_dir), dtype=np.int64)
+        local = dels[(dels >= first) & (dels < first + self.size)]
+        if len(local):
+            self._deleted = np.zeros(self.size, dtype=bool)
+            self._deleted[local - first] = True
 
         # Heal a crashed atomic-update partition swap BEFORE loading
         # norms: a .dvold-* aside with a missing live partition would
@@ -362,7 +341,7 @@ class ShardSearcher:
         return self.base <= doc_id < self.base + self.size
 
     def explain(self, q: Query, doc_id: int,
-                df_map: dict[str, int]) -> dict | None:
+                stats: QueryStats) -> dict | None:
         """Score explanation tree (Explanation.java / Solr debugQuery):
         {value, description, details}. None when the doc doesn't match.
         Leaf terms break the BM25 product into boost/idf/tf components
@@ -373,17 +352,16 @@ class ShardSearcher:
         segment's: the coordinator asks every segment."""
         if not self._holds(doc_id):
             return None
-        docs, scores = self._score_clause(q, df_map)
+        docs, scores = self._score_clause(q, stats)
         i = int(np.searchsorted(docs, doc_id))
         if i >= len(docs) or docs[i] != doc_id:
             return None
         value = float(scores[i])
-        from .query import (BoostingQuery, ConstantScoreQuery,
-                            DisMaxQuery, SynonymQuery)
-
         if isinstance(q, TermQuery):
+            df_map, doc_count, _ = stats
             df = df_map.get(q.term, 0)
-            idf_v = float(self.sim.idf(df, self.doc_count))
+            sim, idf, _ = self._weight(stats, [df], q.boost)
+            idf_v = float(idf)
             p = self._postings(q.term)
             j = int(np.searchsorted(p[0], doc_id))
             freq = int(p[1][j])
@@ -391,12 +369,12 @@ class ShardSearcher:
             return {
                 "value": value,
                 "description": f"weight(text:{q.term} in {doc_id}) "
-                               f"[{type(self.sim).__name__}], product of:",
+                               f"[{type(sim).__name__}], product of:",
                 "details": [
                     {"value": float(q.boost), "description": "boost"},
                     {"value": idf_v,
                      "description": f"idf(docFreq={df}, "
-                                    f"docCount={self.doc_count})"},
+                                    f"docCount={doc_count})"},
                     {"value": value / (float(q.boost) * idf_v)
                      if q.boost and idf_v else 0.0,
                      "description": f"tf(freq={freq}), norm_byte="
@@ -411,14 +389,14 @@ class ShardSearcher:
         if isinstance(q, BooleanQuery):
             details = []
             for c in q.must + q.should:
-                sub = self.explain(c, doc_id, df_map)
+                sub = self.explain(c, doc_id, stats)
                 if sub is not None:
                     details.append(sub)
             return {"value": value, "description": "sum of:",
                     "details": details}
         if isinstance(q, DisMaxQuery):
             details = [s for c in q.clauses
-                       if (s := self.explain(c, doc_id, df_map))]
+                       if (s := self.explain(c, doc_id, stats))]
             return {"value": value,
                     "description": f"max plus {q.tie_breaker} times "
                                    "others of:",
@@ -548,18 +526,32 @@ class ShardSearcher:
         keep = ~self._deleted[docs - self.base]
         return docs[keep], scores[keep]
 
-    # --- scoring with global stats ---
-    def _score_term(self, q: TermQuery, df_map: dict[str, int]):
+    # --- scoring with the shipped statistics ---
+    def _weight(self, stats: QueryStats, dfs: list[int], boost: float):
+        """(similarity, idf, weight) of a term or a term set (a phrase's,
+        a span's): the idf of each of ``dfs`` under the shipped docCount,
+        summed in float32 in the order given, then weighted by ``boost``.
+        The similarity built from the shipped avgdl is kept while that
+        stays the same."""
+        _, doc_count, avgdl = stats
+        if self._sim is None or self._sim[0] != avgdl:
+            self._sim = avgdl, self._similarity(np.float32(avgdl))
+        sim = self._sim[1]
+        idf = np.float32(0.0)
+        for df in dfs:
+            idf = np.float32(idf + sim.idf(df, doc_count))
+        return sim, idf, sim.weight(idf, boost)
+
+    def _score_term(self, q: TermQuery, stats: QueryStats):
         p = self._postings(q.term)
         if p is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         docs, freqs, _ = p
-        w = self.sim.weight(
-            self.sim.idf(df_map.get(q.term, 0), self.doc_count), q.boost)
-        scores = self.sim.score(freqs, self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(q.term, 0)], q.boost)
+        scores = sim.score(freqs, self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _score_phrase(self, q: PhraseQuery, df_map: dict[str, int]):
+    def _score_phrase(self, q: PhraseQuery, stats: QueryStats):
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         plists = []
         for t in q.terms:
@@ -579,7 +571,7 @@ class ShardSearcher:
             return empty
         rel = q.positions
         if q.slop > 0:
-            return self._finish_sloppy_phrase(q, df_map, docs, idxs, plists)
+            return self._finish_sloppy_phrase(q, stats, docs, idxs, plists)
         # vectorized exact-phrase counting across ALL candidate docs at once
         # (ExactPhraseScorer semantics): composite (local_doc << 32 | pos)
         # keys make per-doc position membership a single global searchsorted.
@@ -611,24 +603,16 @@ class ShardSearcher:
         keep = phrase_freqs > 0
         docs = docs[keep]
         pf = phrase_freqs[keep]
-        w = self._phrase_weight(q, df_map)
-        scores = self.sim.score(pf, self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(t, 0) for t in q.terms],
+                                 q.boost)
+        scores = sim.score(pf, self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _phrase_weight(self, q: PhraseQuery, df_map: dict[str, int]):
-        sum_idf = np.float32(0.0)
-        for t in q.terms:
-            sum_idf = np.float32(
-                sum_idf + self.sim.idf(df_map.get(t, 0), self.doc_count))
-        return self.sim.weight(sum_idf, q.boost)
-
-    def _finish_sloppy_phrase(self, q: PhraseQuery, df_map: dict[str, int],
+    def _finish_sloppy_phrase(self, q: PhraseQuery, stats: QueryStats,
                               docs: np.ndarray, idxs: list, plists: list):
         """SloppyPhraseScorer path: conjunction candidates from the exact
         machinery, per-doc phraseFreq via the shared pq kernel
         (query.sloppy_phrase_freq — identical code runs in the oracle)."""
-        from .query import sloppy_phrase_freq
-
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         decoded = [self._positions(row_i) for _, _, row_i in plists]
         rel = list(q.positions)
@@ -644,19 +628,18 @@ class ShardSearcher:
         if not keep.any():
             return empty
         docs = docs[keep]
-        w = self._phrase_weight(q, df_map)
-        scores = self.sim.score(pf[keep], self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(t, 0) for t in q.terms],
+                                 q.boost)
+        scores = sim.score(pf[keep], self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _score_multi_phrase(self, q, df_map: dict[str, int]):
+    def _score_multi_phrase(self, q, stats: QueryStats):
         """MultiPhraseQuery scorer (MultiPhraseQuery.java:47 /
         UnionPostingsEnum): per slot, union the alternatives' decoded
         positions; candidates = docs where EVERY slot has some
         alternative; freq = exact alignment count (slop=0) or
         sloppy_phrase_freq; weight sums idf over all terms in slot
         order (same float32 accumulation as the oracle)."""
-        from .query import sloppy_phrase_freq
-
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         cands = None
         slot_entries = []
@@ -706,17 +689,12 @@ class ShardSearcher:
         if not keep.any():
             return empty
         docs, f = cands[keep], pf[keep]
-        sum_idf = np.float32(0.0)
-        for alts in q.slots:
-            for t in alts:
-                sum_idf = np.float32(
-                    sum_idf + self.sim.idf(df_map.get(t, 0),
-                                           self.doc_count))
-        w = self.sim.weight(sum_idf, q.boost)
-        scores = self.sim.score(f, self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(t, 0) for alts in q.slots
+                                         for t in alts], q.boost)
+        scores = sim.score(f, self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _score_synonym(self, q, df_map: dict[str, int]):
+    def _score_synonym(self, q, stats: QueryStats):
         """SynonymQuery scorer (SynonymQuery.java:228-249): one pseudo-
         term — weight from max df over the synonyms, per-doc freq = sum
         of the synonyms' freqs."""
@@ -731,9 +709,9 @@ class ShardSearcher:
         for d_i, f_i, _ in plists:
             idx = np.searchsorted(all_docs, d_i)
             freq[idx] += f_i
-        max_df = max(df_map.get(t, 0) for t in q.terms)
-        w = self.sim.weight(self.sim.idf(max_df, self.doc_count), q.boost)
-        scores = self.sim.score(freq, self.norms[all_docs - self.base], w)
+        sim, _, w = self._weight(
+            stats, [max(stats[0].get(t, 0) for t in q.terms)], q.boost)
+        scores = sim.score(freq, self.norms[all_docs - self.base], w)
         return self._live(all_docs, scores)
 
     def _score_multi_term(self, q: MultiTermQuery):
@@ -749,21 +727,19 @@ class ShardSearcher:
         return self._live(
             docs, np.full(len(docs), np.float32(q.boost), dtype=np.float32))
 
-    def _score_clause(self, q: Query, df_map: dict[str, int]):
+    def _score_clause(self, q: Query, stats: QueryStats):
         if isinstance(q, TermQuery):
-            return self._score_term(q, df_map)
-        from .query import BoostingQuery, MultiPhraseQuery, SynonymQuery
-
+            return self._score_term(q, stats)
         if isinstance(q, SynonymQuery):
-            return self._score_synonym(q, df_map)
+            return self._score_synonym(q, stats)
         if isinstance(q, MultiPhraseQuery):
-            return self._score_multi_phrase(q, df_map)
+            return self._score_multi_phrase(q, stats)
         if isinstance(q, BoostingQuery):
             # BoostingQuery.java:106-130: match set unchanged, context
             # matches get score *= negative_boost
-            docs, scores = self._score_clause(q.match, df_map)
+            docs, scores = self._score_clause(q.match, stats)
             if len(docs):
-                ctx_docs, _ = self._score_clause(q.context, df_map)
+                ctx_docs, _ = self._score_clause(q.context, stats)
                 demote = np.isin(docs, ctx_docs, assume_unique=True)
                 scores = np.where(
                     demote,
@@ -772,36 +748,30 @@ class ShardSearcher:
                     scores).astype(np.float32)
             return docs, scores
         if isinstance(q, PhraseQuery):
-            return self._score_phrase(q, df_map)
+            return self._score_phrase(q, stats)
         if isinstance(q, MultiTermQuery):
             return self._score_multi_term(q)
         if isinstance(q, BooleanQuery):
-            return self._score_boolean(q, df_map)
+            return self._score_boolean(q, stats)
         if isinstance(q, MatchNoDocs):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        from .query import MatchAllDocsQuery
-
         if isinstance(q, MatchAllDocsQuery):
             docs = self.base + np.arange(self.size, dtype=np.int64)
             return self._live(docs, np.full(len(docs), np.float32(q.boost),
                                             dtype=np.float32))
-        from .query import (ConstantScoreQuery, DisMaxQuery, SpanFirstQuery,
-                            SpanNearQuery, SpanNotQuery, SpanOrQuery,
-                            SpanTermQuery)
-
         if isinstance(q, SpanFirstQuery):
             if q.query is not None:  # wraps a composite span query
-                return self._score_span(q, df_map)
-            return self._score_span_first(q, df_map)
+                return self._score_span(q, stats)
+            return self._score_span_first(q, stats)
         if isinstance(q, (SpanTermQuery, SpanNearQuery, SpanOrQuery,
                           SpanNotQuery)):
-            return self._score_span(q, df_map)
+            return self._score_span(q, stats)
         if isinstance(q, ConstantScoreQuery):
-            docs, _ = self._score_clause(q.query, df_map)
+            docs, _ = self._score_clause(q.query, stats)
             return docs, np.full(len(docs), np.float32(q.boost),
                                  dtype=np.float32)
         if isinstance(q, DisMaxQuery):
-            return self._score_dismax(q, df_map)
+            return self._score_dismax(q, stats)
         # ComplexPhraseQuery and span multi-term leaves arrive rewritten
         # against the whole index's vocabulary (query.rewrite_expansions)
         raise TypeError(f"unsupported query node: {type(q)}")
@@ -810,9 +780,6 @@ class ShardSearcher:
         """Docs that can possibly match a span query (conjunction for
         near, union for or, include side for not) — the per-doc kernel
         only ever runs on these."""
-        from .query import (SpanFirstQuery, SpanNearQuery, SpanNotQuery,
-                            SpanOrQuery, SpanTermQuery)
-
         if isinstance(q, SpanFirstQuery) and q.query is not None:
             return self._span_candidates(q.query)
         if isinstance(q, (SpanTermQuery, SpanFirstQuery)):
@@ -832,13 +799,11 @@ class ShardSearcher:
             return self._span_candidates(q.include)
         raise TypeError(type(q))
 
-    def _score_span(self, q, df_map: dict[str, int]):
+    def _score_span(self, q, stats: QueryStats):
         """SpanScorer over the shared span kernel (query.span_spans):
         freq = sum of 1/(1+width) per match (computeSlopFactor), weight =
         summed idf of the query's term contexts
         (SpanWeight.buildSimWeight)."""
-        from .query import span_freq, span_terms
-
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         docs = self._span_candidates(q)
         if len(docs) == 0:
@@ -870,15 +835,12 @@ class ShardSearcher:
         if not keep.any():
             return empty
         docs, f = docs[keep], freqs[keep]
-        sum_idf = np.float32(0.0)
-        for t in sorted(span_terms(q)):
-            sum_idf = np.float32(
-                sum_idf + self.sim.idf(df_map.get(t, 0), self.doc_count))
-        w = self.sim.weight(sum_idf, q.boost)
-        scores = self.sim.score(f, self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(t, 0) for t in
+                                         sorted(span_terms(q))], q.boost)
+        scores = sim.score(f, self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _score_span_first(self, q, df_map: dict[str, int]):
+    def _score_span_first(self, q, stats: QueryStats):
         """SpanFirstQuery: freq = positions < end, vectorized via the
         decoded position stream + reduceat over posting boundaries."""
         p = self._postings(q.term)
@@ -891,15 +853,14 @@ class ShardSearcher:
             np.zeros(len(docs), dtype=np.int64)
         keep = f > 0
         docs, f = docs[keep], f[keep]
-        w = self.sim.weight(
-            self.sim.idf(df_map.get(q.term, 0), self.doc_count), q.boost)
-        scores = self.sim.score(f, self.norms[docs - self.base], w)
+        sim, _, w = self._weight(stats, [stats[0].get(q.term, 0)], q.boost)
+        scores = sim.score(f, self.norms[docs - self.base], w)
         return self._live(docs, scores)
 
-    def _score_dismax(self, q, df_map: dict[str, int]):
+    def _score_dismax(self, q, stats: QueryStats):
         """DisjunctionMaxScorer: float32 max + float64 sum per doc, final
         (float)(max + (sum - max) * tieBreaker)."""
-        per = [self._score_clause(c, df_map) for c in q.clauses]
+        per = [self._score_clause(c, stats) for c in q.clauses]
         per = [(d, s) for d, s in per if len(d)]
         if not per:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
@@ -915,9 +876,9 @@ class ShardSearcher:
                   ).astype(np.float32)
         return all_docs, scores
 
-    def _score_boolean(self, q: BooleanQuery, df_map: dict[str, int]):
-        must = [self._score_clause(c, df_map) for c in q.must]
-        should = [self._score_clause(c, df_map) for c in q.should]
+    def _score_boolean(self, q: BooleanQuery, stats: QueryStats):
+        must = [self._score_clause(c, stats) for c in q.must]
+        should = [self._score_clause(c, stats) for c in q.should]
         msm = getattr(q, "min_should_match", 0)
         if must:
             docs, scores = must[0]
@@ -953,7 +914,7 @@ class ShardSearcher:
                 keep = n_should_hits >= msm
                 docs, scores = docs[keep], scores[keep]
         for c in q.must_not:
-            d2, _ = self._score_clause(c, df_map)
+            d2, _ = self._score_clause(c, stats)
             if len(d2):
                 keep = ~np.isin(docs, d2, assume_unique=True)
                 docs, scores = docs[keep], scores[keep]
@@ -974,7 +935,7 @@ class ShardSearcher:
             docs, scores = docs[keep], scores[keep]
         return docs, scores
 
-    def search(self, query: Query, df_map: dict[str, int],
+    def search(self, query: Query, stats: QueryStats,
                filter_range=None, after: tuple[float, int] | None = None):
         """The segment's matches ``(docs, scores)`` in doc order, before
         any ranking. ``filter_range`` = {field: (lo, hi)} intersects them
@@ -983,7 +944,7 @@ class ShardSearcher:
         after that cursor in (score desc, doc asc) order
         (IndexSearcher.searchAfter / cursorMark). ``search_batch`` ranks
         them."""
-        docs, scores = self._score_clause(query, df_map)
+        docs, scores = self._score_clause(query, stats)
         if filter_range:
             docs, scores = self._apply_filter(docs, scores, filter_range)
         if after is not None:
@@ -1019,15 +980,15 @@ class ShardSearcher:
                       else _sorted_unique(col))
         return out
 
-    def search_batch(self, queries: list[Query], df_maps: list[dict[str, int]],
+    def search_batch(self, queries: list[Query], batch_stats: list[QueryStats],
                      k: int, sort=None, filter_range=None, after=None
                      ) -> list[list[tuple]]:
         """Per query, the segment's top-k: (doc, score) by (score desc,
         doc asc), or (doc, score, sort values) by ``sort``."""
         results = []
-        for q, df_map in zip(queries, df_maps):
+        for q, stats in zip(queries, batch_stats):
             docs, scores = self.search(
-                q, df_map, filter_range=filter_range, after=after)
+                q, stats, filter_range=filter_range, after=after)
             results.append(self._top_k(
                 docs, scores.astype(np.float32, copy=False), k, sort))
         return results
@@ -1107,29 +1068,30 @@ class ShardSearcher:
                             spans[:half], spans[half:])
         return out
 
-    def hits_partial(self, query: Query, df_map: dict[str, int]):
+    def hits_partial(self, query: Query, stats: QueryStats):
         """(docs, scores) of every matching doc."""
-        return self._score_clause(query, df_map)
+        return self._score_clause(query, stats)
 
-    def scores_for_docs(self, query: Query, df_map: dict[str, int],
+    def scores_for_docs(self, query: Query, stats: QueryStats,
                         doc_ids: list[int]) -> dict[int, float]:
         """Scores of the given docs that match ``query``: only the
         requested docs ship (rerank second pass, elevation)."""
-        docs, scores = self._score_clause(query, df_map)
+        docs, scores = self._score_clause(query, stats)
         mask = np.isin(docs, np.asarray(doc_ids, dtype=np.int64))
         return {int(d): float(s) for d, s in zip(docs[mask], scores[mask])}
 
     # --- counts ---
-    def count_partial(self, query: Query, df_map: dict[str, int]) -> int:
-        return len(self._score_clause(query, df_map)[0])
+    def count_partial(self, query: Query, stats: QueryStats) -> int:
+        return len(self._score_clause(query, stats)[0])
 
     def query_counts(self, queries: list[Query],
-                     df_maps: list[dict[str, int]]) -> list[int]:
+                     batch_stats: list[QueryStats]) -> list[int]:
         """facet.query partials: hit count per sub-query."""
-        return [self.count_partial(q, df) for q, df in zip(queries, df_maps)]
+        return [self.count_partial(q, st) for q, st in zip(queries,
+                                                            batch_stats)]
 
     # --- facets and stats over the full hit set ---
-    def facet_partial(self, query: Query, df_map: dict[str, int],
+    def facet_partial(self, query: Query, stats: QueryStats,
                       field: str):
         """(str() of each value:str-array, counts:int64-array) of ``field``
         over the segment's hits that carry it. Merging is np.unique over
@@ -1137,32 +1099,32 @@ class ShardSearcher:
         high-cardinality field stays vectorized end to end."""
         self._require(field)
         vc = pc.value_counts(pc.drop_null(self.docvalues_local(
-            field, self._score_clause(query, df_map)[0])))
+            field, self._score_clause(query, stats)[0])))
         return (np.asarray([str(v) for v in vc.field(0).to_pylist()],
                            dtype=str),
                 vc.field(1).to_numpy())
 
-    def _numeric_hits(self, query: Query, df_map: dict[str, int],
+    def _numeric_hits(self, query: Query, stats: QueryStats,
                       field: str):
         """(values of the hits present as float64, number of hits missing
         the field)."""
         self._require(field)
         vals = self.docvalues_local(field,
-                                    self._score_clause(query, df_map)[0])
+                                    self._score_clause(query, stats)[0])
         v = pc.drop_null(vals).cast(pa.float64()).to_numpy()
         return v, len(vals) - len(v)
 
-    def stats_partial(self, query: Query, df_map: dict[str, int],
+    def stats_partial(self, query: Query, stats: QueryStats,
                       field: str) -> tuple:
         """(count, min, max, sum, sumsq, missing) of a docvalue over the
         full hit set (StatsValuesFactory accumulator shape)."""
-        v, missing = self._numeric_hits(query, df_map, field)
+        v, missing = self._numeric_hits(query, stats, field)
         if len(v) == 0:
             return 0, None, None, 0.0, 0.0, missing
         return (len(v), float(v.min()), float(v.max()), float(v.sum()),
                 float((v * v).sum()), missing)
 
-    def range_facet_partial(self, query: Query, df_map: dict[str, int],
+    def range_facet_partial(self, query: Query, stats: QueryStats,
                             field: str, start: float, end: float,
                             gap: float, hardend: bool) -> list[int]:
         """Range-facet bucket counts over the segment's hits (one
@@ -1170,7 +1132,7 @@ class ShardSearcher:
         buckets then before/after/between)."""
         n_buckets = int(np.ceil((end - start) / gap))
         actual_end = end if hardend else start + n_buckets * gap
-        v, _ = self._numeric_hits(query, df_map, field)
+        v, _ = self._numeric_hits(query, stats, field)
         below = v < start
         above = v >= actual_end
         mid = ~(below | above)
@@ -1180,10 +1142,10 @@ class ShardSearcher:
             int(below.sum()), int(above.sum()), int(mid.sum())]
 
     # --- block join, collapse, expand ---
-    def _conv_hits(self, query: Query, df_map: dict[str, int]):
+    def _conv_hits(self, query: Query, stats: QueryStats):
         """(conv_id ordinals, docs, float32 scores) over the segment's hits;
         ordinals sort as conv_ids do (CollapsingQParserPlugin's ords)."""
-        d, s = self._score_clause(query, df_map)
+        d, s = self._score_clause(query, stats)
         return (self.docvalues_local("conv_id", d).indices.to_numpy(), d,
                 s.astype(np.float32))
 
@@ -1201,7 +1163,7 @@ class ShardSearcher:
             keep |= np.isin(convs, self.boundary_convs())
         return keep
 
-    def conv_partial(self, query: Query, df_map: dict[str, int],
+    def conv_partial(self, query: Query, stats: QueryStats,
                      score_mode: str, limit: int | None = None
                      ) -> dict[str, float]:
         """Per-conversation aggregated turn scores over the segment's FULL
@@ -1217,7 +1179,7 @@ class ShardSearcher:
         Mirrors QueryComponent.java:746-766's bounded scatter/gather."""
         if score_mode not in ("max", "total"):
             raise ValueError(score_mode)
-        convs, _, scores = self._conv_hits(query, df_map)
+        convs, _, scores = self._conv_hits(query, stats)
         uniq, inv = np.unique(convs, return_inverse=True)
         if score_mode == "max":
             agg = np.full(len(uniq), -np.inf)
@@ -1228,7 +1190,7 @@ class ShardSearcher:
         keep = self._bounded(uniq, agg, limit)
         return dict(zip(self._conv_ids(uniq[keep]), agg[keep].tolist()))
 
-    def collapse_partial(self, query: Query, df_map: dict[str, int],
+    def collapse_partial(self, query: Query, stats: QueryStats,
                          limit: int | None = None
                          ) -> dict[str, tuple[float, int]]:
         """Per-conversation best (score, doc) head, lower doc on ties
@@ -1236,7 +1198,7 @@ class ShardSearcher:
         heads, score-tie-inclusive at the cut, plus segment-boundary
         conversations — exact for the global top-k merge by the same
         argument as conv_partial (the head merge is a max)."""
-        convs, docs, scores = self._conv_hits(query, df_map)
+        convs, docs, scores = self._conv_hits(query, stats)
         order = np.lexsort((docs, -scores, convs))
         convs_s = convs[order]
         head = np.concatenate(([True], convs_s[1:] != convs_s[:-1])) \
@@ -1248,13 +1210,13 @@ class ShardSearcher:
                 zip(self._conv_ids(h_conv[keep]), h_score[keep],
                     h_doc[keep])}
 
-    def expand_partial(self, query: Query, df_map: dict[str, int],
+    def expand_partial(self, query: Query, stats: QueryStats,
                        conv_ids: list[str], exclude_docs: list[int],
                        per_group: int) -> dict[str, list]:
         """ExpandComponent partial: per requested conversation, the
         segment's top ``per_group`` other matching docs — bounded by
         |convs| * per_group, never the hit set."""
-        convs, docs, scores = self._conv_hits(query, df_map)
+        convs, docs, scores = self._conv_hits(query, stats)
         dic = self.docvalues.column("conv_id").dictionary
         want = pc.index_in(pa.array(conv_ids, type=dic.type), value_set=dic)
         keep = np.isin(convs, want.drop_null().to_numpy()) \
@@ -1305,7 +1267,7 @@ class ShardSearcher:
         # missing doc values evaluate as 0 (FunctionScoreQuery)
         return pc.fill_null(vals.cast(pa.float64()), 0.0)
 
-    def boosted_partial(self, query: Query, df_map: dict[str, int], ast,
+    def boosted_partial(self, query: Query, stats: QueryStats, ast,
                         k: int, mode: str = "multiply",
                         ord_uniques: dict | None = None
                         ) -> list[tuple[int, float]]:
@@ -1330,7 +1292,7 @@ class ShardSearcher:
             if not f.startswith("__") and EXISTS_PSEUDO_PREFIX + f \
                     not in fields:
                 self._require(f)
-        docs, scores = self._score_clause(query, df_map)
+        docs, scores = self._score_clause(query, stats)
         if len(docs) == 0:
             return []
         cols = {f: self._boost_column(f, docs, ord_uniques or {})
@@ -1388,14 +1350,10 @@ class ShardSearcher:
                            ) -> dict[str, int]:
         """Fuzzy-expanded candidates with the segment's docFreq (the
         SpellCheckComponent shard response)."""
-        from .query import FuzzyQuery
-
         return self._expanded_df(FuzzyQuery(term=term, max_edits=max_edits),
                                  skip=term)
 
     def suggest_partial(self, prefix: str) -> dict[str, int]:
-        from .query import PrefixQuery
-
         return self._expanded_df(PrefixQuery(prefix=prefix))
 
 

@@ -10,12 +10,15 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.data.transcripts import generate_transcripts
-from lucene_solr_ray.index.build import build_index
-from lucene_solr_ray.index import update
+from lucene_solr_ray.index.build import build_index, read_manifest
+from lucene_solr_ray.index import segment, update
 from lucene_solr_ray.index.update import delete_documents, split_index
-from lucene_solr_ray.search.actors import DistributedSearcher
+from lucene_solr_ray.search.actors import (DistributedSearcher,
+                                           SearchCoordinator)
 from lucene_solr_ray.search.features import index_stats
-from lucene_solr_ray.search.searcher import IndexSearcher, MultiIndexSearcher
+from lucene_solr_ray.search.searcher import (IndexSearcher,
+                                             MultiIndexSearcher,
+                                             ShardSearcher)
 
 QUERIES = ["ray", "data OR index", "ray AND data", '"ray data"',
            "tool AND NOT error", "the"]
@@ -137,7 +140,8 @@ def test_coordinator_reads_no_index_files(searchers, monkeypatch):
         raise AssertionError("the coordinator read an index file")
 
     for mod, name in ((pads, "dataset"), (pq, "ParquetFile"),
-                      (pq, "read_table"), (update, "read_deletes")):
+                      (pq, "read_table"), (update, "read_deletes"),
+                      (segment, "read_deletes")):
         monkeypatch.setattr(mod, name, refuse)
     hits = dist.search("ray", k=10)
     assert len(dist.resolve_hits(hits)) == len(hits)
@@ -146,6 +150,23 @@ def test_coordinator_reads_no_index_files(searchers, monkeypatch):
         dist.manifest["stats"]["num_docs"]
     assert dist.boosted_search("ray", "numdocs()", k=5) == \
         local.boosted_search("ray", "numdocs()", k=5)
+
+
+def test_groups_read_no_collection_statistics(searchers):
+    """The collection statistics ship with each query: a group opened on
+    a manifest whose ``stats`` holds only maxDoc scores, explains and
+    batches exactly like ``IndexSearcher``."""
+    local = searchers["local"]
+    m = read_manifest(local.index_dir)
+    group = ShardSearcher(local.index_dir,
+                          [r["shard_id"] for r in m["shards"]],
+                          {**m, "stats": {"num_docs": m["stats"]["num_docs"]}})
+    coord = SearchCoordinator(m, [group])
+    for q in QUERIES:
+        assert coord.search(q, k=15) == local.search(q, k=15), q
+        assert _explain(coord, q) == _explain(local, q), q
+    assert coord.search_batch(QUERIES, k=15) == \
+        local.search_batch(QUERIES, k=15)
 
 
 def test_numdocs_counts_tombstones_as_of_open(ray_session, tmp_path):

@@ -13,18 +13,24 @@ import pytest
 from lucene_solr_ray.data.transcripts import generate_transcripts
 from lucene_solr_ray.index.build import (build_index, collection_stats,
                                          read_manifest)
-from lucene_solr_ray.index.check import check_index
+from lucene_solr_ray.index.check import check_index, luke
 from lucene_solr_ray.index.update import (add_indexes, atomic_update,
                                           delete_documents, expunge_deletes,
+                                          read_deletes, read_expunged,
                                           split_index, update_index)
 
 TIMINGS = ("build_seconds", "phases", "task_cpu_s")
 
 
-def _assert_stats_are_row_sums(index_dir):
-    """``stats`` equals the rows' sums, and each row's ``sum_total_term_freq``
-    equals its segment's summed ``ttf`` column."""
+def _assert_manifest_matches_files(index_dir):
+    """``stats`` equals the rows' sums, each row's ``sum_total_term_freq``
+    equals its segment's summed ``ttf`` column, and the tombstone counts
+    (0 when absent) equal the ids of the tombstone files."""
     m = read_manifest(index_dir)
+    dels = len(read_deletes(index_dir))
+    assert (m.get("deleted_count", 0), m.get("expunged_count", 0)) == \
+        (dels, len(read_expunged(index_dir)))
+    assert luke(index_dir)["index"]["deleted_docs"] == dels
     assert m["stats"] == collection_stats(m["stats"]["num_docs"],
                                           m["shards"])
     for row in m["shards"]:
@@ -55,15 +61,18 @@ def sources(tmp_path):
 def test_operation_timings_belong_to_their_operation(ray_session, sources):
     """Only ``build_index`` and ``update_index`` measure their phases, and
     each manifest generation carries the timings of the operation that
-    published it or none: a later generation never inherits them."""
+    published it or none: a later generation never inherits them. The
+    tombstone counts follow the tombstone files through every step,
+    ``add_indexes`` of an index with deletes and ``split_index`` too."""
     idx, other = str(sources / "idx"), str(sources / "other_idx")
     m_build = build_index(str(sources / "first.parquet"), idx, num_shards=3)
     build_index(str(sources / "other.parquet"), other, num_shards=2)
+    delete_documents(other, doc_ids=[2, 7])
     assert all(k in m_build for k in TIMINGS)
-    _assert_stats_are_row_sums(idx)
+    _assert_manifest_matches_files(idx)
 
     update_index(idx, str(sources / "later.parquet"))
-    m_update = _assert_stats_are_row_sums(idx)
+    m_update = _assert_manifest_matches_files(idx)
     assert all(k in m_update for k in TIMINGS)
     assert m_update["phases"] != m_build["phases"]
     assert m_update["build_seconds"] != m_build["build_seconds"]
@@ -79,14 +88,14 @@ def test_operation_timings_belong_to_their_operation(ray_session, sources):
                                          "role": {"set": "tool"}}])):
         before = read_manifest(idx)["version"]
         op()
-        m = _assert_stats_are_row_sums(idx)
+        m = _assert_manifest_matches_files(idx)
         assert m["version"] == before + 1
         assert not any(k in m for k in TIMINGS), sorted(m)
 
     halves = [str(sources / "split_a"), str(sources / "split_b")]
     split_index(idx, *halves)
     for half in halves:
-        m = _assert_stats_are_row_sums(half)
+        m = _assert_manifest_matches_files(half)
         assert m["version"] == 1
         assert not any(k in m for k in TIMINGS)
 
@@ -122,4 +131,25 @@ def test_check_index_catches_a_miscounted_row(ray_session, sources, field,
         m["stats"] = collection_stats(m["stats"]["num_docs"], m["shards"])
     (Path(idx) / "manifest.json").write_text(json.dumps(m))
     with pytest.raises(AssertionError, match=error):
+        check_index(idx, parallel=False)
+
+
+@pytest.mark.parametrize("key", ["deleted_count", "expunged_count"])
+def test_check_index_catches_a_miscounted_tombstone(ray_session, sources,
+                                                    key):
+    """``check_index`` compares the manifest's tombstone counts with the
+    tombstone files: one off fails it, and an absent key counts as 0."""
+    idx = str(sources / "idx")
+    build_index(str(sources / "first.parquet"), idx, num_shards=3)
+    delete_documents(idx, doc_ids=[1, 4])
+    expunge_deletes(idx)
+    assert check_index(idx, parallel=False)["status"] == "ok"
+    m = read_manifest(idx)
+    m[key] += 1
+    (Path(idx) / "manifest.json").write_text(json.dumps(m))
+    with pytest.raises(AssertionError, match=f"manifest {key} != "):
+        check_index(idx, parallel=False)
+    del m[key]
+    (Path(idx) / "manifest.json").write_text(json.dumps(m))
+    with pytest.raises(AssertionError, match=f"manifest {key} != "):
         check_index(idx, parallel=False)

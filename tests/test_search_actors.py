@@ -219,20 +219,19 @@ def test_conv_collapse_partials_are_bounded(dist_pair):
     import ray as _ray
 
     local, dist = dist_pair
-    q = dist.parse("ray")
-    df = dist.global_df(q)
+    q, stats = dist._prepare_one("ray")  # the query and its QueryStats
     k = 3
     for actor in dist.actors:
-        full = _ray.get(actor.conv_partial.remote(q, df, "total", None))
-        bounded = _ray.get(actor.conv_partial.remote(q, df, "total", k))
+        full = _ray.get(actor.conv_partial.remote(q, stats, "total", None))
+        bounded = _ray.get(actor.conv_partial.remote(q, stats, "total", k))
         # bound: k + score-ties at the cut + <=2 boundary convs per shard
         assert len(bounded) <= k + 2 + 2 * 4, (len(bounded), len(full))
         assert len(full) > len(bounded)  # the query really matches widely
         # every shipped entry carries the exact full-partial value
         for c, s in bounded.items():
             assert abs(s - full[c]) < 1e-9
-        cfull = _ray.get(actor.collapse_partial.remote(q, df, None))
-        cbound = _ray.get(actor.collapse_partial.remote(q, df, k))
+        cfull = _ray.get(actor.collapse_partial.remote(q, stats, None))
+        cbound = _ray.get(actor.collapse_partial.remote(q, stats, k))
         assert len(cbound) <= k + 2 + 2 * 4
         for c, v in cbound.items():
             assert v == cfull[c]

@@ -82,7 +82,7 @@ def test_unknown_similarity_rejected(idx):
 
 
 def test_classic_idf_weight_values():
-    sim = bm25.make_similarity("classic", np.float32(1.0))
+    sim = bm25.similarity_class("classic")(np.float32(1.0))
     assert sim.idf(0, 0) == np.float32(1.0)
     assert float(sim.idf(9, 99)) == pytest.approx(math.log(10.0) + 1, 1e-6)
     i = sim.idf(3, 100)
@@ -151,12 +151,20 @@ def test_sweetspot_searches(idx):
 
 
 def test_distributed_classic_matches_inprocess(idx, ray_session):
-    """Similarity flows into the actor pool: distributed == in-process."""
+    """Similarity flows into the actor pool: distributed == in-process,
+    for a named similarity and for a factory, which the actors apply to
+    the avgdl shipped with each query."""
     from lucene_solr_ray.search.actors import DistributedSearcher
 
     qs = ["ray OR data OR index", "ray AND data", '"ray data"']
-    local = IndexSearcher(idx, similarity="classic")
-    dist = DistributedSearcher(idx, num_actors=2, similarity="classic")
-    got = dist.search_batch(qs, k=15)
-    for q, hits in zip(qs, got):
-        assert hits == local.search(q, k=15), q
+    for sim in ("classic", lambda avgdl: bm25.SweetSpotSim(
+            avgdl, ln_min=5, ln_max=20, steepness=0.5)):
+        local = IndexSearcher(idx, similarity=sim)
+        dist = DistributedSearcher(idx, num_actors=2, similarity=sim)
+        try:
+            got = dist.search_batch(qs, k=15)
+        finally:
+            dist.close()
+        for q, hits in zip(qs, got):
+            assert hits, (sim, q)
+            assert hits == local.search(q, k=15), (sim, q)
